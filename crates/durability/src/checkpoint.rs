@@ -34,12 +34,13 @@
 //! new file — never a half-written `ckpt-*.db`.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use relvu_engine::{CommitDelta, Database, EngineSnapshot};
-use relvu_relation::{Tuple, Value};
+use relvu_engine::{Commit, Database, EngineSnapshot};
+use relvu_relation::Tuple;
 
 use crate::error::DurabilityError;
-use crate::record::{fnv1a, FNV_OFFSET};
+use crate::record::{fnv1a, parse_tuple, push_tuple, FNV_OFFSET};
 use crate::vfs::Vfs;
 use crate::wal::list_segments;
 
@@ -233,43 +234,37 @@ pub fn write_full_checkpoint<V: Vfs>(
     Ok((seq, crc))
 }
 
-fn push_tuple_line(out: &mut String, tag: &str, t: &Tuple) {
+fn push_tuple_line(out: &mut String, tag: &str, t: &Tuple) -> Result<(), DurabilityError> {
     out.push_str(tag);
-    for v in t.values() {
-        match v {
-            Value::Const(c) => {
-                out.push(' ');
-                out.push_str(&c.to_string());
-            }
-            Value::Null(_) => unreachable!("legal bases are concrete"),
-        }
-    }
+    push_tuple(out, t)?;
     out.push('\n');
+    Ok(())
 }
 
-/// Write an incremental checkpoint at `seq` holding `commits` (the
-/// per-commit base deltas in `(parent.0, seq]`), chained onto the
+/// Write an incremental checkpoint at `seq` holding the base deltas of
+/// `commits` (the commits in `(parent.0, seq]`), chained onto the
 /// checkpoint identified by `parent = (seq, crc)`. Returns the new
 /// file's body crc (the `parentcrc` for the *next* delta in the chain).
 ///
 /// # Errors
+/// [`DurabilityError::Encode`] on a row holding a labeled null;
 /// [`DurabilityError::Vfs`] on any storage failure.
 pub fn write_delta_checkpoint<V: Vfs>(
     vfs: &V,
     seq: u64,
-    commits: &[CommitDelta],
+    commits: &[Arc<Commit>],
     parent: (u64, u64),
     retain: usize,
 ) -> Result<u64, DurabilityError> {
     let _timer = relvu_obs::histogram!("durability.checkpoint_ns").timer();
     let mut body = String::new();
     for c in commits {
-        body.push_str(&format!("commit {}\n", c.seq));
-        for t in &c.removed {
-            push_tuple_line(&mut body, "del", t);
+        body.push_str(&format!("commit {}\n", c.seq()));
+        for t in c.removed() {
+            push_tuple_line(&mut body, "del", t)?;
         }
-        for t in &c.added {
-            push_tuple_line(&mut body, "add", t);
+        for t in c.added() {
+            push_tuple_line(&mut body, "add", t)?;
         }
     }
     body.push_str("end\n");
@@ -287,13 +282,16 @@ pub fn write_delta_checkpoint<V: Vfs>(
     Ok(crc)
 }
 
+/// One delta-checkpoint commit: `(seq, removed, added)`.
+type DeltaCommit = (u64, Vec<Tuple>, Vec<Tuple>);
+
 /// Parse a delta checkpoint's body back into its per-commit deltas.
-fn parse_delta_body(name: &str, body: &str) -> Result<Vec<CommitDelta>, DurabilityError> {
+fn parse_delta_body(name: &str, body: &str) -> Result<Vec<DeltaCommit>, DurabilityError> {
     let corrupt = |detail: String| DurabilityError::CorruptCheckpoint {
         name: name.to_string(),
         detail,
     };
-    let mut commits: Vec<CommitDelta> = Vec::new();
+    let mut commits: Vec<DeltaCommit> = Vec::new();
     let mut ended = false;
     for line in body.lines() {
         if ended {
@@ -305,26 +303,19 @@ fn parse_delta_body(name: &str, body: &str) -> Result<Vec<CommitDelta>, Durabili
                 let seq: u64 = rest
                     .parse()
                     .map_err(|_| corrupt(format!("bad commit line `{line}`")))?;
-                commits.push(CommitDelta {
-                    seq,
-                    removed: Vec::new(),
-                    added: Vec::new(),
-                });
+                commits.push((seq, Vec::new(), Vec::new()));
             }
             "del" | "add" => {
-                let vals: Result<Vec<Value>, _> = rest
-                    .split_whitespace()
-                    .map(|w| w.parse::<u64>().map(Value::Const))
-                    .collect();
-                let vals = vals.map_err(|_| corrupt(format!("bad tuple line `{line}`")))?;
-                let t = Tuple::new(vals);
+                let arity = rest.split_whitespace().count();
+                let t = parse_tuple(&mut rest.split_whitespace(), arity)
+                    .map_err(|_| corrupt(format!("bad tuple line `{line}`")))?;
                 let cur = commits
                     .last_mut()
                     .ok_or_else(|| corrupt(format!("`{tag}` before any commit")))?;
                 if tag == "del" {
-                    cur.removed.push(t);
+                    cur.1.push(t);
                 } else {
-                    cur.added.push(t);
+                    cur.2.push(t);
                 }
             }
             "end" => ended = true,
@@ -423,7 +414,8 @@ pub(crate) fn load_chain<V: Vfs>(vfs: &V, name: &str) -> Result<LoadedChain, Dur
     db.resume_at(base_header.seq)?;
     for (delta_name, delta_header, delta_body) in &links[1..] {
         let commits = parse_delta_body(delta_name, delta_body)?;
-        db.apply_checkpoint_deltas(&commits, delta_header.seq)
+        let commits = commits.iter().map(|(s, r, a)| (*s, &r[..], &a[..]));
+        db.apply_checkpoint_deltas(commits, delta_header.seq)
             .map_err(|e| DurabilityError::CorruptCheckpoint {
                 name: delta_name.clone(),
                 detail: format!("delta does not apply: {e}"),

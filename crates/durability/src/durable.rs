@@ -395,12 +395,8 @@ impl<V: Vfs + Clone> DurableDatabase<V> {
                 return Err(DurabilityError::Poisoned);
             }
             let report = s.db.apply_op(view, op)?;
-            let entry =
-                s.db.log_range(report.seq, 1)
-                    .entries
-                    .pop()
-                    .expect("the update just applied is in the log");
-            (report, s.group.enqueue(vec![entry]))
+            let slot = s.group.enqueue(vec![Arc::clone(&report)]);
+            (report, slot)
         };
         s.group.wait(slot, &s.wal)?;
         Ok(report)
@@ -432,9 +428,10 @@ impl<V: Vfs + Clone> DurableDatabase<V> {
             if s.group.is_poisoned() {
                 return Err(DurabilityError::Poisoned);
             }
-            let before_seq = s.db.last_seq();
             let report = s.db.apply_batch_parallel(requests, options);
-            let entries = s.db.log_range(before_seq + 1, usize::MAX).entries;
+            // The accepted outcomes are the batch's log entries, in
+            // commit order.
+            let entries: Vec<_> = report.outcomes.iter().flatten().cloned().collect();
             if entries.is_empty() {
                 return Ok(report);
             }

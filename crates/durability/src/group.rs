@@ -52,8 +52,9 @@ pub(crate) struct SlotHandle(Arc<AckSlot>);
 struct Pending {
     /// This committer's entries, contiguous in seq (one durable `apply`
     /// stages one entry; a durable `apply_batch` stages all of its
-    /// accepted entries as a unit).
-    entries: Vec<LogEntry>,
+    /// accepted entries as a unit) — the engine's own shared log
+    /// entries, not copies.
+    entries: Vec<Arc<LogEntry>>,
     slot: Arc<AckSlot>,
 }
 
@@ -100,7 +101,7 @@ impl GroupCommit {
 
     /// Stage one committer's entries for the next group. The caller must
     /// hold the stage lock, so enqueue order equals engine commit order.
-    pub(crate) fn enqueue(&self, entries: Vec<LogEntry>) -> SlotHandle {
+    pub(crate) fn enqueue(&self, entries: Vec<Arc<LogEntry>>) -> SlotHandle {
         debug_assert!(
             !entries.is_empty(),
             "a committer with nothing to log must not stage"
@@ -180,7 +181,7 @@ impl GroupCommit {
     fn flush<V: Vfs>(&self, batch: &[Pending], wal: &parking_lot::Mutex<Wal<V>>) -> AckResult {
         let records: usize = batch.iter().map(|m| m.entries.len()).sum();
         let mut wal = wal.lock();
-        wal.append_group(batch.iter().flat_map(|m| m.entries.iter()))?;
+        wal.append_group(batch.iter().flat_map(|m| m.entries.iter().map(|e| &**e)))?;
         relvu_obs::histogram!("durability.group.batch_size").record(records as u64);
         if wal.options().sync == SyncPolicy::Always && records > 0 {
             // The per-record baseline would have issued one fsync per

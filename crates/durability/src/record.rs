@@ -22,7 +22,9 @@
 //! Values are the engine's raw `u64` constant ids. Labeled nulls never
 //! appear in committed updates, so the codec rejects them, as it rejects
 //! view names containing whitespace (the dump format shares both
-//! restrictions).
+//! restrictions). [`push_tuple`] and [`parse_tuple`] are the one tuple
+//! token codec: delta-checkpoint bodies write and read their rows with
+//! them too.
 
 use relvu_core::Translation;
 use relvu_engine::{LogEntry, UpdateOp};
@@ -52,7 +54,11 @@ fn err(detail: impl Into<String>) -> DurabilityError {
     }
 }
 
-fn push_tuple(out: &mut String, t: &Tuple) -> Result<(), DurabilityError> {
+/// Append ` v1 v2 …` — one space-prefixed decimal token per value.
+///
+/// # Errors
+/// [`DurabilityError::Encode`] on a labeled null.
+pub(crate) fn push_tuple(out: &mut String, t: &Tuple) -> Result<(), DurabilityError> {
     for v in t.values() {
         match v {
             Value::Const(c) => {
@@ -74,43 +80,36 @@ fn encode_payload(entry: &LogEntry) -> Result<String, DurabilityError> {
             entry.view
         )));
     }
-    let mut out = format!("view {}", entry.view);
+    let mut out = format!("view {} op", entry.view);
     match &entry.op {
-        UpdateOp::Insert { t } => {
-            out.push_str(&format!(" op insert {}", t.arity()));
-            push_tuple(&mut out, t)?;
-        }
-        UpdateOp::Delete { t } => {
-            out.push_str(&format!(" op delete {}", t.arity()));
-            push_tuple(&mut out, t)?;
-        }
-        UpdateOp::Replace { t1, t2 } => {
-            if t1.arity() != t2.arity() {
-                return Err(err("replace tuples with different arities"));
-            }
-            out.push_str(&format!(" op replace {}", t1.arity()));
-            push_tuple(&mut out, t1)?;
-            push_tuple(&mut out, t2)?;
-        }
+        UpdateOp::Insert { t } => push_kind(&mut out, "insert", &[t])?,
+        UpdateOp::Delete { t } => push_kind(&mut out, "delete", &[t])?,
+        UpdateOp::Replace { t1, t2 } => push_kind(&mut out, "replace", &[t1, t2])?,
     }
+    out.push_str(" tr");
     match &entry.translation {
-        Translation::Identity => out.push_str(" tr identity"),
-        Translation::InsertJoin { t } => {
-            out.push_str(&format!(" tr insert {}", t.arity()));
-            push_tuple(&mut out, t)?;
-        }
-        Translation::DeleteJoin { t } => {
-            out.push_str(&format!(" tr delete {}", t.arity()));
-            push_tuple(&mut out, t)?;
-        }
-        Translation::ReplaceJoin { t1, t2 } => {
-            out.push_str(&format!(" tr replace {}", t1.arity()));
-            push_tuple(&mut out, t1)?;
-            push_tuple(&mut out, t2)?;
-        }
+        Translation::Identity => push_kind(&mut out, "identity", &[])?,
+        Translation::InsertJoin { t } => push_kind(&mut out, "insert", &[t])?,
+        Translation::DeleteJoin { t } => push_kind(&mut out, "delete", &[t])?,
+        Translation::ReplaceJoin { t1, t2 } => push_kind(&mut out, "replace", &[t1, t2])?,
     }
     out.push_str(&format!(" rows {} {}", entry.rows_before, entry.rows_after));
     Ok(out)
+}
+
+/// Append ` <kind>`, then — unless there are no tuples — ` <arity>` and
+/// the tuples' values; the tuples share the one arity token.
+fn push_kind(out: &mut String, kind: &str, tuples: &[&Tuple]) -> Result<(), DurabilityError> {
+    out.push(' ');
+    out.push_str(kind);
+    let Some(arity) = tuples.first().map(|t| t.arity()) else {
+        return Ok(());
+    };
+    if tuples.iter().any(|t| t.arity() != arity) {
+        return Err(err(format!("{kind} tuples with different arities")));
+    }
+    out.push_str(&format!(" {arity}"));
+    tuples.iter().try_for_each(|t| push_tuple(out, t))
 }
 
 /// Serialize a [`LogEntry`] into a complete frame (header + payload).
@@ -177,7 +176,8 @@ pub fn decode_frame(buf: &[u8], offset: usize) -> FrameOutcome {
     }
 }
 
-fn parse_tuple<'a>(
+/// Read `arity` value tokens written by [`push_tuple`].
+pub(crate) fn parse_tuple<'a>(
     toks: &mut impl Iterator<Item = &'a str>,
     arity: usize,
 ) -> Result<Tuple, String> {
@@ -193,6 +193,29 @@ fn parse_tuple<'a>(
 fn parse_arity<'a>(toks: &mut impl Iterator<Item = &'a str>) -> Result<usize, String> {
     let tok = toks.next().ok_or("missing arity")?;
     tok.parse().map_err(|_| format!("bad arity `{tok}`"))
+}
+
+/// Read what [`push_kind`] wrote: the kind token and its tuples (none
+/// for `identity`, two for `replace`, one otherwise).
+fn parse_kind<'a>(
+    toks: &mut impl Iterator<Item = &'a str>,
+    what: &str,
+) -> Result<(&'a str, std::vec::IntoIter<Tuple>), String> {
+    let kind = toks.next().ok_or(format!("missing {what} kind"))?;
+    let count = match kind {
+        "identity" => 0,
+        "insert" | "delete" => 1,
+        "replace" => 2,
+        other => return Err(format!("unknown {what} kind `{other}`")),
+    };
+    let mut tuples = Vec::with_capacity(count);
+    if count > 0 {
+        let n = parse_arity(toks)?;
+        for _ in 0..count {
+            tuples.push(parse_tuple(toks, n)?);
+        }
+    }
+    Ok((kind, tuples.into_iter()))
 }
 
 /// Decode a frame payload back into the entry body. The sequence number
@@ -212,52 +235,32 @@ pub fn decode_payload(seq: u64, payload: &[u8]) -> Result<LogEntry, String> {
     };
     expect(&mut toks, "view")?;
     let view = toks.next().ok_or("missing view name")?.to_string();
+    // `parse_kind` yields exactly the kind's tuples, so `next` cannot
+    // run dry below.
     expect(&mut toks, "op")?;
-    let op = match toks.next().ok_or("missing op kind")? {
-        "insert" => {
-            let n = parse_arity(&mut toks)?;
-            UpdateOp::Insert {
-                t: parse_tuple(&mut toks, n)?,
-            }
-        }
-        "delete" => {
-            let n = parse_arity(&mut toks)?;
-            UpdateOp::Delete {
-                t: parse_tuple(&mut toks, n)?,
-            }
-        }
-        "replace" => {
-            let n = parse_arity(&mut toks)?;
-            UpdateOp::Replace {
-                t1: parse_tuple(&mut toks, n)?,
-                t2: parse_tuple(&mut toks, n)?,
-            }
-        }
+    let (kind, mut ts) = parse_kind(&mut toks, "op")?;
+    let mut next = || ts.next().expect("one tuple per slot");
+    let op = match kind {
+        "insert" => UpdateOp::Insert { t: next() },
+        "delete" => UpdateOp::Delete { t: next() },
+        "replace" => UpdateOp::Replace {
+            t1: next(),
+            t2: next(),
+        },
         other => return Err(format!("unknown op kind `{other}`")),
     };
     expect(&mut toks, "tr")?;
-    let translation = match toks.next().ok_or("missing translation kind")? {
-        "identity" => Translation::Identity,
-        "insert" => {
-            let n = parse_arity(&mut toks)?;
-            Translation::InsertJoin {
-                t: parse_tuple(&mut toks, n)?,
-            }
-        }
-        "delete" => {
-            let n = parse_arity(&mut toks)?;
-            Translation::DeleteJoin {
-                t: parse_tuple(&mut toks, n)?,
-            }
-        }
-        "replace" => {
-            let n = parse_arity(&mut toks)?;
-            Translation::ReplaceJoin {
-                t1: parse_tuple(&mut toks, n)?,
-                t2: parse_tuple(&mut toks, n)?,
-            }
-        }
-        other => return Err(format!("unknown translation kind `{other}`")),
+    let (kind, mut ts) = parse_kind(&mut toks, "translation")?;
+    let mut next = || ts.next().expect("one tuple per slot");
+    let translation = match kind {
+        "insert" => Translation::InsertJoin { t: next() },
+        "delete" => Translation::DeleteJoin { t: next() },
+        "replace" => Translation::ReplaceJoin {
+            t1: next(),
+            t2: next(),
+        },
+        // `identity`, the one other kind `parse_kind` accepts.
+        _ => Translation::Identity,
     };
     expect(&mut toks, "rows")?;
     let rows_before = parse_arity(&mut toks)?;

@@ -1,6 +1,6 @@
 //! The database: universal relation + Σ + registered views.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -14,30 +14,17 @@ use relvu_deps::check::satisfies_fds;
 use relvu_deps::{closure, FdSet};
 use relvu_relation::{AttrSet, Pred, Relation, Schema, Tuple};
 
+use crate::commit::{Commit, ViewDelta};
 use crate::dag::ViewDag;
-use crate::dirty::{CommitDelta, DirtyRing};
-use crate::log::{LogEntry, LogRange, UpdateOp};
+use crate::dirty::DirtyRing;
+use crate::log::{LogEntry, LogRange, UpdateOp, UpdateReport};
 use crate::mat::ViewMat;
 use crate::mvcc::{EngineSnapshot, LazyRel, LogState, SnapCell, SnapState, ViewSnap};
 use crate::subscribe::{
-    filtered_delta, make_subscriber, SubscribeFrom, SubscribeOptions, Subscription,
-    SubscriptionHub, ViewDelta,
+    event_for, make_subscriber, SubscribeFrom, SubscribeOptions, Subscription, SubscriptionHub,
 };
 use crate::view::ViewDef;
 use crate::{EngineError, Policy, Result};
-
-/// What an applied update did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UpdateReport {
-    /// The sequence number the update was assigned in the audit log.
-    pub seq: u64,
-    /// The translated database update.
-    pub translation: Translation,
-    /// Base cardinality before.
-    pub base_rows_before: usize,
-    /// Base cardinality after.
-    pub base_rows_after: usize,
-}
 
 /// Per-view update counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -73,24 +60,14 @@ pub(crate) struct Inner {
     /// The writer's working copy of the most recently published
     /// snapshot — incremental publishes extend its delta chains.
     pub(crate) cur: Arc<SnapState>,
-    /// Committed-but-unpublished reader-visible deltas. `apply_op`
-    /// drains it every commit; the batch paths accumulate one entry per
-    /// commit and drain at batch end, so readers never observe a state
-    /// a transactional rollback could retract.
-    pub(crate) pending: Vec<PendingDelta>,
-    /// Recent per-commit base deltas, for incremental checkpoints.
+    /// Committed-but-unpublished commits. `apply_op` drains it every
+    /// commit; the batch paths accumulate one entry per commit and drain
+    /// at batch end, so readers never observe a state a transactional
+    /// rollback could retract.
+    pub(crate) pending: Vec<Arc<Commit>>,
+    /// Recent commits, for incremental checkpoints and subscription
+    /// catch-up.
     pub(crate) dirty: DirtyRing,
-}
-
-/// One commit's reader-visible delta, queued for the next publish.
-pub(crate) struct PendingDelta {
-    /// The sequence number the commit was assigned — carried so the
-    /// subscription fan-out at the publish point can stamp its events.
-    pub(crate) seq: u64,
-    pub(crate) base_added: Vec<Tuple>,
-    pub(crate) base_removed: Vec<Tuple>,
-    /// Views whose instance changed, with their instance-level deltas.
-    pub(crate) views: Vec<(String, Vec<Tuple>, Vec<Tuple>)>,
 }
 
 /// A thread-safe updatable-view database over a single universal relation.
@@ -201,10 +178,11 @@ impl Database {
     /// instance.
     ///
     /// # Errors
-    /// [`EngineError::IllegalBase`] if `base` violates Σ or is not over
-    /// the full universe.
+    /// [`EngineError::IllegalBase`] if `base` violates Σ, is not over
+    /// the full universe, or holds a labeled null (a legal base is
+    /// concrete: no translation, log record or dump can carry one).
     pub fn new(schema: Schema, fds: FdSet, base: Relation) -> Result<Self> {
-        if base.attrs() != schema.universe() || !satisfies_fds(&base, &fds) {
+        if base.attrs() != schema.universe() || base.has_nulls() || !satisfies_fds(&base, &fds) {
             return Err(EngineError::IllegalBase);
         }
         let cur = Arc::new(SnapState {
@@ -251,49 +229,33 @@ impl Database {
         }
     }
 
-    /// Publish the accumulated [`PendingDelta`]s (and any stats/seq
-    /// movement) as the next epoch. O(|Δ|): unchanged relations are
-    /// shared structurally with the previous snapshot, changed ones get
-    /// an O(1) delta-chain extension.
+    /// Publish the pending commits (and any stats/seq movement) as the
+    /// next epoch. O(|Δ|): unchanged relations are shared structurally
+    /// with the previous snapshot, changed ones get an O(1) delta-chain
+    /// extension referencing the commit's shared delta.
     pub(crate) fn publish(&self, inner: &mut Inner) {
         let _t = relvu_obs::histogram!("engine.snap.publish_ns").timer();
         let prev = Arc::clone(&inner.cur);
         let pending = std::mem::take(&mut inner.pending);
         let mut base = Arc::clone(&prev.base);
         let mut insts = prev.insts.clone();
-        for pd in pending {
-            // Fan out to subscribers exactly here — the same per-commit
-            // delta, in the same order, that this publish makes visible
-            // to snapshot readers. A batch drains its whole pending
-            // queue in one publish, so its events land atomically too.
-            self.hub.dispatch(&pd);
-            let PendingDelta {
-                base_added,
-                base_removed,
-                views,
-                ..
-            } = pd;
-            base = base.advance(base_added, base_removed);
-            for (name, added, removed) in views {
-                let Some(vs) = insts.get_mut(&name) else {
+        for commit in &pending {
+            // Fan out to subscribers exactly here — the same commit, in
+            // the same order, that this publish makes visible to
+            // snapshot readers. A batch drains its whole pending queue
+            // in one publish, so its events land atomically too.
+            self.hub.dispatch(commit);
+            base = base.advance(&commit.base);
+            for (name, delta) in commit.views.iter() {
+                let Some(vs) = insts.get_mut(name) else {
                     continue;
                 };
                 if let Some((m, r)) = vs.split.as_ref() {
-                    // The split parts advance by the pred-partitioned
-                    // instance delta: the predicate is a pure function
-                    // of the tuple, so membership moves are decided
-                    // here exactly as ViewMat::fold_instance decided
-                    // them writer-side.
-                    let def = prev.views.get(&name).expect("split views are registered");
-                    let pred = def.pred().expect("split implies pred");
-                    let x = def.x();
-                    let (m_add, r_add): (Vec<Tuple>, Vec<Tuple>) =
-                        added.iter().cloned().partition(|t| pred.eval(&x, t));
-                    let (m_rem, r_rem): (Vec<Tuple>, Vec<Tuple>) =
-                        removed.iter().cloned().partition(|t| pred.eval(&x, t));
-                    vs.split = Some((m.advance(m_add, m_rem), r.advance(r_add, r_rem)));
+                    // The split parts advance by the commit's σ_P
+                    // partition of the instance delta.
+                    vs.split = Some((m.advance(&delta.side(true)), r.advance(&delta.side(false))));
                 }
-                vs.inst = vs.inst.advance(added, removed);
+                vs.inst = vs.inst.advance(delta);
             }
         }
         inner.epoch += 1;
@@ -1080,11 +1042,8 @@ impl Database {
                 .expect("arity verified above");
         }
         let from = inner.base.attrs();
-        // Assign the commit's sequence number up front: the pending
-        // delta carries it to the publish-point fan-out, and the dirty
-        // ring keys its record by it.
         let seq = inner.seq + 1;
-        let touched_for_ring;
+        let mut touched: Vec<(String, Arc<ViewDelta>)> = Vec::new();
         {
             // Topological delta propagation: every view's complement side
             // reads `π_Y(R)` off the base, so it folds the base delta
@@ -1095,14 +1054,10 @@ impl Database {
             // delta is empty does zero fold work and emits an empty
             // delta, so an entire untouched subtree is skipped.
             let Inner {
-                views,
-                mats,
-                dag,
-                pending,
-                ..
+                views, mats, dag, ..
             } = &mut *inner;
-            let mut inst_deltas: HashMap<&str, (Vec<Tuple>, Vec<Tuple>)> = HashMap::new();
-            let mut touched: Vec<(String, Vec<Tuple>, Vec<Tuple>)> = Vec::new();
+            // Where each touched view's part sits in `touched`.
+            let mut at: HashMap<&str, usize> = HashMap::new();
             for node in dag.order() {
                 let mat = mats
                     .get_mut(node.as_str())
@@ -1111,34 +1066,38 @@ impl Database {
                 let def = views.get(node.as_str()).expect("registered");
                 let (in_add, in_rem): (&[Tuple], &[Tuple]) = match def.parent() {
                     None => (&added, &removed),
-                    Some(p) => {
-                        let d = inst_deltas.get(p).expect("parents precede children");
-                        (&d.0, &d.1)
-                    }
+                    Some(p) => match at.get(p) {
+                        Some(&i) => {
+                            let (removed, added) = touched[i].1.rows();
+                            (added, removed)
+                        }
+                        None => (&[], &[]),
+                    },
                 };
                 if in_add.is_empty() && in_rem.is_empty() {
                     relvu_obs::counter!("engine.dag.nodes_skipped").inc();
-                    inst_deltas.insert(node.as_str(), (Vec::new(), Vec::new()));
-                } else {
-                    relvu_obs::counter!("engine.dag.nodes_folded").inc();
-                    let out = mat.fold_instance(in_add, in_rem);
-                    if !out.0.is_empty() || !out.1.is_empty() {
-                        // Queue this view's instance-level delta for the
-                        // next snapshot publish; views with an empty out
-                        // delta stay out of the queue so their published
-                        // instances remain structurally shared.
-                        touched.push((node.clone(), out.0.clone(), out.1.clone()));
-                    }
-                    inst_deltas.insert(node.as_str(), out);
+                    continue;
                 }
+                relvu_obs::counter!("engine.dag.nodes_folded").inc();
+                let (out_add, out_rem) = mat.fold_instance(in_add, in_rem);
+                if out_add.is_empty() && out_rem.is_empty() {
+                    // Views with an empty out delta stay out of the
+                    // commit so their published instances remain
+                    // structurally shared.
+                    continue;
+                }
+                let in_pred = def.pred().map(|p| {
+                    let x = def.x();
+                    out_rem
+                        .iter()
+                        .chain(&out_add)
+                        .map(|t| p.eval(&x, t))
+                        .collect()
+                });
+                at.insert(node.as_str(), touched.len());
+                let delta = ViewDelta::whole(seq, out_rem, out_add, in_pred);
+                touched.push((node.clone(), delta));
             }
-            touched_for_ring = touched.clone();
-            pending.push(PendingDelta {
-                seq,
-                base_added: added.clone(),
-                base_removed: removed.clone(),
-                views: touched,
-            });
         }
         // With obs disabled the timer is a unit no-op without Drop.
         #[allow(clippy::drop_non_drop)]
@@ -1168,26 +1127,29 @@ impl Database {
         }
         #[cfg(not(debug_assertions))]
         let _ = (x, y);
-        let rows_after = inner.base.len();
         inner.seq = seq;
-        inner.dirty.record(seq, added, removed, touched_for_ring);
         inner.stats.entry(name.to_string()).or_default().accepted += 1;
         relvu_obs::counter!("engine.accepted").inc();
-        let entry = LogEntry {
-            seq: inner.seq,
+        // The one record of this update: the log, the report and (in a
+        // durable store) the WAL queue share its entry; the publish
+        // queue and the commit ring share the whole commit.
+        let entry = Arc::new(LogEntry {
+            seq,
             view: name.to_string(),
             op,
-            translation: translation.clone(),
-            rows_before,
-            rows_after,
-        };
-        inner.log.push(entry);
-        Ok(UpdateReport {
-            seq: inner.seq,
             translation,
-            base_rows_before: rows_before,
-            base_rows_after: rows_after,
-        })
+            rows_before,
+            rows_after: inner.base.len(),
+        });
+        let commit = Arc::new(Commit {
+            entry: Arc::clone(&entry),
+            base: ViewDelta::whole(seq, removed, added, None),
+            views: touched.into_boxed_slice(),
+        });
+        inner.log.push(Arc::clone(&entry));
+        inner.dirty.record(&commit);
+        inner.pending.push(commit);
+        Ok(entry)
     }
 
     /// The parts `dump` serializes, read from one pinned snapshot:
@@ -1253,21 +1215,13 @@ impl Database {
         // under it there is nothing committed-but-undispatched: the
         // registration point is exactly the published seq.
         debug_assert!(inner.pending.is_empty(), "mutators publish before unlock");
-        let filter = match target {
-            None => None,
-            Some(name) => {
-                let def = inner
-                    .views
-                    .get(name)
-                    .ok_or_else(|| EngineError::UnknownView {
-                        name: name.to_string(),
-                    })?;
-                // Selection views: the ring and the pending queue carry
-                // the *full* π_X instance delta; the subscriber-visible
-                // stream is its σ_P side.
-                def.pred().map(|p| (def.x(), p.clone()))
+        if let Some(name) = target {
+            if !inner.views.contains_key(name) {
+                return Err(EngineError::UnknownView {
+                    name: name.to_string(),
+                });
             }
-        };
+        }
         let current = inner.seq;
         let (origin_seq, origin_rows, prefill) = match opts.from {
             SubscribeFrom::Snapshot => {
@@ -1285,7 +1239,7 @@ impl Database {
                         }
                     }
                 };
-                (current, Some(rows), std::collections::VecDeque::new())
+                (current, Some(rows), VecDeque::new())
             }
             SubscribeFrom::Seq(s) => {
                 if s > current {
@@ -1294,46 +1248,35 @@ impl Database {
                         current,
                     });
                 }
-                let records = inner.dirty.records_range(s, current).ok_or_else(|| {
-                    EngineError::SubscriptionGap {
-                        requested: s,
-                        first_available: inner.dirty.floor(),
-                    }
-                })?;
-                let mut prefill = std::collections::VecDeque::new();
-                for r in records {
-                    let event: Option<Arc<ViewDelta>> = match target {
-                        None => filtered_delta(
-                            r.delta.seq,
-                            r.delta.added.clone(),
-                            r.delta.removed.clone(),
-                            &None,
-                        ),
-                        Some(name) => r.views.iter().find(|(n, _, _)| n == name).and_then(
-                            |(_, added, removed)| {
-                                filtered_delta(r.delta.seq, added.clone(), removed.clone(), &filter)
-                            },
-                        ),
-                    };
-                    if let Some(ev) = event {
-                        prefill.push_back(ev);
-                    }
-                }
-                (s, None, prefill)
+                let gap = EngineError::SubscriptionGap {
+                    requested: s,
+                    first_available: inner.dirty.floor(),
+                };
+                let commits = inner.dirty.range(s, current).ok_or(gap)?;
+                // The same event construction as the live fan-out.
+                (
+                    s,
+                    None,
+                    commits.filter_map(|c| event_for(c, target)).collect(),
+                )
             }
         };
-        let sub = make_subscriber(target.map(str::to_string), filter, opts.capacity, prefill);
+        let sub = make_subscriber(target.map(str::to_string), opts.capacity, prefill);
         self.hub.register(Arc::clone(&sub));
         Ok(Subscription::new(sub, origin_seq, origin_rows))
     }
 
-    /// The per-commit base deltas for `(from_seq, to_seq]`, oldest
-    /// first — the dirty set an incremental checkpoint serializes.
-    /// Returns `None` when the engine no longer covers `from_seq`
-    /// (the ring evicted it, or the engine was loaded/resumed past it);
-    /// the caller must then fall back to a full serialization.
-    pub fn base_delta_range(&self, from_seq: u64, to_seq: u64) -> Option<Vec<CommitDelta>> {
-        self.inner.read().dirty.range(from_seq, to_seq)
+    /// The commits in `(from_seq, to_seq]` that changed the base,
+    /// oldest first — the dirty set an incremental checkpoint
+    /// serializes ([`Commit::removed`] / [`Commit::added`]). Shared,
+    /// not copied: the ring holds the same allocations. Returns `None`
+    /// when the engine no longer covers `from_seq` (the ring evicted it,
+    /// or the engine was loaded/resumed past it); the caller must then
+    /// fall back to a full serialization.
+    pub fn base_delta_range(&self, from_seq: u64, to_seq: u64) -> Option<Vec<Arc<Commit>>> {
+        let inner = self.inner.read();
+        let commits = inner.dirty.range(from_seq, to_seq)?.cloned().collect();
+        Some(commits)
     }
 
     /// Drop dirty-set entries at or below `seq` — called after a
@@ -1342,9 +1285,9 @@ impl Database {
         self.inner.write().dirty.prune_below(seq);
     }
 
-    /// Replay checkpoint-delta commits on top of the current state,
-    /// finishing at `final_seq` — the loading side of an incremental
-    /// checkpoint chain.
+    /// Replay checkpoint-delta commits, each `(seq, removed, added)`, on
+    /// top of the current state, finishing at `final_seq` — the loading
+    /// side of an incremental checkpoint chain.
     ///
     /// Each commit's removals then insertions are applied in recorded
     /// order, reproducing the exact base-row order the live engine had
@@ -1360,7 +1303,11 @@ impl Database {
     /// when the replayed base violates Σ. **On error the database is left
     /// in an unspecified state and must be discarded** — recovery loads
     /// each fallback candidate into a fresh engine.
-    pub fn apply_checkpoint_deltas(&self, commits: &[CommitDelta], final_seq: u64) -> Result<()> {
+    pub fn apply_checkpoint_deltas<'a>(
+        &self,
+        commits: impl IntoIterator<Item = (u64, &'a [Tuple], &'a [Tuple])>,
+        final_seq: u64,
+    ) -> Result<()> {
         let mut inner = self.inner.write();
         if final_seq < inner.seq {
             return Err(EngineError::SeqRegression {
@@ -1380,27 +1327,26 @@ impl Database {
             inner.log.set_origin(final_seq);
         }
         let mut prev = inner.seq;
-        for c in commits {
-            if c.seq <= prev || c.seq > final_seq {
+        for (seq, removed, added) in commits {
+            if seq <= prev || seq > final_seq {
                 return Err(EngineError::Load {
                     reason: format!(
-                        "delta commit seq {} out of order (after {prev}, final {final_seq})",
-                        c.seq
+                        "delta commit seq {seq} out of order (after {prev}, final {final_seq})"
                     ),
                 });
             }
-            prev = c.seq;
-            for t in &c.removed {
+            prev = seq;
+            for t in removed {
                 if !inner.base.remove(t) {
                     return Err(EngineError::Load {
-                        reason: format!("delta commit {} removes an absent base row", c.seq),
+                        reason: format!("delta commit {seq} removes an absent base row"),
                     });
                 }
             }
-            for t in &c.added {
+            for t in added {
                 if !inner.base.insert(t.clone())? {
                     return Err(EngineError::Load {
-                        reason: format!("delta commit {} inserts a duplicate base row", c.seq),
+                        reason: format!("delta commit {seq} inserts a duplicate base row"),
                     });
                 }
             }
@@ -1486,7 +1432,7 @@ mod tests {
             .unwrap();
         let dan = Tuple::new([f.dict.sym("dan"), f.dict.sym("toys")]);
         let rep = db.insert_via("staff", dan.clone()).unwrap();
-        assert_eq!(rep.base_rows_after, 4);
+        assert_eq!(rep.rows_after, 4);
         // Replace dan by eve in the same department.
         let eve = Tuple::new([f.dict.sym("eve"), f.dict.sym("toys")]);
         db.replace_via("staff", dan, eve.clone()).unwrap();

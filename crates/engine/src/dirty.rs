@@ -1,17 +1,14 @@
-//! Per-commit delta tracking for incremental checkpoints and
+//! The commit ring: recent commits, for incremental checkpoints and
 //! subscription catch-up.
 //!
-//! Every accepted update already computes its exact base delta (the
-//! support-counted materializations need it) *and* every touched view's
-//! instance delta (the DAG fold produces them); this module keeps a
-//! bounded ring of both, keyed by commit sequence number, so that
+//! Every accepted update is one shared [`Commit`] holding its exact base
+//! delta and every touched view's instance delta; this module keeps a
+//! bounded ring of them, keyed by commit sequence number, so that
 //!
 //! * a checkpoint can serialize *only what changed* since its parent
-//!   instead of the full dump ([`DirtyRing::range`], base deltas only),
-//!   and
+//!   instead of the full dump (the base deltas), and
 //! * a subscriber resuming at seq `S` can replay the per-view deltas of
-//!   `(S, now]` before cutting over to live tailing
-//!   ([`DirtyRing::records_range`]).
+//!   `(S, now]` before cutting over to live tailing.
 //!
 //! Replaying the recorded commits in order reproduces the base relation
 //! (and each view instance) **byte-for-byte** — including row order,
@@ -23,67 +20,42 @@
 //! # Boundary convention (shared by both consumers)
 //!
 //! Every range is **exclusive at the start, inclusive at the end**:
-//! `range(from, to)` / `records_range(from, to)` serve `(from, to]`, and
-//! `floor` is the coverage guarantee "every commit with
-//! `floor < seq <= engine seq` is covered". [`DirtyRing::prune_below`]
-//! `(seq)` drops entries `<= seq` and raises the floor to `seq` — so a
-//! checkpoint (or subscriber) that has folded *through* seq `T` can
-//! still resume at `from == T` after a prune at `T`: the boundary commit
-//! itself is already part of its state and is exactly the one entry the
-//! prune removed. A resume at `T-1` after that prune needs the pruned
-//! commit and correctly gets `None`.
+//! [`DirtyRing::range`]`(from, to)` serves `(from, to]`, and `floor` is
+//! the coverage guarantee "every commit with `floor < seq <= engine
+//! seq` is covered". [`DirtyRing::prune_below`]`(seq)` drops entries
+//! `<= seq` and raises the floor to `seq` — so a checkpoint (or
+//! subscriber) that has folded *through* seq `T` can still resume at
+//! `from == T` after a prune at `T`: the boundary commit itself is
+//! already part of its state and is exactly the one entry the prune
+//! removed. A resume at `T-1` after that prune needs the pruned commit
+//! and correctly gets `None`.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-use relvu_relation::Tuple;
+use crate::commit::Commit;
 
-/// One commit's base delta: the rows `commit` removed and inserted, in
-/// application order. Applying `removed` then `added` to the pre-commit
-/// base reproduces the post-commit base exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommitDelta {
-    /// The sequence number the commit was assigned.
-    pub seq: u64,
-    /// Rows removed from the base, in removal order.
-    pub removed: Vec<Tuple>,
-    /// Rows inserted into the base, in insertion order.
-    pub added: Vec<Tuple>,
-}
-
-/// One commit's full delta record: the base delta (what checkpoints
-/// serialize) plus every touched view's *instance-level* delta (what
-/// subscription catch-up replays). Views whose instance did not change
-/// are absent from `views`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct CommitRecord {
-    /// The base-delta part, as serialized into delta checkpoints.
-    pub(crate) delta: CommitDelta,
-    /// Per-view `(name, added, removed)` instance deltas, in DAG
-    /// (topological) order — the same vectors
-    /// [`crate::db::PendingDelta`] carried to the snapshot publish, so a
-    /// catch-up fold reproduces exactly what a live tail would have
-    /// seen.
-    pub(crate) views: Vec<(String, Vec<Tuple>, Vec<Tuple>)>,
-}
-
-/// Bounded ring of recent [`CommitRecord`]s.
+/// Bounded ring of recent [`Commit`]s, shared (not copied) with the
+/// publish queue, snapshots and CDC events.
 ///
 /// `floor` is the coverage guarantee: every commit with
 /// `floor < seq <= engine seq` that changed the base is present in
 /// `entries`. Commits with an empty base delta are not stored but are
-/// still covered — replay simply has nothing to do for them. When the
-/// ring overflows, the oldest entries are evicted and `floor` advances,
-/// shrinking the range an incremental checkpoint or resuming subscriber
-/// can cover (callers then fall back to a full serialization / a fresh
-/// snapshot origin).
+/// still covered — replay simply has nothing to do for them. The ring
+/// holds at most [`MAX_ENTRIES`] commits: beyond that the oldest is
+/// evicted, the floor advances past it and `engine.ring.evicted`
+/// counts it, shrinking the range an incremental checkpoint or resuming
+/// subscriber can cover (callers then fall back to a full serialization
+/// / a fresh snapshot origin). Checkpoints prune it long before that in
+/// a store that checkpoints.
 pub(crate) struct DirtyRing {
-    entries: VecDeque<CommitRecord>,
+    entries: VecDeque<Arc<Commit>>,
     floor: u64,
 }
 
 /// Eviction threshold: enough to cover a long checkpoint interval while
-/// bounding memory (a delta is a handful of tuples).
-const MAX_ENTRIES: usize = 1 << 16;
+/// bounding memory.
+pub(crate) const MAX_ENTRIES: usize = 1 << 16;
 
 impl DirtyRing {
     pub(crate) fn new() -> Self {
@@ -99,40 +71,29 @@ impl DirtyRing {
         self.floor
     }
 
-    /// Record a commit's base delta plus its touched views' instance
-    /// deltas. Empty deltas are covered by `floor` semantics without
-    /// being stored (an empty base delta implies every view delta is
-    /// empty — the folds are driven by it).
-    pub(crate) fn record(
-        &mut self,
-        seq: u64,
-        added: Vec<Tuple>,
-        removed: Vec<Tuple>,
-        views: Vec<(String, Vec<Tuple>, Vec<Tuple>)>,
-    ) {
-        if added.is_empty() && removed.is_empty() {
-            debug_assert!(views.is_empty(), "view deltas derive from the base delta");
+    /// Hold a commit. Empty commits are covered by `floor` semantics
+    /// without being stored.
+    pub(crate) fn record(&mut self, commit: &Arc<Commit>) {
+        if commit.is_empty() {
+            debug_assert!(
+                commit.views.is_empty(),
+                "view deltas derive from the base delta"
+            );
             return;
         }
         if self.entries.len() >= MAX_ENTRIES {
             if let Some(evicted) = self.entries.pop_front() {
-                self.floor = self.floor.max(evicted.delta.seq);
+                self.floor = self.floor.max(evicted.seq());
+                relvu_obs::counter!("engine.ring.evicted").inc();
             }
         }
-        self.entries.push_back(CommitRecord {
-            delta: CommitDelta {
-                seq,
-                removed,
-                added,
-            },
-            views,
-        });
+        self.entries.push_back(Arc::clone(commit));
     }
 
     /// Drop entries above `seq` — the batch-rollback path, where the
     /// rolled-back commits never became durable (or visible).
     pub(crate) fn truncate_above(&mut self, seq: u64) {
-        while matches!(self.entries.back(), Some(e) if e.delta.seq > seq) {
+        while matches!(self.entries.back(), Some(e) if e.seq() > seq) {
             self.entries.pop_back();
         }
     }
@@ -143,35 +104,29 @@ impl DirtyRing {
     /// served (the boundary commit is part of the caller's state, not of
     /// the range — see the module docs).
     pub(crate) fn prune_below(&mut self, seq: u64) {
-        while matches!(self.entries.front(), Some(e) if e.delta.seq <= seq) {
+        while matches!(self.entries.front(), Some(e) if e.seq() <= seq) {
             self.entries.pop_front();
         }
         self.floor = self.floor.max(seq);
     }
 
-    /// The base deltas of the commits in `(from_seq, to_seq]`, oldest
-    /// first — or `None` when the ring no longer covers `from_seq`
-    /// (evicted or never recorded), in which case the caller must fall
-    /// back to a full serialization.
-    pub(crate) fn range(&self, from_seq: u64, to_seq: u64) -> Option<Vec<CommitDelta>> {
-        self.records_range(from_seq, to_seq)
-            .map(|rs| rs.into_iter().map(|r| r.delta.clone()).collect())
-    }
-
-    /// The full records of the commits in `(from_seq, to_seq]`, oldest
-    /// first — the subscription catch-up source. `None` under exactly
-    /// the same condition as [`DirtyRing::range`], so the checkpointer's
-    /// pinned boundary and a resuming subscriber can never disagree
-    /// about whether a seq is covered.
-    pub(crate) fn records_range(&self, from_seq: u64, to_seq: u64) -> Option<Vec<&CommitRecord>> {
+    /// The commits in `(from_seq, to_seq]`, oldest first — or `None`
+    /// when the ring no longer covers `from_seq` (evicted or never
+    /// recorded). The checkpointer and a resuming subscriber both read
+    /// through here, so they can never disagree about whether a seq is
+    /// covered.
+    pub(crate) fn range(
+        &self,
+        from_seq: u64,
+        to_seq: u64,
+    ) -> Option<impl Iterator<Item = &Arc<Commit>>> {
         if from_seq < self.floor {
             return None;
         }
         Some(
             self.entries
                 .iter()
-                .filter(|e| e.delta.seq > from_seq && e.delta.seq <= to_seq)
-                .collect(),
+                .filter(move |e| e.seq() > from_seq && e.seq() <= to_seq),
         )
     }
 }
@@ -179,16 +134,20 @@ impl DirtyRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commit::test_commit;
     use relvu_relation::tup;
 
-    fn delta(seq: u64) -> (u64, Vec<Tuple>, Vec<Tuple>) {
-        (seq, vec![tup![seq, 1]], vec![])
+    fn push(ring: &mut DirtyRing, s: u64) {
+        ring.record(&test_commit(
+            s,
+            vec![tup![s, 1]],
+            vec![],
+            vec![("v", vec![tup![s]], vec![])],
+        ));
     }
 
-    fn push(ring: &mut DirtyRing, s: u64) {
-        let (seq, added, removed) = delta(s);
-        let views = vec![("v".to_string(), added.clone(), vec![])];
-        ring.record(seq, added, removed, views);
+    fn seqs(ring: &DirtyRing, from: u64, to: u64) -> Option<Vec<u64>> {
+        ring.range(from, to).map(|r| r.map(|c| c.seq()).collect())
     }
 
     #[test]
@@ -197,25 +156,18 @@ mod tests {
         for s in 1..=5 {
             push(&mut ring, s);
         }
-        let got = ring.range(2, 4).unwrap();
-        assert_eq!(got.iter().map(|d| d.seq).collect::<Vec<_>>(), vec![3, 4]);
+        assert_eq!(seqs(&ring, 2, 4), Some(vec![3, 4]));
         // Full range from the floor.
-        assert_eq!(ring.range(0, 5).unwrap().len(), 5);
-        // The view-delta side serves the same seqs.
-        let recs = ring.records_range(2, 4).unwrap();
-        assert_eq!(
-            recs.iter().map(|r| r.delta.seq).collect::<Vec<_>>(),
-            vec![3, 4]
-        );
-        assert_eq!(recs[0].views.len(), 1);
+        assert_eq!(seqs(&ring, 0, 5).unwrap().len(), 5);
+        // The view deltas ride along in the same commits.
+        assert_eq!(ring.range(2, 4).unwrap().next().unwrap().views.len(), 1);
     }
 
     #[test]
     fn empty_deltas_are_covered_not_stored() {
         let mut ring = DirtyRing::new();
-        ring.record(1, vec![], vec![], vec![]);
-        let got = ring.range(0, 1).unwrap();
-        assert!(got.is_empty(), "empty delta still covered");
+        ring.record(&test_commit(1, vec![], vec![], vec![]));
+        assert_eq!(seqs(&ring, 0, 1), Some(vec![]), "empty delta still covered");
     }
 
     #[test]
@@ -226,7 +178,7 @@ mod tests {
         }
         ring.prune_below(2);
         assert!(ring.range(1, 4).is_none(), "below the floor");
-        assert_eq!(ring.range(2, 4).unwrap().len(), 2);
+        assert_eq!(seqs(&ring, 2, 4).unwrap().len(), 2);
         assert_eq!(ring.floor(), 2);
     }
 
@@ -243,19 +195,15 @@ mod tests {
         }
         let t = 3;
         ring.prune_below(t); // the checkpointer's prune at its pinned seq
-        let resumed = ring.records_range(t, 6).expect("resume at T is covered");
         assert_eq!(
-            resumed.iter().map(|r| r.delta.seq).collect::<Vec<_>>(),
-            vec![4, 5, 6],
+            seqs(&ring, t, 6),
+            Some(vec![4, 5, 6]),
             "the boundary commit T is the subscriber's state, not its need"
         );
         assert!(
-            ring.records_range(t - 1, 6).is_none(),
+            ring.range(t - 1, 6).is_none(),
             "resume at T-1 needs the pruned commit T and must be refused"
         );
-        // And the checkpointer's own view agrees entry-for-entry.
-        assert_eq!(ring.range(t, 6).unwrap().len(), 3);
-        assert!(ring.range(t - 1, 6).is_none());
     }
 
     #[test]
@@ -265,17 +213,24 @@ mod tests {
             push(&mut ring, s);
         }
         ring.truncate_above(2);
-        assert_eq!(ring.range(0, 10).unwrap().len(), 2);
+        assert_eq!(seqs(&ring, 0, 10), Some(vec![1, 2]));
     }
 
     #[test]
     fn eviction_advances_floor() {
+        let evicted = relvu_obs::counter!("engine.ring.evicted");
+        let before = evicted.get();
         let mut ring = DirtyRing::new();
         for s in 1..=(MAX_ENTRIES as u64 + 10) {
             push(&mut ring, s);
         }
         assert!(ring.range(5, 100).is_none(), "oldest entries evicted");
-        let floor = 10;
-        assert!(ring.range(floor, MAX_ENTRIES as u64 + 10).is_some());
+        assert_eq!(ring.floor(), 10, "the floor is the last evicted seq");
+        assert!(ring.range(10, MAX_ENTRIES as u64 + 10).is_some());
+        if relvu_obs::enabled() {
+            // Other tests in this process may evict too; the counter is
+            // process-wide, so it moved by at least this ring's 10.
+            assert!(evicted.get() - before >= 10, "every eviction is counted");
+        }
     }
 }

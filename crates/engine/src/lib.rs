@@ -17,13 +17,14 @@
 //! // Hire "dan" into the toys department (whose manager is on record):
 //! let dan = relvu_relation::Tuple::new([f.dict.sym("dan"), f.dict.sym("toys")]);
 //! let report = db.insert_via("staff", dan).unwrap();
-//! assert_eq!(report.base_rows_after, 4);
+//! assert_eq!(report.rows_after, 4);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod batch;
+mod commit;
 mod dag;
 mod db;
 mod dirty;
@@ -39,15 +40,15 @@ pub mod subscribe;
 mod view;
 
 pub use batch::{BatchOptions, BatchOutcome, BatchReport, BatchRequest, BatchStats};
-pub use db::{Database, UpdateReport, ViewStats};
-pub use dirty::CommitDelta;
+pub use commit::{Commit, ViewDelta};
+pub use db::{Database, ViewStats};
 pub use error::EngineError;
-pub use log::{LogEntry, LogGap, LogRange, UpdateOp};
+pub use log::{LogEntry, LogGap, LogRange, UpdateOp, UpdateReport};
 pub use metrics::EngineMetrics;
 pub use mvcc::{EngineSnapshot, MatParts};
 pub use policy::Policy;
 pub use reader::EngineReader;
-pub use subscribe::{SubEvent, SubscribeFrom, SubscribeOptions, Subscription, ViewDelta};
+pub use subscribe::{SubEvent, SubscribeFrom, SubscribeOptions, Subscription};
 pub use view::ViewDef;
 
 /// Crate-wide result alias.

@@ -1,5 +1,7 @@
 //! Audit log of translated updates.
 
+use std::sync::Arc;
+
 use relvu_core::Translation;
 use relvu_relation::Tuple;
 
@@ -61,6 +63,10 @@ impl LogRange {
         self.gap.is_none()
     }
 }
+
+/// What an applied update did: its audit-log entry, shared with the
+/// log itself (and, in a durable store, with the WAL's commit queue).
+pub type UpdateReport = Arc<LogEntry>;
 
 /// One successfully applied view update.
 #[derive(Debug, Clone, PartialEq, Eq)]

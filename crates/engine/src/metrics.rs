@@ -2,10 +2,10 @@
 //!
 //! [`Database::metrics`] combines a point-in-time [`relvu_obs::Snapshot`]
 //! of the process-wide registry (closure-cache hit rates, check latency
-//! histograms, batch stage timings, lock hold times) with the engine's
-//! own per-view accept/reject counters, and renders the whole thing in
-//! Prometheus text exposition format for scraping or the REPL's
-//! `\metrics` command.
+//! histograms, batch stage timings, lock hold times, commit-ring
+//! evictions) with the engine's own per-view accept/reject counters and
+//! its commit-ring floor, and renders the whole thing in Prometheus text
+//! exposition format for scraping or the REPL's `\metrics` command.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -25,17 +25,25 @@ pub struct EngineMetrics {
     /// Per-view accepted/rejected counts, keyed by view name, with
     /// rejections broken down by [`relvu_core::RejectReason::code`].
     pub views: BTreeMap<String, ViewStats>,
+    /// The commit ring's floor: commits at or below it are no longer
+    /// held, so incremental checkpoints and subscription catch-up can
+    /// start no earlier. It rises at each checkpoint and, when the ring
+    /// overflows, at each eviction (counted by `engine.ring.evicted`).
+    pub ring_floor: u64,
 }
 
 impl EngineMetrics {
     /// Render in Prometheus text exposition format: the registry metrics
-    /// first (via [`relvu_obs::Snapshot::render_prometheus`]), then one
-    /// `relvu_view_accepted_total{view="..."}` line per view and one
+    /// first (via [`relvu_obs::Snapshot::render_prometheus`]), then the
+    /// `relvu_ring_floor` gauge, one `relvu_view_accepted_total{view="..."}`
+    /// line per view and one
     /// `relvu_view_rejected_total{view="...",reason="..."}` line per
     /// (view, reason code) pair.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         let mut out = self.obs.render_prometheus();
+        out.push_str("# TYPE relvu_ring_floor gauge\n");
+        let _ = writeln!(out, "relvu_ring_floor {}", self.ring_floor);
         if !self.views.is_empty() {
             out.push_str("# TYPE relvu_view_accepted_total counter\n");
             for (name, stats) in &self.views {
@@ -77,10 +85,12 @@ fn escape_label(s: &str) -> String {
 
 impl Database {
     /// Snapshot every metric the engine keeps: the process-wide
-    /// [`relvu_obs`] registry plus this database's per-view stats.
+    /// [`relvu_obs`] registry plus this database's per-view stats and
+    /// commit-ring floor.
     ///
     /// Cheap enough to call between updates; the per-view counters come
-    /// from the published snapshot, so no engine lock is taken at all.
+    /// from the published snapshot, and the ring floor costs one brief
+    /// shared lock.
     #[must_use]
     pub fn metrics(&self) -> EngineMetrics {
         let snap = self.snapshot();
@@ -92,6 +102,7 @@ impl Database {
         EngineMetrics {
             obs: relvu_obs::snapshot(),
             views,
+            ring_floor: self.inner.read().dirty.floor(),
         }
     }
 }
@@ -104,6 +115,25 @@ mod tests {
     fn label_escaping() {
         assert_eq!(escape_label("plain"), "plain");
         assert_eq!(escape_label("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    }
+
+    #[test]
+    fn ring_floor_follows_checkpoint_prunes() {
+        let f = relvu_workload::fixtures::edm();
+        let db = Database::new(f.schema.clone(), f.fds.clone(), f.base.clone()).unwrap();
+        db.create_view("staff", f.x, Some(f.y), crate::Policy::Exact)
+            .unwrap();
+        for e in ["dan", "eve"] {
+            let t = relvu_relation::Tuple::new([f.dict.sym(e), f.dict.sym("toys")]);
+            db.insert_via("staff", t).unwrap();
+        }
+        assert_eq!(db.metrics().ring_floor, 0);
+        db.prune_dirty_below(2);
+        assert_eq!(db.metrics().ring_floor, 2);
+        assert!(db
+            .metrics()
+            .render_prometheus()
+            .contains("relvu_ring_floor 2\n"));
     }
 
     #[test]
@@ -121,8 +151,10 @@ mod tests {
         let m = EngineMetrics {
             obs: relvu_obs::snapshot(),
             views,
+            ring_floor: 7,
         };
         let text = m.render_prometheus();
+        assert!(text.contains("relvu_ring_floor 7\n"));
         assert!(text.contains("relvu_view_accepted_total{view=\"staff\"} 3"));
         assert!(text.contains(
             "relvu_view_rejected_total{view=\"staff\",reason=\"intersection_not_in_view\"} 2"

@@ -3,11 +3,12 @@
 //! A subscriber registers on a view (or the base relation) and receives
 //! that relation's ordered stream of [`ViewDelta`] events — one per
 //! commit that changed it, carrying the commit's sequence number and the
-//! exact tuple delta the engine folded into its materialization. Folding
-//! the stream into a starting instance reproduces every subsequent
-//! instance **byte-identically** (row order included): the deltas are
-//! the same vectors, applied in the same removals-then-insertions order,
-//! that the writer applied in place.
+//! exact tuple delta the engine folded into its materialization. An
+//! event is the commit's own delta for that relation, shared rather
+//! than copied. Folding the stream into a starting instance reproduces
+//! every subsequent instance **byte-identically** (row order included):
+//! the deltas are the same vectors, applied in the same
+//! removals-then-insertions order, that the writer applied in place.
 //!
 //! # Ordering and the publish point
 //!
@@ -48,49 +49,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use relvu_relation::{AttrSet, Pred, Relation, Tuple};
+use relvu_relation::Relation;
 
-use crate::db::PendingDelta;
+use crate::commit::Commit;
+pub use crate::commit::ViewDelta;
 
 /// Default per-subscriber queue capacity.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
-
-/// One commit's effect on the subscribed relation.
-///
-/// Applying `deletes` (in order) then `inserts` (in order) to the
-/// relation as of the previous event reproduces the relation as of
-/// `seq` exactly — including row order, because `Relation::remove` is a
-/// swap-remove and these are the writer's own application-order vectors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ViewDelta {
-    /// The sequence number of the commit that produced this delta.
-    pub seq: u64,
-    /// Tuples the commit inserted into the subscribed relation.
-    pub inserts: Vec<Tuple>,
-    /// Tuples the commit deleted from the subscribed relation.
-    pub deletes: Vec<Tuple>,
-}
-
-impl ViewDelta {
-    /// Fold this delta into `rel`: deletes then inserts, in recorded
-    /// order — the byte-identical reconstruction step.
-    pub fn fold_into(&self, rel: &mut Relation) {
-        for t in &self.deletes {
-            rel.remove(t);
-        }
-        for t in &self.inserts {
-            rel.insert(t.clone())
-                .expect("subscribed deltas carry the relation's arity");
-        }
-    }
-}
 
 /// One received subscription event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubEvent {
     /// The next delta in the stream (shared, not copied, across the
-    /// fan-out: every unfiltered subscriber of the same relation
-    /// receives the same allocation).
+    /// fan-out: every subscriber of the same relation receives the same
+    /// allocation, which for a base or projective view is the commit's
+    /// own delta).
     Delta(Arc<ViewDelta>),
     /// Terminal: the subscriber's queue overflowed and deltas from
     /// `missed_from_seq` on were not enqueued. Delivered only after the
@@ -183,10 +156,6 @@ struct SubState {
 pub(crate) struct SubInner {
     /// `None` subscribes to the base relation.
     target: Option<String>,
-    /// For selection views: `(x, pred)` — the dispatched full-instance
-    /// delta is filtered to the visible `σ_P` side, mirroring how the
-    /// snapshot publish partitions the same delta.
-    filter: Option<(AttrSet, Pred)>,
     capacity: usize,
     state: Mutex<SubState>,
     ready: Condvar,
@@ -253,9 +222,9 @@ impl SubscriptionHub {
 
     /// Fan one published commit out to every live subscriber. Called at
     /// the snapshot publish point, under the engine write lock, once per
-    /// [`PendingDelta`] in publish order — so every queue sees events in
+    /// pending commit in publish order — so every queue sees events in
     /// exactly commit (== WAL == ack) order.
-    pub(crate) fn dispatch(&self, pd: &PendingDelta) {
+    pub(crate) fn dispatch(&self, commit: &Arc<Commit>) {
         // Fast path: the count is only advisory (registration also runs
         // under the engine write lock, so it cannot race a dispatch).
         if self.count.load(Ordering::Relaxed) == 0 {
@@ -265,14 +234,13 @@ impl SubscriptionHub {
         let _t = relvu_obs::histogram!("engine.sub.fanout_ns").timer();
         subs.retain(|s| !s.lock().closed);
         self.count.store(subs.len() as u64, Ordering::Relaxed);
-        // One shared event per distinct target: fan-out to N unfiltered
-        // subscribers of the same relation is N Arc clones, not N copies.
+        // One shared event per distinct target: fan-out to N subscribers
+        // of the same relation is N Arc clones of the commit's own
+        // delta for it (a selection view's σ_P side wraps that delta).
         let mut cache: HashMap<Option<&str>, Option<Arc<ViewDelta>>> = HashMap::new();
         for sub in subs.iter() {
             let key = sub.target.as_deref();
-            let delta = cache
-                .entry(key)
-                .or_insert_with(|| event_for(pd, key, &sub.filter));
+            let delta = cache.entry(key).or_insert_with(|| event_for(commit, key));
             if let Some(d) = delta {
                 sub.push(d);
             }
@@ -291,49 +259,21 @@ impl SubscriptionHub {
     }
 }
 
-/// Build the event one commit produces for `target` (`None` = base):
-/// `None` when the commit did not change that relation. The filter —
-/// present exactly for selection views, and identical across that
-/// view's subscribers — projects the full-instance delta onto the
-/// visible `σ_P` side, so the per-target cache can still share one
-/// event among them.
-fn event_for(
-    pd: &PendingDelta,
-    target: Option<&str>,
-    filter: &Option<(AttrSet, Pred)>,
-) -> Option<Arc<ViewDelta>> {
-    let (inserts, deletes) = match target {
-        None => (pd.base_added.clone(), pd.base_removed.clone()),
-        Some(name) => {
-            let (_, added, removed) = pd.views.iter().find(|(n, _, _)| n == name)?;
-            (added.clone(), removed.clone())
-        }
+/// The event one commit produces for `target` (`None` = base), shared
+/// by the live fan-out and catch-up replay: the relation's visible part
+/// of the commit (a selection view's σ_P side), or `None` when the
+/// commit left it unchanged.
+pub(crate) fn event_for(commit: &Arc<Commit>, target: Option<&str>) -> Option<Arc<ViewDelta>> {
+    let whole = match target {
+        None => &commit.base,
+        Some(name) => &commit.views.iter().find(|(n, _)| n == name)?.1,
     };
-    filtered_delta(pd.seq, inserts, deletes, filter)
-}
-
-/// The shared event-construction step for both the live path
-/// ([`event_for`]) and catch-up prefill (`Database::subscribe`'s ring
-/// replay): filter a full-instance delta to the subscriber-visible side
-/// and suppress it entirely when nothing remains.
-pub(crate) fn filtered_delta(
-    seq: u64,
-    mut inserts: Vec<Tuple>,
-    mut deletes: Vec<Tuple>,
-    filter: &Option<(AttrSet, Pred)>,
-) -> Option<Arc<ViewDelta>> {
-    if let Some((x, pred)) = filter {
-        inserts.retain(|t| pred.eval(x, t));
-        deletes.retain(|t| pred.eval(x, t));
-    }
-    if inserts.is_empty() && deletes.is_empty() {
-        return None;
-    }
-    Some(Arc::new(ViewDelta {
-        seq,
-        inserts,
-        deletes,
-    }))
+    let event = if whole.is_selection() {
+        whole.side(true)
+    } else {
+        Arc::clone(whole)
+    };
+    (!event.is_empty()).then_some(event)
 }
 
 /// A live delta-stream subscription, created by
@@ -446,14 +386,12 @@ impl Drop for Subscription {
 /// prefill and the hub registration are atomic with respect to commits.
 pub(crate) fn make_subscriber(
     target: Option<String>,
-    filter: Option<(AttrSet, Pred)>,
     capacity: usize,
     prefill: VecDeque<Arc<ViewDelta>>,
 ) -> Arc<SubInner> {
     relvu_obs::counter!("engine.sub.events").add(prefill.len() as u64);
     Arc::new(SubInner {
         target,
-        filter,
         capacity: capacity.max(1),
         state: Mutex::new(SubState {
             queue: prefill,
@@ -468,19 +406,15 @@ pub(crate) fn make_subscriber(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relvu_relation::tup;
+    use crate::commit::test_commit;
+    use relvu_relation::{tup, Tuple};
 
-    fn pd(seq: u64, views: Vec<(String, Vec<Tuple>, Vec<Tuple>)>) -> PendingDelta {
-        PendingDelta {
-            seq,
-            base_added: vec![tup![seq, 0]],
-            base_removed: vec![],
-            views,
-        }
+    fn pd(seq: u64, views: Vec<(&str, Vec<Tuple>, Vec<Tuple>)>) -> Arc<Commit> {
+        test_commit(seq, vec![tup![seq, 0]], vec![], views)
     }
 
     fn sub_on(hub: &SubscriptionHub, target: Option<&str>, capacity: usize) -> Subscription {
-        let inner = make_subscriber(target.map(str::to_string), None, capacity, VecDeque::new());
+        let inner = make_subscriber(target.map(str::to_string), capacity, VecDeque::new());
         hub.register(Arc::clone(&inner));
         Subscription::new(inner, 0, None)
     }
@@ -491,26 +425,26 @@ mod tests {
         let on_v = sub_on(&hub, Some("v"), 8);
         let on_w = sub_on(&hub, Some("w"), 8);
         let on_base = sub_on(&hub, None, 8);
-        hub.dispatch(&pd(1, vec![("v".into(), vec![tup![1, 1]], vec![])]));
-        hub.dispatch(&pd(2, vec![("w".into(), vec![], vec![tup![2, 2]])]));
+        hub.dispatch(&pd(1, vec![("v", vec![tup![1, 1]], vec![])]));
+        hub.dispatch(&pd(2, vec![("w", vec![], vec![tup![2, 2]])]));
         // v sees only seq 1, w only seq 2, base both.
         match on_v.try_recv() {
             Some(SubEvent::Delta(d)) => {
-                assert_eq!((d.seq, d.inserts.len(), d.deletes.len()), (1, 1, 0));
+                assert_eq!((d.seq, d.inserts().count(), d.deletes().count()), (1, 1, 0));
             }
             other => panic!("unexpected: {other:?}"),
         }
         assert_eq!(on_v.try_recv(), None);
         match on_w.try_recv() {
             Some(SubEvent::Delta(d)) => {
-                assert_eq!((d.seq, d.deletes.len()), (2, 1));
+                assert_eq!((d.seq, d.deletes().count()), (2, 1));
             }
             other => panic!("unexpected: {other:?}"),
         }
         assert_eq!(on_base.queue_depth(), 2);
-        // Unfiltered subscribers of one target share the allocation.
+        // Subscribers of one target share the allocation.
         let on_v2 = sub_on(&hub, Some("v"), 8);
-        hub.dispatch(&pd(3, vec![("v".into(), vec![tup![3, 3]], vec![])]));
+        hub.dispatch(&pd(3, vec![("v", vec![tup![3, 3]], vec![])]));
         let (a, b) = match (on_v.try_recv(), on_v2.try_recv()) {
             (Some(SubEvent::Delta(a)), Some(SubEvent::Delta(b))) => (a, b),
             other => panic!("unexpected: {other:?}"),
@@ -523,7 +457,7 @@ mod tests {
         let hub = SubscriptionHub::new();
         let sub = sub_on(&hub, Some("v"), 2);
         for seq in 1..=5 {
-            hub.dispatch(&pd(seq, vec![("v".into(), vec![tup![seq, 1]], vec![])]));
+            hub.dispatch(&pd(seq, vec![("v", vec![tup![seq, 1]], vec![])]));
         }
         // Seqs 1 and 2 queued; 3 overflowed and is the first missed.
         for want in [1u64, 2] {
@@ -537,7 +471,7 @@ mod tests {
             Some(SubEvent::Lagged { missed_from_seq: 3 })
         );
         // Sticky: still lagged, and later dispatches stay out.
-        hub.dispatch(&pd(6, vec![("v".into(), vec![tup![6, 1]], vec![])]));
+        hub.dispatch(&pd(6, vec![("v", vec![tup![6, 1]], vec![])]));
         assert_eq!(
             sub.recv_timeout(Duration::from_millis(1)),
             Some(SubEvent::Lagged { missed_from_seq: 3 })
@@ -548,7 +482,7 @@ mod tests {
     fn dropped_view_delivers_queued_events_then_dropped() {
         let hub = SubscriptionHub::new();
         let sub = sub_on(&hub, Some("v"), 8);
-        hub.dispatch(&pd(1, vec![("v".into(), vec![tup![1, 1]], vec![])]));
+        hub.dispatch(&pd(1, vec![("v", vec![tup![1, 1]], vec![])]));
         hub.notify_dropped("v");
         assert!(matches!(sub.try_recv(), Some(SubEvent::Delta(_))));
         assert_eq!(sub.try_recv(), Some(SubEvent::Dropped));
@@ -560,7 +494,7 @@ mod tests {
         let hub = SubscriptionHub::new();
         let sub = sub_on(&hub, Some("v"), 8);
         drop(sub);
-        hub.dispatch(&pd(1, vec![("v".into(), vec![tup![1, 1]], vec![])]));
+        hub.dispatch(&pd(1, vec![("v", vec![tup![1, 1]], vec![])]));
         assert_eq!(hub.lock().len(), 0, "closed subscriber pruned");
     }
 }

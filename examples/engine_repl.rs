@@ -297,8 +297,8 @@ fn drain_subscriptions(subs: &mut Vec<Subscription>, f: &fixtures::EdmFixture) {
                         format!("({})", vals.join(", "))
                     };
                     let mut parts = Vec::new();
-                    parts.extend(d.deletes.iter().map(|t| format!("-{}", show(t))));
-                    parts.extend(d.inserts.iter().map(|t| format!("+{}", show(t))));
+                    parts.extend(d.deletes().map(|t| format!("-{}", show(t))));
+                    parts.extend(d.inserts().map(|t| format!("+{}", show(t))));
                     println!("[sub {name}] #{} {}", d.seq, parts.join(" "));
                 }
                 Some(SubEvent::Lagged { missed_from_seq }) => {
@@ -355,7 +355,7 @@ fn report(result: Result<relvu::engine::UpdateReport, DurabilityError>) {
     match result {
         Ok(r) => println!(
             "ok (durable): base {} → {} rows",
-            r.base_rows_before, r.base_rows_after
+            r.rows_before, r.rows_after
         ),
         Err(DurabilityError::Engine(EngineError::Rejected { trace, .. })) => {
             println!("rejected (untranslatable): {trace}");

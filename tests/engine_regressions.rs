@@ -536,3 +536,36 @@ fn quiet_view_reads_are_pointer_equal() {
         ops::project(&db.base(), f.x).unwrap()
     );
 }
+
+// ── Bug 6: a base holding a labeled null was accepted ───────────────────
+
+/// `Database::new` checked only the attributes and Σ, so a base holding
+/// a labeled null was accepted — and the first checkpoint (or `dump()`)
+/// then hit the serializer's "legal bases are concrete" invariant and
+/// panicked. A legal base is concrete: it is refused up front.
+#[test]
+fn base_with_labeled_null_is_illegal() {
+    use relvu::durability::{DurableDatabase, MemVfs, WalOptions};
+    let f = fixtures::edm();
+    let mut base = f.base.clone();
+    // A new department with an unknown manager: Σ holds, but the base
+    // is no longer concrete.
+    base.insert(Tuple::new([
+        f.dict.sym("zed"),
+        f.dict.sym("games"),
+        Value::Null(7),
+    ]))
+    .unwrap();
+    assert!(base.has_nulls());
+    assert!(relvu::deps::check::satisfies_fds(&base, &f.fds));
+    let err = match Database::new(f.schema.clone(), f.fds.clone(), base) {
+        Err(e) => e,
+        Ok(db) => {
+            // The old behaviour: accepted, then the store's first
+            // checkpoint panics serializing the null.
+            let _ = DurableDatabase::create(MemVfs::new(), db, WalOptions::default());
+            panic!("a base with a labeled null was accepted");
+        }
+    };
+    assert_eq!(err, EngineError::IllegalBase);
+}

@@ -59,10 +59,10 @@ fn rows_of(rel: &Relation) -> Vec<Tuple> {
 /// first (swap-remove mechanics), then insertions, both in recorded
 /// order.
 fn fold(rel: &mut Relation, d: &ViewDelta) {
-    for t in &d.deletes {
+    for t in d.deletes() {
         assert!(rel.remove(t), "delete of a row the fold does not hold");
     }
-    for t in &d.inserts {
+    for t in d.inserts() {
         rel.insert(t.clone()).expect("subscribed delta keeps arity");
     }
 }
