@@ -272,7 +272,7 @@ impl Database {
         requests: Vec<BatchRequest>,
         options: &BatchOptions,
     ) -> BatchReport {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let _hold = relvu_obs::histogram!("engine.lock.write_hold_ns").timer();
         let cache_before = closure::cache::stats();
         let n = requests.len();
@@ -285,18 +285,17 @@ impl Database {
         // instead of cloning them. The pinned `Arc`s stay frozen while
         // the commit loop below mutates the materializations, which is
         // exactly the isolation speculation needs.
-        type Ctx = (
-            ViewDef,
+        let cur = Arc::clone(&inner.cur);
+        type Ctx<'a> = (
+            &'a ViewDef,
             Arc<Relation>,
             Option<(Arc<Relation>, Arc<Relation>)>,
         );
         let mut view_ctx: HashMap<String, Ctx> = HashMap::new();
         for req in &requests {
             if !view_ctx.contains_key(&req.view) {
-                if let Some(def) = inner.views.get(&req.view) {
-                    let def = def.clone();
-                    let vs = inner
-                        .cur
+                if let Some(def) = cur.views.get(&req.view) {
+                    let vs = cur
                         .insts
                         .get(&req.view)
                         .expect("published snapshot tracks registered views");
@@ -309,7 +308,7 @@ impl Database {
 
         // An empty-LHS FD fires without value agreement, defeating
         // footprint locality: fall back to pure sequential revalidation.
-        let serial_only = inner.fds.atomized().iter().any(|fd| fd.lhs().is_empty());
+        let serial_only = cur.fds.atomized().iter().any(|fd| fd.lhs().is_empty());
 
         let footprints: Vec<Option<Footprint>> = {
             let _t = relvu_obs::histogram!("engine.batch.partition_ns").timer();
@@ -335,65 +334,50 @@ impl Database {
             .clamp(1, n.max(1));
         let mut specs: Vec<Option<Result<Translatability>>> = Vec::new();
         specs.resize_with(n, || None);
-        // A panic inside a speculation worker (a buggy translator, a
-        // sabotaged view definition) must not take the batch down with
-        // state half-built: workers catch it, the first payload is kept,
-        // and it is re-raised below only after the write guard has been
-        // released — nothing has committed yet at that point, so the
-        // engine is observably untouched and stays usable (the in-
-        // workspace `parking_lot` shim does not poison locks, so "guard
-        // released during unwind" alone is not enough to rely on).
-        let panicked: parking_lot::Mutex<Option<Box<dyn std::any::Any + Send>>> =
-            parking_lot::Mutex::new(None);
         if !serial_only && n > 0 {
             let _t = relvu_obs::histogram!("engine.batch.speculate_ns").timer();
             let chunk = n.div_ceil(threads);
-            let schema = &inner.schema;
-            let fds = &inner.fds;
             let view_ctx = &view_ctx;
             let requests = &requests;
-            let panicked = &panicked;
-            std::thread::scope(|s| {
-                for (c, spec_chunk) in specs.chunks_mut(chunk).enumerate() {
-                    let start = c * chunk;
-                    s.spawn(move || {
-                        for (off, slot) in spec_chunk.iter_mut().enumerate() {
-                            let req = &requests[start + off];
-                            if let Some((def, v, split)) = view_ctx.get(&req.view) {
-                                // check_update takes only shared refs and
-                                // writes nothing on the panic path, so
-                                // observing the captures afterwards is
-                                // sound.
-                                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    check_update(
-                                        schema,
-                                        fds,
+            let cur = &cur;
+            let panicked = std::thread::scope(|s| {
+                let workers: Vec<_> = specs
+                    .chunks_mut(chunk)
+                    .enumerate()
+                    .map(|(c, spec_chunk)| {
+                        let start = c * chunk;
+                        s.spawn(move || {
+                            for (off, slot) in spec_chunk.iter_mut().enumerate() {
+                                let req = &requests[start + off];
+                                if let Some((def, v, split)) = view_ctx.get(&req.view) {
+                                    *slot = Some(check_update(
+                                        &cur.schema,
+                                        &cur.fds,
                                         def,
                                         v,
                                         split.as_ref().map(|(m, r)| (m.as_ref(), r.as_ref())),
                                         &req.op,
-                                    )
-                                })) {
-                                    Ok(res) => *slot = Some(res),
-                                    Err(payload) => {
-                                        let mut first = panicked.lock();
-                                        if first.is_none() {
-                                            *first = Some(payload);
-                                        }
-                                        return;
-                                    }
+                                    ));
                                 }
                             }
-                        }
-                    });
+                        })
+                    })
+                    .collect();
+                // Join every worker, keeping the first panic's payload.
+                let mut first = None;
+                for w in workers {
+                    if let Err(payload) = w.join() {
+                        first.get_or_insert(payload);
+                    }
                 }
+                first
             });
-        }
-        if let Some(payload) = panicked.into_inner() {
-            // Release the engine write lock with the batch uncommitted,
-            // then propagate the original panic to the caller.
-            drop(inner);
-            std::panic::resume_unwind(payload);
+            // Re-raise the original panic (a buggy translator, a
+            // sabotaged view definition) to the caller; the write guard
+            // resets the engine on the way out.
+            if let Some(payload) = panicked {
+                std::panic::resume_unwind(payload);
+            }
         }
 
         // Commit strictly in submission order. `dirty` is the union of
@@ -621,7 +605,7 @@ mod tests {
             .unwrap();
         // Sabotage the prepared Test 2 state: speculation for any insert
         // through `staff` now hits `.expect("prepared at creation")`.
-        db.inner.write().views.get_mut("staff").unwrap().test2 = None;
+        db.break_test2("staff");
         let base_before = db.base();
         let log_before = db.log();
 

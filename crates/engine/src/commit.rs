@@ -7,9 +7,10 @@
 //! [`Commit`] behind an `Arc`, and every consumer shares those instead
 //! of copying them:
 //!
-//! * the publish queue (drained at the next snapshot publish) and the
-//!   commit ring ([`crate::dirty`], serving incremental checkpoints and
-//!   subscription catch-up) hold the `Arc<Commit>`;
+//! * the publish queue (the staged commits, applied at the next
+//!   snapshot publish or dropped by an abort) and the commit ring
+//!   ([`crate::dirty`], serving incremental checkpoints and subscription
+//!   catch-up) hold the `Arc<Commit>`;
 //! * the `LazyRel` delta chains of published snapshots and CDC events
 //!   hold the one relation's `Arc<ViewDelta>` they read, so a retained
 //!   event or chain pins that relation's rows and nothing else.

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 /// Parent/child structure over the registered views.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct ViewDag {
     /// Registration order — parents always precede their children.
     order: Vec<String>,
@@ -60,16 +60,8 @@ impl ViewDag {
     }
 
     /// The direct children of `name`, in registration order.
-    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn children(&self, name: &str) -> &[String] {
         self.children.get(name).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The whole parent → children adjacency map — what a snapshot
-    /// publish copies out, so readers can answer `view_children`
-    /// without the engine lock.
-    pub(crate) fn children_map(&self) -> &HashMap<String, Vec<String>> {
-        &self.children
     }
 
     /// All transitive dependents of `name`, in topological order —

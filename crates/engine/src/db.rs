@@ -1,9 +1,10 @@
 //! The database: universal relation + Σ + registered views.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 
 use relvu_core::select_view::{SelectionReject, SelectionView};
 use relvu_core::{
@@ -15,7 +16,6 @@ use relvu_deps::{closure, FdSet};
 use relvu_relation::{AttrSet, Pred, Relation, Schema, Tuple};
 
 use crate::commit::{Commit, ViewDelta};
-use crate::dag::ViewDag;
 use crate::dirty::DirtyRing;
 use crate::log::{LogEntry, LogRange, UpdateOp, UpdateReport};
 use crate::mat::ViewMat;
@@ -38,36 +38,61 @@ pub struct ViewStats {
     pub rejected_by_reason: BTreeMap<String, u64>,
 }
 
+/// The writer's state. The last published [`SnapState`] (`cur`) is the
+/// engine's only committed state; everything else here is working state
+/// derived from it plus the staged commits, which publish applies and an
+/// abort ([`Database::reset_to_published`]) drops.
 pub(crate) struct Inner {
-    pub(crate) schema: Schema,
-    pub(crate) fds: FdSet,
+    /// The working base: the published base with the staged commits
+    /// applied in place.
     pub(crate) base: Relation,
-    pub(crate) views: HashMap<String, ViewDef>,
-    /// One materialization per registered view, maintained
-    /// incrementally by [`Database::commit`] and rebuilt from scratch
-    /// only on `set_fds`, load, and batch rollback.
+    /// One materialization per registered view over the working base,
+    /// maintained incrementally by [`Database::commit`] and rebuilt from
+    /// scratch only on `set_fds`, checkpoint-delta replay and abort.
     pub(crate) mats: HashMap<String, ViewMat>,
-    /// Parent/child structure over the registered views; its
-    /// registration order doubles as the topological order every
-    /// traversal (delta propagation, rebuilds, Σ revalidation, dump
-    /// export) walks.
-    pub(crate) dag: ViewDag,
+    /// Per-view counters: the published ones plus the rejections
+    /// recorded since — a rejection stands even when its batch aborts.
+    /// Accepted counts move at publish.
     pub(crate) stats: HashMap<String, ViewStats>,
-    pub(crate) log: LogState,
-    pub(crate) seq: u64,
-    /// Publish counter: bumped once per snapshot publish.
-    pub(crate) epoch: u64,
-    /// The writer's working copy of the most recently published
-    /// snapshot — incremental publishes extend its delta chains.
+    /// The most recently published snapshot. Σ, the view definitions,
+    /// the DAG, the log, the sequence number and the epoch are read from
+    /// here; the next publish extends its delta chains.
     pub(crate) cur: Arc<SnapState>,
-    /// Committed-but-unpublished commits. `apply_op` drains it every
-    /// commit; the batch paths accumulate one entry per commit and drain
-    /// at batch end, so readers never observe a state a transactional
-    /// rollback could retract.
+    /// Staged commits, in seq order. `apply_op` publishes its one commit
+    /// at once; the batch paths stage one entry per commit and publish
+    /// at batch end, so readers never observe a state an abort could
+    /// retract. Empty whenever the write lock is free.
     pub(crate) pending: Vec<Arc<Commit>>,
-    /// Recent commits, for incremental checkpoints and subscription
-    /// catch-up.
+    /// Recent published commits, for incremental checkpoints and
+    /// subscription catch-up.
     pub(crate) dirty: DirtyRing,
+}
+
+/// The engine write lock, as every mutator holds it. If the holder
+/// unwinds, `Drop` resets the writer to the published state before the
+/// lock is released: a panic mid-commit leaves the next writer nothing
+/// half-applied to build on (the `parking_lot` shim does not poison).
+pub(crate) struct WriteGuard<'a>(RwLockWriteGuard<'a, Inner>);
+
+impl Drop for WriteGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            Database::reset_to_published(&mut self.0);
+        }
+    }
+}
+
+impl Deref for WriteGuard<'_> {
+    type Target = Inner;
+    fn deref(&self) -> &Inner {
+        &self.0
+    }
+}
+
+impl DerefMut for WriteGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Inner {
+        &mut self.0
+    }
 }
 
 /// A thread-safe updatable-view database over a single universal relation.
@@ -188,12 +213,11 @@ impl Database {
         let cur = Arc::new(SnapState {
             epoch: 0,
             seq: 0,
-            schema: Arc::new(schema.clone()),
-            fds: Arc::new(fds.clone()),
-            views: Arc::new(HashMap::new()),
-            order: Arc::new(Vec::new()),
-            children: Arc::new(HashMap::new()),
-            stats: Arc::new(HashMap::new()),
+            schema: Arc::new(schema),
+            fds: Arc::new(fds),
+            views: Arc::default(),
+            dag: Arc::default(),
+            stats: Arc::default(),
             log: LogState::default(),
             base: Arc::new(LazyRel::ready(Arc::new(base.clone()))),
             insts: HashMap::new(),
@@ -202,21 +226,19 @@ impl Database {
             cell: SnapCell::new(Arc::clone(&cur)),
             hub: SubscriptionHub::new(),
             inner: RwLock::new(Inner {
-                schema,
-                fds,
                 base,
-                views: HashMap::new(),
                 mats: HashMap::new(),
-                dag: ViewDag::default(),
                 stats: HashMap::new(),
-                log: LogState::default(),
-                seq: 0,
-                epoch: 0,
                 cur,
                 pending: Vec::new(),
                 dirty: DirtyRing::new(),
             }),
         })
+    }
+
+    /// Take the engine write lock — the one way mutators take it.
+    pub(crate) fn write(&self) -> WriteGuard<'_> {
+        WriteGuard(self.inner.write())
     }
 
     /// Pin the current published snapshot: a single consistent epoch
@@ -229,25 +251,30 @@ impl Database {
         }
     }
 
-    /// Publish the pending commits (and any stats/seq movement) as the
-    /// next epoch. O(|Δ|): unchanged relations are shared structurally
-    /// with the previous snapshot, changed ones get an O(1) delta-chain
+    /// Publish the staged commits (and any stats movement) as the next
+    /// epoch: each commit's entry joins the log and the commit ring, its
+    /// view's accepted count moves, and its subscribers get their
+    /// events. O(|Δ|): unchanged relations are shared structurally with
+    /// the previous snapshot, changed ones get an O(1) delta-chain
     /// extension referencing the commit's shared delta.
     pub(crate) fn publish(&self, inner: &mut Inner) {
         let _t = relvu_obs::histogram!("engine.snap.publish_ns").timer();
-        let prev = Arc::clone(&inner.cur);
-        let pending = std::mem::take(&mut inner.pending);
-        let mut base = Arc::clone(&prev.base);
-        let mut insts = prev.insts.clone();
-        for commit in &pending {
+        let mut next = inner.cur.successor();
+        for commit in std::mem::take(&mut inner.pending) {
             // Fan out to subscribers exactly here — the same commit, in
             // the same order, that this publish makes visible to
-            // snapshot readers. A batch drains its whole pending queue
-            // in one publish, so its events land atomically too.
-            self.hub.dispatch(commit);
-            base = base.advance(&commit.base);
+            // snapshot readers. A batch publishes all its staged commits
+            // at once, so its events land atomically too.
+            self.hub.dispatch(&commit);
+            inner.dirty.record(&commit);
+            let view = commit.entry.view.clone();
+            inner.stats.entry(view).or_default().accepted += 1;
+            relvu_obs::counter!("engine.accepted").inc();
+            next.seq = commit.seq();
+            next.log.push(Arc::clone(&commit.entry));
+            next.base = next.base.advance(&commit.base);
             for (name, delta) in commit.views.iter() {
-                let Some(vs) = insts.get_mut(name) else {
+                let Some(vs) = next.insts.get_mut(name) else {
                     continue;
                 };
                 if let Some((m, r)) = vs.split.as_ref() {
@@ -258,65 +285,29 @@ impl Database {
                 vs.inst = vs.inst.advance(delta);
             }
         }
-        inner.epoch += 1;
-        let next = Arc::new(SnapState {
-            epoch: inner.epoch,
-            seq: inner.seq,
-            schema: Arc::clone(&prev.schema),
-            fds: Arc::clone(&prev.fds),
-            views: Arc::clone(&prev.views),
-            order: Arc::clone(&prev.order),
-            children: Arc::clone(&prev.children),
-            stats: Arc::new(inner.stats.clone()),
-            log: inner.log.clone(),
-            base,
-            insts,
-        });
+        self.install(inner, next);
+    }
+
+    /// Make `next` the published state, carrying the writer's counters.
+    fn install(&self, inner: &mut Inner, mut next: SnapState) {
+        next.stats = Arc::new(inner.stats.clone());
+        let next = Arc::new(next);
         inner.cur = Arc::clone(&next);
         self.cell.store(next);
         relvu_obs::counter!("engine.snap.epoch").inc();
     }
 
-    /// Publish a from-scratch snapshot of the writer state — the path
-    /// for wholesale changes (DDL, Σ replacement, batch rollback) where
-    /// there is no delta to chain. Discards any pending deltas: the
-    /// caller's rebuilt materializations are the truth.
-    pub(crate) fn publish_rebuild(&self, inner: &mut Inner) {
-        let _t = relvu_obs::histogram!("engine.snap.publish_ns").timer();
+    /// The one abort path: drop the staged commits and reset the working
+    /// base and materializations to the published state. A failed
+    /// transactional batch, a failed checkpoint-delta replay and an
+    /// unwinding writer ([`WriteGuard`]) all end here. The published
+    /// base replays the writer's exact edits, so the reset base has the
+    /// same row order the writer had.
+    pub(crate) fn reset_to_published(inner: &mut Inner) {
         inner.pending.clear();
-        inner.epoch += 1;
-        let mut insts = HashMap::with_capacity(inner.mats.len());
-        for (name, mat) in &inner.mats {
-            let split = mat.split().map(|p| {
-                (
-                    Arc::new(LazyRel::ready(Arc::new(p.0.clone()))),
-                    Arc::new(LazyRel::ready(Arc::new(p.1.clone()))),
-                )
-            });
-            insts.insert(
-                name.clone(),
-                ViewSnap {
-                    inst: Arc::new(LazyRel::ready(Arc::new(mat.instance().clone()))),
-                    split,
-                },
-            );
-        }
-        let next = Arc::new(SnapState {
-            epoch: inner.epoch,
-            seq: inner.seq,
-            schema: Arc::new(inner.schema.clone()),
-            fds: Arc::new(inner.fds.clone()),
-            views: Arc::new(inner.views.clone()),
-            order: Arc::new(inner.dag.order().to_vec()),
-            children: Arc::new(inner.dag.children_map().clone()),
-            stats: Arc::new(inner.stats.clone()),
-            log: inner.log.clone(),
-            base: Arc::new(LazyRel::ready(Arc::new(inner.base.clone()))),
-            insts,
-        });
-        inner.cur = Arc::clone(&next);
-        self.cell.store(next);
-        relvu_obs::counter!("engine.snap.epoch").inc();
+        inner.base = (*inner.cur.base.get()).clone();
+        let cur = Arc::clone(&inner.cur);
+        Self::rebuild_mats(inner, &cur);
     }
 
     /// Register a view `X` with a declared complement (or, when `None`, a
@@ -333,10 +324,7 @@ impl Database {
         y: Option<AttrSet>,
         policy: Policy,
     ) -> Result<()> {
-        let mut inner = self.inner.write();
-        Self::create_view_locked(&mut inner, name, None, x, y, policy, None)?;
-        self.publish_rebuild(&mut inner);
-        Ok(())
+        self.register_view(name, None, x, y, policy, None)
     }
 
     /// Register a view over another view's instance: `π_x(parent)`.
@@ -363,10 +351,7 @@ impl Database {
         y: Option<AttrSet>,
         policy: Policy,
     ) -> Result<()> {
-        let mut inner = self.inner.write();
-        Self::create_view_locked(&mut inner, name, Some(parent), x, y, policy, None)?;
-        self.publish_rebuild(&mut inner);
-        Ok(())
+        self.register_view(name, Some(parent), x, y, policy, None)
     }
 
     /// Register a selection view over another view's instance:
@@ -389,18 +374,7 @@ impl Database {
         // Validate predicate geometry before taking the lock
         // (SelectionView::new checks it).
         let _probe = SelectionView::new(x, x, pred.clone())?;
-        let mut inner = self.inner.write();
-        Self::create_view_locked(
-            &mut inner,
-            name,
-            Some(parent),
-            x,
-            y,
-            Policy::Exact,
-            Some(pred),
-        )?;
-        self.publish_rebuild(&mut inner);
-        Ok(())
+        self.register_view(name, Some(parent), x, y, Policy::Exact, Some(pred))
     }
 
     /// Drop a registered view. Only leaves of the dependency DAG can be
@@ -412,40 +386,42 @@ impl Database {
     /// [`EngineError::HasDependents`] naming the transitive dependents
     /// when other views are registered over this one.
     pub fn drop_view(&self, name: &str) -> Result<()> {
-        let mut inner = self.inner.write();
-        if !inner.views.contains_key(name) {
+        let mut inner = self.write();
+        let mut next = inner.cur.successor();
+        let Some(def) = Arc::make_mut(&mut next.views).remove(name) else {
             return Err(EngineError::UnknownView {
                 name: name.to_string(),
             });
-        }
-        let dependents = inner.dag.dependents(name);
+        };
+        let dependents = next.dag.dependents(name);
         if !dependents.is_empty() {
             return Err(EngineError::HasDependents {
                 name: name.to_string(),
                 dependents,
             });
         }
-        let def = inner.views.remove(name).expect("checked above");
+        Arc::make_mut(&mut next.dag).remove(name, def.parent());
+        next.insts.remove(name);
         if let Some(mat) = inner.mats.remove(name) {
             mat.retire();
         }
         inner.stats.remove(name);
-        inner.dag.remove(name, def.parent());
         // Terminal-notify the dropped view's subscribers before the new
         // epoch publishes: their queued events stay deliverable, then
         // the stream ends with `SubEvent::Dropped`.
         self.hub.notify_dropped(name);
-        self.publish_rebuild(&mut inner);
+        self.install(&mut inner, next);
         Ok(())
     }
 
     /// Shared registration path for projective and selection views,
     /// base-rooted or over a parent view.
     ///
-    /// Runs **entirely under the caller's write lock**, and performs every
-    /// validation before the single `views.insert` — so other threads can
-    /// never observe a half-registered view (e.g. a selection view without
-    /// its predicate), and any error leaves the view map untouched.
+    /// Runs **entirely under one write lock**, performs every
+    /// validation first and publishes the registered view as one new
+    /// epoch — so other threads can never observe a half-registered view
+    /// (e.g. a selection view without its predicate), and any error
+    /// leaves the engine untouched.
     ///
     /// With a parent, the registration *collapses* the composition into
     /// an equivalent flat view of the base: the effective attributes are
@@ -456,8 +432,8 @@ impl Database {
     /// cannot maintain: an empty collapse, a predicate mentioning
     /// attributes the collapse projects away (σ_P and π do not commute
     /// there), or a non-exact policy under an inherited predicate.
-    fn create_view_locked(
-        inner: &mut Inner,
+    fn register_view(
+        &self,
         name: &str,
         parent: Option<&str>,
         x: AttrSet,
@@ -465,7 +441,9 @@ impl Database {
         policy: Policy,
         own_pred: Option<Pred>,
     ) -> Result<()> {
-        if inner.views.contains_key(name) {
+        let mut inner = self.write();
+        let cur = Arc::clone(&inner.cur);
+        if cur.views.contains_key(name) {
             return Err(EngineError::DuplicateView {
                 name: name.to_string(),
             });
@@ -478,7 +456,7 @@ impl Database {
         let (x, parent_pred) = match parent {
             None => (x, None),
             Some(p) => {
-                let pdef = inner.views.get(p).ok_or_else(|| EngineError::UnknownView {
+                let pdef = cur.views.get(p).ok_or_else(|| EngineError::UnknownView {
                     name: p.to_string(),
                 })?;
                 let collapsed = x & pdef.x();
@@ -519,16 +497,16 @@ impl Database {
         let auto = y.is_none();
         let y = match y {
             Some(y) => {
-                if !are_complementary(&inner.schema, &inner.fds, x, y) {
+                if !are_complementary(&cur.schema, &cur.fds, x, y) {
                     return Err(EngineError::NotComplementary);
                 }
                 y
             }
-            None => minimal_complement(&inner.schema, &inner.fds, x),
+            None => minimal_complement(&cur.schema, &cur.fds, x),
         };
-        let test2 = matches!(policy, Policy::Test2)
-            .then(|| Test2::prepare(&inner.schema, &inner.fds, x, y));
-        let fp = closure::fingerprint(&inner.fds);
+        let test2 =
+            matches!(policy, Policy::Test2).then(|| Test2::prepare(&cur.schema, &cur.fds, x, y));
+        let fp = closure::fingerprint(&cur.fds);
         let mut def = ViewDef::new(name.to_string(), x, y, policy, test2, auto, fp);
         if let Some(pred) = pred {
             def = def.with_pred(pred);
@@ -552,25 +530,28 @@ impl Database {
                 .clone()
         });
         let mat = ViewMat::build(&inner.base, source.as_ref(), &def)?;
+        let mut next = cur.successor();
+        next.insts.insert(name.to_string(), ViewSnap::of(&mat));
+        Arc::make_mut(&mut next.views).insert(name.to_string(), def);
+        Arc::make_mut(&mut next.dag).register(name, parent);
         inner.mats.insert(name.to_string(), mat);
-        inner.views.insert(name.to_string(), def);
-        inner.dag.register(name, parent);
+        self.install(&mut inner, next);
         Ok(())
     }
 
-    /// Rebuild every view's materialization from the current base by a
-    /// full scan — the recovery path after wholesale state changes
-    /// (Σ replacement, batch rollback) where incremental maintenance
-    /// has no delta to fold.
-    pub(crate) fn rebuild_mats(inner: &mut Inner) {
+    /// Rebuild the materialization of every view of `state` from the
+    /// working base by a full scan — the path after wholesale state
+    /// changes (Σ replacement, checkpoint-delta replay, abort) where
+    /// incremental maintenance has no delta to fold.
+    fn rebuild_mats(inner: &mut Inner, state: &SnapState) {
         for mat in inner.mats.values() {
             mat.retire();
         }
         // Walk the DAG in topological order so each child's view side can
         // be fed from its parent's freshly rebuilt instance.
-        let mut mats = HashMap::with_capacity(inner.views.len());
-        for name in inner.dag.order() {
-            let def = inner.views.get(name).expect("dag tracks registered views");
+        let mut mats = HashMap::with_capacity(state.views.len());
+        for name in state.dag.order() {
+            let def = state.views.get(name).expect("dag tracks registered views");
             let source = def.parent().map(|p| {
                 let parent: &ViewMat = mats.get(p).expect("parents precede children");
                 parent.instance().clone()
@@ -600,22 +581,23 @@ impl Database {
     /// the failing view's transitive dependents when other views are
     /// registered over it. On error the database is left unchanged.
     pub fn set_fds(&self, fds: FdSet) -> Result<()> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if !satisfies_fds(&inner.base, &fds) {
             return Err(EngineError::IllegalBase);
         }
         let fp = closure::fingerprint(&fds);
-        let mut rebuilt = HashMap::with_capacity(inner.views.len());
+        let mut next = inner.cur.successor();
+        let mut rebuilt = HashMap::with_capacity(next.views.len());
         // Revalidate in topological order so the first failure reported
         // is an ancestor, with its dependents as the blast radius.
-        for name in inner.dag.order() {
-            let def = inner.views.get(name).expect("dag tracks registered views");
+        for name in next.dag.order() {
+            let def = next.views.get(name).expect("dag tracks registered views");
             let x = def.x();
             let y = if def.auto_complement {
-                minimal_complement(&inner.schema, &fds, x)
+                minimal_complement(&next.schema, &fds, x)
             } else {
-                if !are_complementary(&inner.schema, &fds, x, def.y()) {
-                    let dependents = inner.dag.dependents(name);
+                if !are_complementary(&next.schema, &fds, x, def.y()) {
+                    let dependents = next.dag.dependents(name);
                     return Err(if dependents.is_empty() {
                         EngineError::NotComplementary
                     } else {
@@ -629,7 +611,7 @@ impl Database {
                 def.y()
             };
             let test2 = matches!(def.policy(), Policy::Test2)
-                .then(|| Test2::prepare(&inner.schema, &fds, x, y));
+                .then(|| Test2::prepare(&next.schema, &fds, x, y));
             let mut fresh = ViewDef::new(
                 name.clone(),
                 x,
@@ -650,14 +632,16 @@ impl Database {
             }
             rebuilt.insert(name.clone(), fresh);
         }
-        let old_fp = closure::fingerprint(&inner.fds);
-        inner.views = rebuilt;
-        inner.fds = fds;
+        let old_fp = closure::fingerprint(&next.fds);
+        next.views = Arc::new(rebuilt);
+        next.fds = Arc::new(fds);
         if old_fp != fp {
             closure::cache::evict_fingerprint(old_fp);
         }
-        Self::rebuild_mats(&mut inner);
-        self.publish_rebuild(&mut inner);
+        // Σ moves only the complement sides; the published instances
+        // stay as they are.
+        Self::rebuild_mats(&mut inner, &next);
+        self.install(&mut inner, next);
         Ok(())
     }
 
@@ -689,10 +673,7 @@ impl Database {
         // view, released the lock, then re-acquired it to attach the
         // predicate — a concurrent writer in the window could commit an
         // update through the unrestricted view, bypassing σ_P.)
-        let mut inner = self.inner.write();
-        Self::create_view_locked(&mut inner, name, None, x, y, Policy::Exact, Some(pred))?;
-        self.publish_rebuild(&mut inner);
-        Ok(())
+        self.register_view(name, None, x, y, Policy::Exact, Some(pred))
     }
 
     /// Per-view accepted/rejected counters, from the published snapshot.
@@ -701,71 +682,34 @@ impl Database {
     }
 
     /// Apply a batch of updates atomically: either every update applies
-    /// (in order), or the base is left untouched and the first failure is
-    /// returned together with its position.
+    /// (in order), or the engine is left as it was and the first failure
+    /// is returned together with its position. The commits are staged
+    /// and published together at the end, so an abort only drops them:
+    /// no reader, subscriber, log or commit-ring entry ever sees the
+    /// aborted prefix. The failing update's own rejection is still
+    /// counted.
     ///
     /// # Errors
     /// [`EngineError::BatchFailed`] wrapping the first failing update's
     /// error together with its zero-based position in the batch.
     pub fn apply_batch(&self, updates: Vec<(String, UpdateOp)>) -> Result<Vec<UpdateReport>> {
         // One write lock for the whole batch: concurrent writers cannot
-        // interleave, so the rollback is a true transaction abort.
-        let mut inner = self.inner.write();
+        // interleave, so the abort is a true transaction abort.
+        let mut inner = self.write();
         let _hold = relvu_obs::histogram!("engine.lock.write_hold_ns").timer();
-        // A singleton batch needs no snapshot at all: with one update
-        // there is never an applied prefix to undo, so failure leaves
-        // the engine exactly as a plain `apply_op` rejection would.
-        let snapshot = (updates.len() > 1).then(|| {
-            (
-                inner.base.clone(),
-                inner.log.clone(),
-                inner.seq,
-                inner.stats.clone(),
-            )
-        });
         let mut reports = Vec::with_capacity(updates.len());
         for (index, (view, op)) in updates.into_iter().enumerate() {
             match self.apply_inner(&mut inner, &view, op) {
                 Ok(r) => reports.push(r),
                 Err(e) => {
-                    // Nothing was published mid-batch, so readers never
-                    // saw the rolled-back prefix; discard its pending
-                    // deltas and restore the writer state (the log
-                    // restore is an O(1) pointer swap — the persistent
-                    // log shares its sealed chunks).
-                    inner.pending.clear();
-                    if let Some((base, log, seq, stats)) = snapshot {
-                        inner.base = base;
-                        inner.log = log;
-                        inner.seq = seq;
-                        inner.stats = stats;
-                        // The rolled-back commits never became durable;
-                        // their dirty entries must not leak into a later
-                        // incremental checkpoint.
-                        inner.dirty.truncate_above(seq);
-                        Self::rebuild_mats(&mut inner);
-                        // Compensate the global counters for the
-                        // rolled-back prefix (every prefix update was
-                        // accepted — a rejection aborts the batch), so
-                        // the registry keeps agreeing with the summed
-                        // per-view stats.
-                        relvu_obs::counter!("engine.accepted").sub(reports.len() as u64);
-                        // The failing update's own rejection really
-                        // happened and was already counted globally;
-                        // restoring the stats map erased its per-view
-                        // record, so put that back.
-                        if let EngineError::Rejected { ref reason, .. } = e {
-                            let stats = inner.stats.entry(view.clone()).or_default();
-                            stats.rejected += 1;
-                            *stats
-                                .rejected_by_reason
-                                .entry(reason.code().to_string())
-                                .or_insert(0) += 1;
-                        }
+                    // A failed update edits nothing, so with nothing
+                    // staged the working state is still the published one.
+                    if !inner.pending.is_empty() {
+                        Self::reset_to_published(&mut inner);
                     }
                     // Publish once so the failing update's rejection
                     // stats become visible (the data state equals the
-                    // still-published pre-batch epoch).
+                    // pre-batch epoch).
                     self.publish(&mut inner);
                     return Err(EngineError::BatchFailed {
                         index,
@@ -888,30 +832,39 @@ impl Database {
     /// sequence number; [`EngineError::SeqJumpOverLog`] if `seq` is
     /// above it while the audit log is non-empty.
     pub fn resume_at(&self, seq: u64) -> Result<()> {
-        let mut inner = self.inner.write();
-        if seq < inner.seq {
-            return Err(EngineError::SeqRegression {
-                current: inner.seq,
-                requested: seq,
-            });
-        }
-        if seq > inner.seq {
-            if !inner.log.is_empty() {
-                return Err(EngineError::SeqJumpOverLog {
-                    current: inner.seq,
-                    requested: seq,
-                });
-            }
-            // The log's first entry will be seq+1; record where this
-            // incarnation's history starts so range reads below it
-            // report the gap instead of serving mislabeled entries.
-            inner.log.set_origin(seq);
-        }
-        inner.seq = seq;
+        let mut inner = self.write();
+        let mut next = inner.cur.successor();
+        // The log's first entry will be seq+1; record where this
+        // incarnation's history starts so range reads below it report
+        // the gap instead of serving mislabeled entries.
+        Self::move_seq(&mut next, seq)?;
         // Commits below the resumed counter predate this incarnation;
         // coverage for incremental checkpoints starts here.
         inner.dirty.prune_below(seq);
-        self.publish(&mut inner);
+        self.install(&mut inner, next);
+        Ok(())
+    }
+
+    /// Move `state`'s sequence counter forward to `seq` over an empty
+    /// log, re-basing the log there — the shared check of `resume_at`
+    /// and `apply_checkpoint_deltas`.
+    fn move_seq(state: &mut SnapState, seq: u64) -> Result<()> {
+        if seq < state.seq {
+            return Err(EngineError::SeqRegression {
+                current: state.seq,
+                requested: seq,
+            });
+        }
+        if seq > state.seq {
+            if !state.log.is_empty() {
+                return Err(EngineError::SeqJumpOverLog {
+                    current: state.seq,
+                    requested: seq,
+                });
+            }
+            state.log.set_origin(seq);
+        }
+        state.seq = seq;
         Ok(())
     }
 
@@ -952,7 +905,7 @@ impl Database {
     }
 
     fn apply(&self, name: &str, op: UpdateOp) -> Result<UpdateReport> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         // Declared after the guard, so it drops (and records) first —
         // i.e. it measures time spent holding the write lock.
         let _hold = relvu_obs::histogram!("engine.lock.write_hold_ns").timer();
@@ -969,10 +922,10 @@ impl Database {
         name: &str,
         op: UpdateOp,
     ) -> Result<UpdateReport> {
-        let def = inner
+        let cur = Arc::clone(&inner.cur);
+        let def = cur
             .views
             .get(name)
-            .cloned()
             .ok_or_else(|| EngineError::UnknownView {
                 name: name.to_string(),
             })?;
@@ -981,9 +934,9 @@ impl Database {
         let verdict = {
             let mat = inner.mats.get(name).expect("registered views have mats");
             check_update(
-                &inner.schema,
-                &inner.fds,
-                &def,
+                &cur.schema,
+                &cur.fds,
+                def,
                 mat.instance(),
                 mat.split().map(|p| (&p.0, &p.1)),
                 &op,
@@ -995,8 +948,9 @@ impl Database {
         }
     }
 
-    /// Apply a verified translation to the base as a tuple delta, fold
-    /// the delta into every view's materialization, and log. The delta
+    /// Apply a verified translation to the working base as a tuple
+    /// delta, fold the delta into every view's materialization, and
+    /// stage the commit for the next publish. The delta
     /// is derived from the committing view's sorted complement — the
     /// whole commit is O(|Δ| · views), independent of |base|. In debug
     /// builds the old full recomputation survives as an oracle: the
@@ -1042,7 +996,7 @@ impl Database {
                 .expect("arity verified above");
         }
         let from = inner.base.attrs();
-        let seq = inner.seq + 1;
+        let seq = inner.pending.last().map_or(inner.cur.seq, |c| c.seq()) + 1;
         let mut touched: Vec<(String, Arc<ViewDelta>)> = Vec::new();
         {
             // Topological delta propagation: every view's complement side
@@ -1053,17 +1007,15 @@ impl Database {
             // DAG order puts parents first. A node whose incoming view
             // delta is empty does zero fold work and emits an empty
             // delta, so an entire untouched subtree is skipped.
-            let Inner {
-                views, mats, dag, ..
-            } = &mut *inner;
+            let Inner { cur, mats, .. } = &mut *inner;
             // Where each touched view's part sits in `touched`.
             let mut at: HashMap<&str, usize> = HashMap::new();
-            for node in dag.order() {
+            for node in cur.dag.order() {
                 let mat = mats
                     .get_mut(node.as_str())
                     .expect("registered views have mats");
                 mat.fold_complement(&from, &added, &removed);
-                let def = views.get(node.as_str()).expect("registered");
+                let def = cur.views.get(node.as_str()).expect("registered");
                 let (in_add, in_rem): (&[Tuple], &[Tuple]) = match def.parent() {
                     None => (&added, &removed),
                     Some(p) => match at.get(p) {
@@ -1103,7 +1055,7 @@ impl Database {
         #[allow(clippy::drop_non_drop)]
         drop(delta_timer);
         debug_assert!(
-            satisfies_fds(&inner.base, &inner.fds),
+            satisfies_fds(&inner.base, &inner.cur.fds),
             "translated update must preserve legality"
         );
         #[cfg(debug_assertions)]
@@ -1127,9 +1079,6 @@ impl Database {
         }
         #[cfg(not(debug_assertions))]
         let _ = (x, y);
-        inner.seq = seq;
-        inner.stats.entry(name.to_string()).or_default().accepted += 1;
-        relvu_obs::counter!("engine.accepted").inc();
         // The one record of this update: the log, the report and (in a
         // durable store) the WAL queue share its entry; the publish
         // queue and the commit ring share the whole commit.
@@ -1146,8 +1095,6 @@ impl Database {
             base: ViewDelta::whole(seq, removed, added, None),
             views: touched.into_boxed_slice(),
         });
-        inner.log.push(Arc::clone(&entry));
-        inner.dirty.record(&commit);
         inner.pending.push(commit);
         Ok(entry)
     }
@@ -1216,13 +1163,13 @@ impl Database {
         // registration point is exactly the published seq.
         debug_assert!(inner.pending.is_empty(), "mutators publish before unlock");
         if let Some(name) = target {
-            if !inner.views.contains_key(name) {
+            if !inner.cur.views.contains_key(name) {
                 return Err(EngineError::UnknownView {
                     name: name.to_string(),
                 });
             }
         }
-        let current = inner.seq;
+        let current = inner.cur.seq;
         let (origin_seq, origin_rows, prefill) = match opts.from {
             SubscribeFrom::Snapshot => {
                 // `inner.cur` is the published state and equals the
@@ -1282,7 +1229,7 @@ impl Database {
     /// Drop dirty-set entries at or below `seq` — called after a
     /// checkpoint at `seq` makes them redundant.
     pub fn prune_dirty_below(&self, seq: u64) {
-        self.inner.write().dirty.prune_below(seq);
+        self.write().dirty.prune_below(seq);
     }
 
     /// Replay checkpoint-delta commits, each `(seq, removed, added)`, on
@@ -1294,70 +1241,68 @@ impl Database {
     /// (so a subsequent dump is byte-identical). Every view
     /// materialization is rebuilt afterwards and Σ revalidated, so a
     /// corrupt or mismatched delta surfaces as an error rather than a
-    /// silently-wrong state.
+    /// silently-wrong state. On error the engine is left unchanged.
     ///
     /// # Errors
     /// [`EngineError::SeqRegression`] if `final_seq` is behind the
-    /// engine; [`EngineError::Load`] when a commit is out of range or
-    /// refers to rows the base does not hold; [`EngineError::IllegalBase`]
-    /// when the replayed base violates Σ. **On error the database is left
-    /// in an unspecified state and must be discarded** — recovery loads
-    /// each fallback candidate into a fresh engine.
+    /// engine; [`EngineError::SeqJumpOverLog`] if it is ahead while the
+    /// log is non-empty; [`EngineError::Load`] when a commit is out of
+    /// range or refers to rows the base does not hold;
+    /// [`EngineError::IllegalBase`] when the replayed base violates Σ.
     pub fn apply_checkpoint_deltas<'a>(
         &self,
         commits: impl IntoIterator<Item = (u64, &'a [Tuple], &'a [Tuple])>,
         final_seq: u64,
     ) -> Result<()> {
-        let mut inner = self.inner.write();
-        if final_seq < inner.seq {
-            return Err(EngineError::SeqRegression {
-                current: inner.seq,
-                requested: final_seq,
-            });
-        }
-        if final_seq > inner.seq {
-            if !inner.log.is_empty() {
-                return Err(EngineError::SeqJumpOverLog {
-                    current: inner.seq,
-                    requested: final_seq,
-                });
-            }
-            // Same origin bookkeeping as `resume_at`: the replayed
-            // history lives in the checkpoint chain, not this log.
-            inner.log.set_origin(final_seq);
-        }
-        let mut prev = inner.seq;
-        for (seq, removed, added) in commits {
-            if seq <= prev || seq > final_seq {
-                return Err(EngineError::Load {
-                    reason: format!(
-                        "delta commit seq {seq} out of order (after {prev}, final {final_seq})"
-                    ),
-                });
-            }
-            prev = seq;
-            for t in removed {
-                if !inner.base.remove(t) {
+        let mut inner = self.write();
+        let mut next = inner.cur.successor();
+        let mut prev = next.seq;
+        // Same origin bookkeeping as `resume_at`: the replayed history
+        // lives in the checkpoint chain, not this log.
+        Self::move_seq(&mut next, final_seq)?;
+        let replay = || -> Result<()> {
+            for (seq, removed, added) in commits {
+                if seq <= prev || seq > final_seq {
                     return Err(EngineError::Load {
-                        reason: format!("delta commit {seq} removes an absent base row"),
+                        reason: format!(
+                            "delta commit seq {seq} out of order (after {prev}, final {final_seq})"
+                        ),
                     });
                 }
-            }
-            for t in added {
-                if !inner.base.insert(t.clone())? {
-                    return Err(EngineError::Load {
-                        reason: format!("delta commit {seq} inserts a duplicate base row"),
-                    });
+                prev = seq;
+                for t in removed {
+                    if !inner.base.remove(t) {
+                        return Err(EngineError::Load {
+                            reason: format!("delta commit {seq} removes an absent base row"),
+                        });
+                    }
+                }
+                for t in added {
+                    if !inner.base.insert(t.clone())? {
+                        return Err(EngineError::Load {
+                            reason: format!("delta commit {seq} inserts a duplicate base row"),
+                        });
+                    }
                 }
             }
+            if !satisfies_fds(&inner.base, &next.fds) {
+                return Err(EngineError::IllegalBase);
+            }
+            Ok(())
+        };
+        if let Err(e) = replay() {
+            Self::reset_to_published(&mut inner);
+            return Err(e);
         }
-        if !satisfies_fds(&inner.base, &inner.fds) {
-            return Err(EngineError::IllegalBase);
-        }
-        inner.seq = final_seq;
         inner.dirty.prune_below(final_seq);
-        Self::rebuild_mats(&mut inner);
-        self.publish_rebuild(&mut inner);
+        Self::rebuild_mats(&mut inner, &next);
+        next.base = Arc::new(LazyRel::ready(Arc::new(inner.base.clone())));
+        next.insts = inner
+            .mats
+            .iter()
+            .map(|(name, mat)| (name.clone(), ViewSnap::of(mat)))
+            .collect();
+        self.install(&mut inner, next);
         Ok(())
     }
 }
@@ -1762,5 +1707,156 @@ mod batch_tests {
         }
         assert_eq!(db.base().len(), 3 + 20);
         assert_eq!(db.stats("staff").unwrap().accepted, 20);
+    }
+}
+
+#[cfg(test)]
+impl Database {
+    /// Sabotage for the panic tests: drop `view`'s prepared Test 2
+    /// state in the writer's copy of the published state, so any check
+    /// through the view panics.
+    pub(crate) fn break_test2(&self, view: &str) {
+        let mut inner = self.inner.write();
+        let mut state = (*inner.cur).clone();
+        Arc::make_mut(&mut state.views)
+            .get_mut(view)
+            .expect("registered")
+            .test2 = None;
+        inner.cur = Arc::new(state);
+    }
+}
+
+#[cfg(test)]
+mod panic_tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use super::*;
+    use crate::batch::{BatchOptions, BatchRequest};
+    use crate::subscribe::SubscribeOptions;
+    use relvu_deps::Fd;
+    use relvu_relation::tup;
+    use relvu_workload::fixtures;
+
+    /// Run `panicking` on `db`, which must panic, then check that the
+    /// engine kept its published state and told no subscriber anything,
+    /// and that it goes on exactly like `twin`, which never ran it: the
+    /// `next` update gets the twin's seq and, after one more view
+    /// registration (`ddl`), the dumps agree byte for byte.
+    fn assert_panic_drops_staged(
+        db: &Database,
+        twin: &Database,
+        watched: &str,
+        panicking: impl FnOnce(&Database),
+        next: (&str, UpdateOp),
+        ddl: impl Fn(&Database),
+    ) {
+        let base_sub = db.subscribe_base(SubscribeOptions::snapshot()).unwrap();
+        let view_sub = db.subscribe(watched, SubscribeOptions::snapshot()).unwrap();
+        let before = db.snapshot();
+        assert!(catch_unwind(AssertUnwindSafe(|| panicking(db))).is_err());
+
+        let after = db.snapshot();
+        assert_eq!(after.epoch(), before.epoch(), "nothing published");
+        assert_eq!(after.seq(), before.seq());
+        assert_eq!(after.dump(), before.dump());
+        assert!(base_sub.try_recv().is_none(), "no base event");
+        assert!(view_sub.try_recv().is_none(), "no view event");
+
+        let (view, op) = next;
+        let seq = db.apply_op(view, op.clone()).unwrap().seq;
+        assert_eq!(seq, twin.apply_op(view, op).unwrap().seq);
+        ddl(db);
+        ddl(twin);
+        assert_eq!(db.dump(), twin.dump());
+    }
+
+    fn edm_pair(second: Policy) -> (fixtures::EdmFixture, Database, Database) {
+        let f = fixtures::edm();
+        let make = || {
+            let db = Database::new(f.schema.clone(), f.fds.clone(), f.base.clone()).unwrap();
+            db.create_view("staff", f.x, Some(f.y), Policy::Exact)
+                .unwrap();
+            db.create_view("staff2", f.x, Some(f.y), second).unwrap();
+            db
+        };
+        let (db, twin) = (make(), make());
+        (f, db, twin)
+    }
+
+    fn ins(f: &fixtures::EdmFixture, e: &str, d: &str) -> UpdateOp {
+        UpdateOp::Insert {
+            t: Tuple::new([f.dict.sym(e), f.dict.sym(d)]),
+        }
+    }
+
+    #[test]
+    fn panic_in_the_dag_fold_drops_the_base_edit() {
+        let (f, db, twin) = edm_pair(Policy::Exact);
+        // `staff2` folds after `staff`: without its materialization the
+        // commit panics after editing the base and folding `staff`.
+        db.inner.write().mats.remove("staff2").unwrap().retire();
+        assert_panic_drops_staged(
+            &db,
+            &twin,
+            "staff",
+            |db| {
+                let _ = db.apply_op("staff", ins(&f, "dan", "toys"));
+            },
+            ("staff", ins(&f, "eve", "books")),
+            |db| db.create_view("staff3", f.x, None, Policy::Exact).unwrap(),
+        );
+    }
+
+    #[test]
+    fn panic_in_a_transactional_batch_drops_its_committed_prefix() {
+        let (f, db, twin) = edm_pair(Policy::Test2);
+        db.break_test2("staff2");
+        assert_panic_drops_staged(
+            &db,
+            &twin,
+            "staff",
+            |db| {
+                let _ = db.apply_batch(vec![
+                    ("staff".into(), ins(&f, "dan", "toys")),
+                    ("staff2".into(), ins(&f, "eve", "books")),
+                ]);
+            },
+            ("staff", ins(&f, "fay", "toys")),
+            |db| db.create_view("staff3", f.x, None, Policy::Exact).unwrap(),
+        );
+    }
+
+    #[test]
+    fn panic_in_a_revalidated_batch_request_drops_its_committed_prefix() {
+        // An empty-LHS FD makes `apply_batch_parallel` revalidate every
+        // request in its commit loop instead of speculating.
+        let s = Schema::new(["A", "B"]).unwrap();
+        let a = s.set(["A"]).unwrap();
+        let fds = FdSet::new([Fd::new(AttrSet::EMPTY, s.set(["B"]).unwrap())]);
+        let make = || {
+            let base = Relation::from_rows(s.universe(), [tup![1, 9]]).unwrap();
+            let db = Database::new(s.clone(), fds.clone(), base).unwrap();
+            db.create_view("va", a, None, Policy::Exact).unwrap();
+            db.create_view("vb", a, None, Policy::Test2).unwrap();
+            db
+        };
+        let (db, twin) = (make(), make());
+        db.break_test2("vb");
+        assert_panic_drops_staged(
+            &db,
+            &twin,
+            "va",
+            |db| {
+                db.apply_batch_parallel(
+                    vec![
+                        BatchRequest::new("va", UpdateOp::Insert { t: tup![2] }),
+                        BatchRequest::new("vb", UpdateOp::Insert { t: tup![3] }),
+                    ],
+                    &BatchOptions { threads: Some(2) },
+                );
+            },
+            ("va", UpdateOp::Insert { t: tup![4] }),
+            |db| db.create_view("vc", a, None, Policy::Exact).unwrap(),
+        );
     }
 }

@@ -71,8 +71,9 @@ impl DirtyRing {
         self.floor
     }
 
-    /// Hold a commit. Empty commits are covered by `floor` semantics
-    /// without being stored.
+    /// Hold a commit — called at its publish, so a commit an abort
+    /// dropped never reaches the ring. Empty commits are covered by
+    /// `floor` semantics without being stored.
     pub(crate) fn record(&mut self, commit: &Arc<Commit>) {
         if commit.is_empty() {
             debug_assert!(
@@ -88,14 +89,6 @@ impl DirtyRing {
             }
         }
         self.entries.push_back(Arc::clone(commit));
-    }
-
-    /// Drop entries above `seq` — the batch-rollback path, where the
-    /// rolled-back commits never became durable (or visible).
-    pub(crate) fn truncate_above(&mut self, seq: u64) {
-        while matches!(self.entries.back(), Some(e) if e.seq() > seq) {
-            self.entries.pop_back();
-        }
     }
 
     /// Drop entries at or below `seq` and advance the floor to `seq`:
@@ -204,16 +197,6 @@ mod tests {
             ring.range(t - 1, 6).is_none(),
             "resume at T-1 needs the pruned commit T and must be refused"
         );
-    }
-
-    #[test]
-    fn truncate_above_drops_rolled_back_commits() {
-        let mut ring = DirtyRing::new();
-        for s in 1..=4 {
-            push(&mut ring, s);
-        }
-        ring.truncate_above(2);
-        assert_eq!(seqs(&ring, 0, 10), Some(vec![1, 2]));
     }
 
     #[test]

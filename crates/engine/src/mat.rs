@@ -31,7 +31,8 @@
 //!   any DAG node O(|Δ| log |π_Y(R)|).
 //!
 //! Full recomputation ([`ViewMat::build`]) survives as the rebuild path
-//! after Σ replacement, snapshot load, and batch rollback — and, in
+//! after Σ replacement, snapshot load, checkpoint-delta replay and an
+//! abort — and, in
 //! debug builds, as the oracle [`ViewMat::debug_assert_consistent`]
 //! checks after every commit.
 
@@ -79,8 +80,8 @@ impl ViewMat {
     /// from `source` when given (the parent's materialized instance)
     /// and from `base` otherwise. O((|base| + |source|) log) via the
     /// bulk construction paths; used at view registration and as the
-    /// rebuild path after `set_fds`, `Database::load`, and batch
-    /// rollback.
+    /// rebuild path after `set_fds`, `Database::load`, checkpoint-delta
+    /// replay and an abort.
     ///
     /// # Errors
     /// The same [`relvu_relation::RelationError::NotASubset`] a fresh

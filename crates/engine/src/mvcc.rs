@@ -25,8 +25,9 @@
 //!   byte-identical to the locked path they replace.
 //! * [`LogState`] — the audit log as sealed immutable chunks plus a
 //!   cons-list tail of shared `Arc<LogEntry>`s, so the snapshot's log
-//!   view is an O(1) pointer copy and transactional rollback is an O(1)
-//!   pointer restore.
+//!   view is an O(1) pointer copy. The log lives only in published
+//!   snapshots: a commit's entry joins it at publish, so an aborted
+//!   transaction's entries never reach it.
 //! * [`SnapCell`] — the hand-rolled `arc-swap` analog. The workspace
 //!   forbids `unsafe`, so instead of a raw atomic pointer the cell keeps
 //!   a small fixed set of cache-line-padded shards, each a
@@ -46,8 +47,10 @@ use relvu_deps::FdSet;
 use relvu_relation::{Relation, Schema};
 
 use crate::commit::ViewDelta;
+use crate::dag::ViewDag;
 use crate::db::ViewStats;
 use crate::log::{LogEntry, LogGap, LogRange};
+use crate::mat::ViewMat;
 use crate::view::ViewDef;
 use crate::{EngineError, Result};
 
@@ -161,9 +164,8 @@ struct LogNode {
 }
 
 /// The audit log as a persistent structure: cloning is O(1) in the
-/// number of entries (two `Arc` copies), so every published snapshot —
-/// and every transactional-batch rollback point — carries the whole log
-/// for free. The unsealed tail holds each entry's shared
+/// number of entries (two `Arc` copies), so every published snapshot
+/// carries the whole log for free. The unsealed tail holds each entry's shared
 /// `Arc<LogEntry>` — never the commit around it, so history does not
 /// pin deltas.
 #[derive(Clone)]
@@ -323,21 +325,46 @@ pub(crate) struct ViewSnap {
     pub(crate) split: Option<(Arc<LazyRel>, Arc<LazyRel>)>,
 }
 
-/// The immutable state one publish makes visible.
+impl ViewSnap {
+    /// A view's published state read off its freshly built
+    /// materialization.
+    pub(crate) fn of(mat: &ViewMat) -> Self {
+        let ready = |r: &Relation| Arc::new(LazyRel::ready(Arc::new(r.clone())));
+        ViewSnap {
+            inst: ready(mat.instance()),
+            split: mat.split().map(|(m, r)| (ready(m), ready(r))),
+        }
+    }
+}
+
+/// The immutable state one publish makes visible — and the engine's
+/// only committed state: the writer reads Σ, the views, the DAG, the
+/// log and the sequence number from the last published one.
+#[derive(Clone)]
 pub(crate) struct SnapState {
     pub(crate) epoch: u64,
     pub(crate) seq: u64,
     pub(crate) schema: Arc<Schema>,
     pub(crate) fds: Arc<FdSet>,
     pub(crate) views: Arc<HashMap<String, ViewDef>>,
-    /// Registration (= topological) order of the views.
-    pub(crate) order: Arc<Vec<String>>,
-    /// Parent → direct children, in registration order.
-    pub(crate) children: Arc<HashMap<String, Vec<String>>>,
+    /// The view dependency DAG; its registration order is the
+    /// topological order every traversal walks.
+    pub(crate) dag: Arc<ViewDag>,
     pub(crate) stats: Arc<HashMap<String, ViewStats>>,
     pub(crate) log: LogState,
     pub(crate) base: Arc<LazyRel>,
     pub(crate) insts: HashMap<String, ViewSnap>,
+}
+
+impl SnapState {
+    /// The next epoch, sharing every part of this one; the caller
+    /// replaces what changed.
+    pub(crate) fn successor(&self) -> SnapState {
+        SnapState {
+            epoch: self.epoch + 1,
+            ..self.clone()
+        }
+    }
 }
 
 /// A pinned, immutable view of the whole engine at one commit.
@@ -464,7 +491,7 @@ impl EngineSnapshot {
                 name: name.to_string(),
             });
         }
-        Ok(self.state.children.get(name).cloned().unwrap_or_default())
+        Ok(self.state.dag.children(name).to_vec())
     }
 
     /// Per-view accepted/rejected counters as of this snapshot.
@@ -504,7 +531,8 @@ impl EngineSnapshot {
     /// serialization walks.
     pub(crate) fn ordered_defs(&self) -> Vec<ViewDef> {
         self.state
-            .order
+            .dag
+            .order()
             .iter()
             .map(|n| self.state.views[n].clone())
             .collect()

@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 
 use relvu::deps::FdSet;
-use relvu::engine::{Database, EngineError, Policy, UpdateOp};
+use relvu::engine::{Database, EngineError, Policy, SubscribeOptions, Subscription, UpdateOp};
 use relvu::prelude::*;
 use relvu::relation::{tup, CmpOp, Pred, Value};
 use relvu::workload::fixtures;
@@ -568,4 +568,112 @@ fn base_with_labeled_null_is_illegal() {
         }
     };
     assert_eq!(err, EngineError::IllegalBase);
+}
+
+// ── Bug 7: a failed checkpoint-delta replay left its prefix behind ──────
+
+/// `apply_checkpoint_deltas` applied each commit to the writer's base
+/// as it went, so when a later commit failed, the rows of the earlier
+/// ones stayed — and a retry of the good prefix then failed with
+/// "inserts a duplicate base row". A failed replay now leaves the
+/// engine unchanged.
+#[test]
+fn failed_checkpoint_delta_replay_leaves_the_engine_unchanged() {
+    let f = fixtures::edm();
+    let db = Database::new(f.schema.clone(), f.fds.clone(), f.base.clone()).unwrap();
+    db.create_view("staff", f.x, Some(f.y), Policy::Exact)
+        .unwrap();
+    // New employees in an existing department, under its manager.
+    let in_dept = |emp: &str| {
+        let mut vals: Vec<Value> = f.base.iter().next().unwrap().values().collect();
+        vals[0] = f.dict.sym(emp);
+        Tuple::new(vals)
+    };
+    let (row_a, absent) = ([in_dept("dan")], [in_dept("zed")]);
+    let none: [Tuple; 0] = [];
+    let before = db.snapshot();
+
+    let err = db
+        .apply_checkpoint_deltas([(1, &none[..], &row_a[..]), (2, &absent[..], &none[..])], 2)
+        .unwrap_err();
+    assert!(matches!(err, EngineError::Load { .. }), "{err:?}");
+    assert_eq!(db.last_seq(), 0);
+    assert_eq!(db.dump(), before.dump());
+
+    db.apply_checkpoint_deltas([(1, &none[..], &row_a[..])], 1)
+        .expect("the good prefix replays after the failed attempt");
+    assert_eq!(db.last_seq(), 1);
+    assert!(db.base().contains(&row_a[0]));
+    assert_eq!(db.base().len(), before.base().len() + 1);
+}
+
+// ── Aborted transactions: log, commit ring and CDC ──────────────────────
+
+/// A transactional batch whose two accepted updates are followed by a
+/// rejection must leave no trace but the rejection: no subscriber event
+/// from the prefix, and the log, the commit ring and a catch-up
+/// subscription all equal those of a twin that never ran the batch.
+#[test]
+fn aborted_batch_leaves_log_ring_and_streams_like_a_twin() {
+    let f = fixtures::edm();
+    let t = |e: &str, d: &str| Tuple::new([f.dict.sym(e), f.dict.sym(d)]);
+    let ins = |e: &str, d: &str| UpdateOp::Insert { t: t(e, d) };
+    let make = || {
+        let db = Database::new(f.schema.clone(), f.fds.clone(), f.base.clone()).unwrap();
+        db.create_view("staff", f.x, Some(f.y), Policy::Exact)
+            .unwrap();
+        db.apply_op("staff", ins("dan", "toys")).unwrap();
+        db
+    };
+    let (db, twin) = (make(), make());
+    let drain = |sub: &Subscription| std::iter::from_fn(|| sub.try_recv()).collect::<Vec<_>>();
+    let ring = |db: &Database| -> Vec<(u64, Vec<Tuple>, Vec<Tuple>)> {
+        db.base_delta_range(0, u64::MAX)
+            .unwrap()
+            .iter()
+            .map(|c| (c.seq(), c.removed().to_vec(), c.added().to_vec()))
+            .collect()
+    };
+    let catch_up = |db: &Database| {
+        let base = db.subscribe_base(SubscribeOptions::from_seq(0)).unwrap();
+        let view = db
+            .subscribe("staff", SubscribeOptions::from_seq(0))
+            .unwrap();
+        (drain(&base), drain(&view))
+    };
+    let base_sub = db.subscribe_base(SubscribeOptions::snapshot()).unwrap();
+    let view_sub = db.subscribe("staff", SubscribeOptions::snapshot()).unwrap();
+
+    let err = db
+        .apply_batch(vec![
+            ("staff".into(), ins("eve", "toys")),
+            ("staff".into(), ins("fay", "books")),
+            ("staff".into(), ins("gus", "games")), // unknown dept
+        ])
+        .unwrap_err();
+    assert!(matches!(err, EngineError::BatchFailed { index: 2, .. }));
+    assert!(drain(&base_sub).is_empty(), "no base event from the prefix");
+    assert!(drain(&view_sub).is_empty(), "no view event from the prefix");
+    let last = twin.last_seq();
+    assert_eq!(db.last_seq(), last);
+    assert_eq!(db.log(), twin.log());
+    assert_eq!(ring(&db), ring(&twin));
+    assert_eq!(
+        db.base_delta_range(0, last).map(|c| c.len()),
+        twin.base_delta_range(0, last).map(|c| c.len())
+    );
+    assert_eq!(catch_up(&db), catch_up(&twin));
+
+    for db in [&db, &twin] {
+        db.apply_op("staff", ins("hal", "books")).unwrap();
+    }
+    assert_eq!(db.dump(), twin.dump());
+    assert_eq!(db.log(), twin.log());
+    assert_eq!(ring(&db), ring(&twin));
+    assert_eq!(catch_up(&db), catch_up(&twin));
+    assert_eq!(
+        drain(&base_sub).len(),
+        1,
+        "the next commit streams as usual"
+    );
 }

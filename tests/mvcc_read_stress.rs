@@ -72,8 +72,8 @@ fn stress_round(readers: usize, millis: u64) {
 
         // Mid-run DDL churn: register and drop a throwaway view and
         // replace Σ (with itself — still a full revalidate + rebuild),
-        // so readers race against `publish_rebuild`, not just the
-        // incremental publish.
+        // so readers race against DDL's whole-state publishes, not just
+        // the incremental publish.
         let ddl = s.spawn(move || {
             while !stop.load(Ordering::Relaxed) {
                 db.create_view_over("tmp", "staff", AttrSet::singleton(d), None, Policy::Exact)
