@@ -24,6 +24,9 @@ pub enum CoreError {
     TupleNotOverView,
     /// The tuple to delete/replace is not in the view instance.
     TupleNotInView,
+    /// The replacement tuple is already in the view instance (Theorem 9
+    /// replaces `t₁` by some `t₂ ∉ V`).
+    TupleAlreadyInView,
     /// An underlying relation error.
     Relation(RelationError),
     /// An underlying chase resource error (JD chases only).
@@ -48,6 +51,12 @@ impl fmt::Display for CoreError {
             }
             CoreError::TupleNotInView => {
                 write!(f, "the tuple is not present in the view instance")
+            }
+            CoreError::TupleAlreadyInView => {
+                write!(
+                    f,
+                    "the replacement tuple is already present in the view instance"
+                )
             }
             CoreError::Relation(e) => write!(f, "{e}"),
             CoreError::Chase(e) => write!(f, "{e}"),

@@ -17,13 +17,15 @@
 //! a counterexample database.
 //!
 //! [`translate_insert`] implements the paper's shortcut — chase the filled
-//! `V` once, reuse it for every `(r, f)` pair — while
-//! [`translate_insert_naive`] rebuilds `R(V, t, r, f)` from scratch each
-//! time (the ablation baseline for experiment E1).
+//! `V` once, reuse it for every `(r, f)` pair — and settles most pairs
+//! from the two rows `{r, μ}` alone before cloning anything (the pair
+//! closure, see `condition_c`); [`translate_insert_naive`] rebuilds
+//! `R(V, t, r, f)` from scratch each time (the ablation baseline for
+//! experiment E1).
 
-use relvu_chase::ChaseState;
+use relvu_chase::{ChaseState, ConstConflict};
 use relvu_deps::FdSet;
-use relvu_relation::{AttrSet, Relation, Schema, Tuple};
+use relvu_relation::{Attr, AttrSet, Relation, Schema, Tuple};
 
 use crate::common::ViewCtx;
 use crate::outcome::{RejectReason, Translatability, Translation};
@@ -60,14 +62,11 @@ pub fn translate_insert(
     if let Some(reason) = ctx.condition_b(fds) {
         return Ok(Translatability::Rejected(reason));
     }
-    // (c) — pre-chase the filled V once (the paper's shortcut), then for
-    // each (r, f) clone the chased state and add the hypothesis.
-    let filled = ctx.fill(v);
-    let mut base = ChaseState::new(&filled);
-    if crate::common::run_chase(&mut base, fds).is_err() {
-        return Err(CoreError::InvalidViewInstance);
-    }
-    condition_c(&ctx, fds, v, t, mu, &mut base)
+    // (c)
+    Ok(match condition_c(&ctx, fds, v, t, mu, None)? {
+        Some(reason) => Translatability::Rejected(reason),
+        None => Translatability::Translatable(Translation::InsertJoin { t: t.clone() }),
+    })
 }
 
 /// The naive variant of [`translate_insert`]: no pre-chase; each
@@ -112,29 +111,15 @@ pub fn translate_insert_naive(
     for (fd_index, fd) in atomized.iter().enumerate() {
         let z = fd.lhs();
         let a = fd.rhs().first().expect("atomized");
-        let z_in_rest = z & ctx.y_minus_x;
-        let a_in_rest = ctx.y_minus_x.contains(a);
         for row in ctx.qualifying_rows(v, t, z, a) {
             let row = row as usize;
-            let mut st = fresh.clone();
-            let mut succeeded = false;
-            for w in z_in_rest.iter() {
-                if st.unify(ctx.null_of(row, w), ctx.null_of(mu, w)).is_err() {
-                    succeeded = true;
-                    break;
-                }
-            }
-            if !succeeded {
-                match st.run(fds) {
-                    Err(_) => succeeded = true,
-                    Ok(_) => {
-                        if a_in_rest && st.equated(ctx.null_of(row, a), ctx.null_of(mu, a)) {
-                            succeeded = true;
-                        }
-                    }
-                }
-            }
-            if !succeeded {
+            let pair = Pair {
+                row,
+                mu,
+                z_in_rest: z & ctx.y_minus_x,
+                a,
+            };
+            if let Some(mut st) = pair.chase(&ctx, fds, &fresh, ChaseState::run) {
                 return Ok(Translatability::Rejected(
                     RejectReason::ChaseCounterexample {
                         fd_index,
@@ -150,78 +135,179 @@ pub fn translate_insert_naive(
     }))
 }
 
-/// Run condition (c) from a (possibly pre-chased) base state.
-fn condition_c(
+/// Condition (c) of Theorems 3 and 9 for the tuple `t` entering `V`, with
+/// `μ` = row `mu` of `V`. `skip` is a row of `V` that is not a witness
+/// (Theorem 9's `r ≠ t₁`: the replaced tuple's base rows leave with it).
+/// Returns the first failing pair's counterexample, or `None` when every
+/// pair's chase succeeds.
+///
+/// The filled `V` is chased once (the paper's shortcut). A pair whose `Z`
+/// misses `Y − X` adds no hypothesis, so that base chase holds its
+/// verdict. Any other pair is first tried with [`Pair::settles`], which
+/// works on the two rows `{r, μ}` without allocating; only a pair it
+/// cannot settle clones the base and chases `R(V, t, r, f)` in full. The
+/// closure only ever reports successes, so every counterexample still
+/// comes from a full chase and the verdicts are those of the
+/// clone-per-pair loop.
+///
+/// # Errors
+/// [`CoreError::InvalidViewInstance`] if chasing the filled `V` already
+/// equates two of its distinct constants.
+pub(crate) fn condition_c(
     ctx: &ViewCtx,
     fds: &FdSet,
     v: &Relation,
     t: &Tuple,
     mu: usize,
-    base: &mut ChaseState,
-) -> Result<Translatability> {
+    skip: Option<usize>,
+) -> Result<Option<RejectReason>> {
+    let filled = ctx.fill(v);
+    let mut base = ChaseState::new(&filled);
+    if crate::common::run_chase(&mut base, fds).is_err() {
+        return Err(CoreError::InvalidViewInstance);
+    }
     let atomized = fds.atomized();
     for (fd_index, fd) in atomized.iter().enumerate() {
         let z = fd.lhs();
         let a = fd.rhs().first().expect("atomized");
         let z_in_rest = z & ctx.y_minus_x;
-        let a_in_rest = ctx.y_minus_x.contains(a);
         for row in ctx.qualifying_rows(v, t, z, a) {
             let row = row as usize;
-            // Cheap path: no hypothesis symbols to identify — the base
-            // chase already holds the verdict.
-            if z_in_rest.is_empty() {
-                if a_in_rest && base.equated(ctx.null_of(row, a), ctx.null_of(mu, a)) {
+            if Some(row) == skip {
+                continue;
+            }
+            let pair = Pair {
+                row,
+                mu,
+                z_in_rest,
+                a,
+            };
+            let counterexample = if z_in_rest.is_empty() {
+                if ctx.y_minus_x.contains(a)
+                    && base.equated(ctx.null_of(row, a), ctx.null_of(mu, a))
+                {
                     continue; // success: the violation is contradictory
                 }
                 // The base chase is consistent and nothing forces the
                 // equality: counterexample.
-                return Ok(Translatability::Rejected(
-                    RejectReason::ChaseCounterexample {
-                        fd_index,
-                        row,
-                        counterexample: Box::new(base.materialize()),
-                    },
-                ));
-            }
-            // Monotonicity fast path: the hypothesis only *adds*
-            // equations, so if the base chase already forces
-            // r[A] = μ[A], the chase succeeds without cloning.
-            if a_in_rest && base.equated(ctx.null_of(row, a), ctx.null_of(mu, a)) {
+                base.materialize()
+            } else if pair.settles(ctx, &atomized, v, &mut base) {
+                relvu_obs::counter!("core.chase.pairs_settled").inc();
+                debug_assert!(
+                    pair.chase(ctx, fds, &base, ChaseState::run).is_none(),
+                    "pair closure settled {pair:?}, the full chase does not"
+                );
                 continue;
-            }
-            // Hypothesis: identify r and μ on Z ∩ (Y − X), then chase on.
-            let mut st = base.clone();
-            let mut succeeded = false;
-            for w in z_in_rest.iter() {
-                if st.unify(ctx.null_of(row, w), ctx.null_of(mu, w)).is_err() {
-                    succeeded = true; // equated two distinct constants
-                    break;
+            } else {
+                match pair.chase(ctx, fds, &base, crate::common::run_chase) {
+                    None => continue,
+                    Some(mut st) => st.materialize(),
                 }
+            };
+            return Ok(Some(RejectReason::ChaseCounterexample {
+                fd_index,
+                row,
+                counterexample: Box::new(counterexample),
+            }));
+        }
+    }
+    Ok(None)
+}
+
+/// One hypothesis pair of condition (c): witness row `r` of `V`, the `μ`
+/// row, the hypothesis cells `Z ∩ (Y − X)` and the FD's right-hand side
+/// `A`.
+#[derive(Debug, Clone, Copy)]
+struct Pair {
+    row: usize,
+    mu: usize,
+    z_in_rest: AttrSet,
+    a: Attr,
+}
+
+impl Pair {
+    /// The pair closure: is this pair's chase a success, judged from the
+    /// two rows `{r, μ}` alone?
+    ///
+    /// It closes under Σ the set of columns on which `r` and `μ` are known
+    /// equal: the `X` columns where they hold the same constant, the
+    /// `Y − X` cells `base` has equated, and the hypothesis cells. Deriving
+    /// an `X` column (where the two hold distinct constants, or it would
+    /// have been a seed) means the chase equates two distinct constants;
+    /// deriving `A ∈ Y − X` means it equates `r[A]` with `μ[A]`. Either is
+    /// a success. This is sound because the FD chase is monotone: the
+    /// chase of `R(V, t, r, f)` holds both rows with at least these
+    /// equalities, so it derives every equality derived here. The converse
+    /// fails — the full chase may equate cells of `r` and `μ` through
+    /// other rows — so `false` decides nothing.
+    ///
+    /// Cells of `Y − X` never hold a constant (the chase only merges
+    /// cells of one column, and these columns start all-null), so the
+    /// constants compared are exactly `V`'s.
+    fn settles(
+        &self,
+        ctx: &ViewCtx,
+        atomized: &FdSet,
+        v: &Relation,
+        base: &mut ChaseState,
+    ) -> bool {
+        let (r, mu) = (&v.rows()[self.row], &v.rows()[self.mu]);
+        let mut eq = self.z_in_rest;
+        for ((b, rv), mv) in ctx.x.iter().zip(r.values()).zip(mu.values()) {
+            if rv == mv {
+                eq.insert(b);
             }
-            if !succeeded {
-                match crate::common::run_chase(&mut st, fds) {
-                    Err(_) => succeeded = true,
-                    Ok(_) => {
-                        if a_in_rest && st.equated(ctx.null_of(row, a), ctx.null_of(mu, a)) {
-                            succeeded = true;
-                        }
+        }
+        for b in ctx.y_minus_x.iter() {
+            if base.equated(ctx.null_of(self.row, b), ctx.null_of(self.mu, b)) {
+                eq.insert(b);
+            }
+        }
+        loop {
+            let mut grew = false;
+            for fd in atomized.iter() {
+                let b = fd.rhs().first().expect("atomized");
+                if !eq.contains(b) && fd.lhs().is_subset(&eq) {
+                    if ctx.x.contains(b) {
+                        return true; // two distinct constants of V equated
                     }
+                    eq.insert(b);
+                    grew = true;
                 }
             }
-            if !succeeded {
-                return Ok(Translatability::Rejected(
-                    RejectReason::ChaseCounterexample {
-                        fd_index,
-                        row,
-                        counterexample: Box::new(st.materialize()),
-                    },
-                ));
+            if !grew {
+                return ctx.y_minus_x.contains(self.a) && eq.contains(self.a);
             }
         }
     }
-    Ok(Translatability::Translatable(Translation::InsertJoin {
-        t: t.clone(),
-    }))
+
+    /// Chase `R(V, t, r, f)` from `base` (the filled `V`, chased or not):
+    /// identify `r` and `μ` on the hypothesis cells, then chase to
+    /// fixpoint with `run`. Returns `None` when the chase succeeds, and
+    /// the completed state — the counterexample — otherwise.
+    fn chase(
+        &self,
+        ctx: &ViewCtx,
+        fds: &FdSet,
+        base: &ChaseState,
+        run: fn(&mut ChaseState, &FdSet) -> std::result::Result<usize, ConstConflict>,
+    ) -> Option<ChaseState> {
+        let mut st = base.clone();
+        for w in self.z_in_rest.iter() {
+            if st
+                .unify(ctx.null_of(self.row, w), ctx.null_of(self.mu, w))
+                .is_err()
+            {
+                return None; // equated two distinct constants
+            }
+        }
+        if run(&mut st, fds).is_err() {
+            return None;
+        }
+        let forced = ctx.y_minus_x.contains(self.a)
+            && st.equated(ctx.null_of(self.row, self.a), ctx.null_of(self.mu, self.a));
+        (!forced).then_some(st)
+    }
 }
 
 #[cfg(test)]

@@ -10,11 +10,11 @@
 //! * (c) `Chase_Σ[R(V, t₂, r, f)]` succeeds for every `f ∈ Σ` and every
 //!   `r ∈ V`, `r ≠ t₁`.
 
-use relvu_chase::ChaseState;
 use relvu_deps::FdSet;
 use relvu_relation::{AttrSet, Relation, Schema, Tuple};
 
 use crate::common::ViewCtx;
+use crate::insert::condition_c;
 use crate::outcome::{RejectReason, Translatability, Translation};
 use crate::{CoreError, Result};
 
@@ -22,7 +22,8 @@ use crate::{CoreError, Result};
 /// (Theorem 9).
 ///
 /// # Errors
-/// Input errors (geometry, nulls, arity, `t1 ∉ V`, or `V` invalid).
+/// Input errors (geometry, nulls, arity, `t1 ∉ V`, `t2 ∈ V`, or `V`
+/// invalid).
 pub fn translate_replace(
     schema: &Schema,
     fds: &FdSet,
@@ -37,17 +38,19 @@ pub fn translate_replace(
     if !v.contains(t1) {
         return Err(CoreError::TupleNotInView);
     }
-    if t1 == t2 || v.contains(t2) {
-        // Replacing by itself (or by something already present, which the
-        // paper excludes) — treat the degenerate self-replacement as
-        // identity and reject the rest as input misuse.
-        if t1 == t2 {
-            return Ok(Translatability::Translatable(Translation::Identity));
-        }
-        return Err(CoreError::TupleNotOverView);
+    // Replacing by itself is the identity; replacing by another tuple
+    // already present is outside Theorem 9 (`t₂ ∉ V`), an input error.
+    if t1 == t2 {
+        return Ok(Translatability::Translatable(Translation::Identity));
     }
-    let same_shared = t1.agrees(&ctx.x, t2, &ctx.x, &ctx.shared);
-    if !same_shared {
+    if v.contains(t2) {
+        return Err(CoreError::TupleAlreadyInView);
+    }
+    // μ candidates: rows of V agreeing with t2 on X∩Y. In case 2 that
+    // includes t1 itself, which is fine — the Y-information survives
+    // because t2 inherits it.
+    let mu_rows = ctx.mu_rows(v, t2);
+    if !t1.agrees(&ctx.x, t2, &ctx.x, &ctx.shared) {
         // Case 1 preconditions (a) and (b). `t1 ∈ V` matches itself, so
         // "another row agrees on X∩Y" is a match count of at least two.
         let t1_elsewhere = v.slots_agreeing(t1, &ctx.x, ctx.shared, None).len() >= 2;
@@ -56,7 +59,7 @@ pub fn translate_replace(
                 RejectReason::IntersectionNotInRemainder,
             ));
         }
-        if ctx.mu_rows(v, t2).is_empty() {
+        if mu_rows.is_empty() {
             return Ok(Translatability::Rejected(
                 RejectReason::ReplacementTargetNotInView,
             ));
@@ -65,11 +68,6 @@ pub fn translate_replace(
             return Ok(Translatability::Rejected(reason));
         }
     }
-    // (c): the chase test for inserting t2, with witnesses r ≠ t1.
-    // μ candidates: rows of V agreeing with t2 on X∩Y. In case 2 that
-    // includes t1 itself, which is fine — the Y-information survives
-    // because t2 inherits it.
-    let mu_rows = ctx.mu_rows(v, t2);
     let Some(&mu) = mu_rows.first() else {
         // Case 2 with t1 the only carrier: t1 itself matches, so this is
         // only reachable in genuinely empty cases.
@@ -77,73 +75,15 @@ pub fn translate_replace(
             RejectReason::ReplacementTargetNotInView,
         ));
     };
-    let filled = ctx.fill(v);
-    let mut base = ChaseState::new(&filled);
-    if crate::common::run_chase(&mut base, fds).is_err() {
-        return Err(CoreError::InvalidViewInstance);
-    }
-    let t1_row = v.slot_of(t1);
-    let atomized = fds.atomized();
-    for (fd_index, fd) in atomized.iter().enumerate() {
-        let z = fd.lhs();
-        let a = fd.rhs().first().expect("atomized");
-        let z_in_rest = z & ctx.y_minus_x;
-        let a_in_rest = ctx.y_minus_x.contains(a);
-        for row in ctx.qualifying_rows(v, t2, z, a) {
-            let row = row as usize;
-            if Some(row) == t1_row {
-                continue; // t1's base tuples are removed by the update
-            }
-            if z_in_rest.is_empty() {
-                if a_in_rest && base.equated(ctx.null_of(row, a), ctx.null_of(mu, a)) {
-                    continue;
-                }
-                return Ok(Translatability::Rejected(
-                    RejectReason::ChaseCounterexample {
-                        fd_index,
-                        row,
-                        counterexample: Box::new(base.materialize()),
-                    },
-                ));
-            }
-            // Monotonicity fast path (see `insert.rs`): if the base chase
-            // already forces r[A] = μ[A], success without cloning.
-            if a_in_rest && base.equated(ctx.null_of(row, a), ctx.null_of(mu, a)) {
-                continue;
-            }
-            let mut st = base.clone();
-            let mut succeeded = false;
-            for w in z_in_rest.iter() {
-                if st.unify(ctx.null_of(row, w), ctx.null_of(mu, w)).is_err() {
-                    succeeded = true;
-                    break;
-                }
-            }
-            if !succeeded {
-                match crate::common::run_chase(&mut st, fds) {
-                    Err(_) => succeeded = true,
-                    Ok(_) => {
-                        if a_in_rest && st.equated(ctx.null_of(row, a), ctx.null_of(mu, a)) {
-                            succeeded = true;
-                        }
-                    }
-                }
-            }
-            if !succeeded {
-                return Ok(Translatability::Rejected(
-                    RejectReason::ChaseCounterexample {
-                        fd_index,
-                        row,
-                        counterexample: Box::new(st.materialize()),
-                    },
-                ));
-            }
-        }
-    }
-    Ok(Translatability::Translatable(Translation::ReplaceJoin {
-        t1: t1.clone(),
-        t2: t2.clone(),
-    }))
+    // (c): the chase test for inserting t2, with witnesses r ≠ t1 — t1's
+    // base tuples are removed by the update.
+    Ok(match condition_c(&ctx, fds, v, t2, mu, v.slot_of(t1))? {
+        Some(reason) => Translatability::Rejected(reason),
+        None => Translatability::Translatable(Translation::ReplaceJoin {
+            t1: t1.clone(),
+            t2: t2.clone(),
+        }),
+    })
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ fn structural(
         return Ok(Err(Translatability::Translatable(Translation::Identity)));
     }
     if v.contains(t2) {
-        return Err(CoreError::TupleNotOverView);
+        return Err(CoreError::TupleAlreadyInView);
     }
     if !t1.agrees(&ctx.x, t2, &ctx.x, &ctx.shared) {
         // `t1 ∈ V` matches itself in the columnar scan, so "another row

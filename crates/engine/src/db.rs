@@ -124,8 +124,7 @@ pub(crate) fn check_update(
     // Selection views translate through the σ_P machinery (§6(2)),
     // against the (σ_P, σ_¬P) split — materialized when the caller has
     // it, recomputed from `v` otherwise.
-    if let Some(pred) = def.pred() {
-        let sel = SelectionView::new(def.x(), def.y(), pred.clone())?;
+    if let Some(sel) = &def.sel {
         let computed;
         let (w, w_bar) = match split {
             Some(pair) => pair,

@@ -1,6 +1,6 @@
 //! Registered view definitions.
 
-use relvu_core::Test2;
+use relvu_core::{SelectionView, Test2};
 use relvu_relation::{AttrSet, Pred};
 
 use crate::Policy;
@@ -20,11 +20,12 @@ pub struct ViewDef {
     x: AttrSet,
     y: AttrSet,
     policy: Policy,
-    /// The *effective* selection predicate for σ_P(π_X) views (§6(2)):
-    /// for a view registered over another view, the conjunction of every
-    /// ancestor's predicate with this view's own. `None` for plain
-    /// projections. This is the predicate the translators check against.
-    pub(crate) pred: Option<Pred>,
+    /// The selection view σ_P(π_X) with the *effective* predicate
+    /// (§6(2)): for a view registered over another view, the conjunction
+    /// of every ancestor's predicate with this view's own. `None` for
+    /// plain projections. Built once at registration, like `test2`; this
+    /// is what the translators check against.
+    pub(crate) sel: Option<SelectionView>,
     /// The predicate given at *this* view's registration, before
     /// composing with the parent's — what dump/load serializes so the
     /// composition can be re-derived. `None` for plain projections.
@@ -59,7 +60,7 @@ impl ViewDef {
             x,
             y,
             policy,
-            pred: None,
+            sel: None,
             own_pred: None,
             parent: None,
             test2,
@@ -68,8 +69,14 @@ impl ViewDef {
         }
     }
 
+    /// Attach the effective predicate. Registration has already checked
+    /// that it lies within `x`.
     pub(crate) fn with_pred(mut self, pred: Pred) -> Self {
-        self.pred = Some(pred);
+        self.sel = Some(SelectionView {
+            x: self.x,
+            y: self.y,
+            pred,
+        });
         self
     }
 
@@ -87,7 +94,7 @@ impl ViewDef {
     /// for a view over another view, every ancestor predicate conjoined
     /// with this view's own.
     pub fn pred(&self) -> Option<&Pred> {
-        self.pred.as_ref()
+        self.sel.as_ref().map(|sel| &sel.pred)
     }
 
     /// The predicate given at this view's own registration (before

@@ -1,0 +1,359 @@
+//! Differential oracle for condition (c) of Theorems 3 and 9.
+//!
+//! `translate_insert` and `translate_replace` settle most hypothesis
+//! pairs `(r, f)` with the pair closure on the two rows `{r, μ}` and run
+//! the full chase only for the rest. The oracle here is a test-local copy
+//! of the loop that clones the pre-chased `V` and chases it again for
+//! every pair. Over random Σ on 4–6 attributes (with left-hand sides
+//! crossing `Y − X`), random `X`/`Y` covering `U`, and random `V`, `t`,
+//! `t₁`, the two must return the same `Result` — verdict, reject reason,
+//! and a `ChaseCounterexample`'s FD index, row and relation — and the
+//! insert verdict must also agree with `translate_insert_naive`.
+//!
+//! The case count follows `PROPTEST_CASES`.
+
+use proptest::prelude::*;
+use rand::prelude::*;
+use relvu::chase::ChaseState;
+use relvu::core::{translate_insert_naive, CoreError};
+use relvu::deps::closure;
+use relvu::prelude::*;
+
+/// One generated case: geometry, Σ, the view instance and the tuples.
+#[derive(Debug)]
+struct Case {
+    schema: Schema,
+    fds: FdSet,
+    x: AttrSet,
+    y: AttrSet,
+    v: Relation,
+    /// Inserted tuple (and replacement target `t₂`).
+    t: Tuple,
+    /// Replaced tuple, a row of `V` (absent when `V` is empty).
+    t1: Option<Tuple>,
+}
+
+fn random_subset(rng: &mut StdRng, of: AttrSet) -> AttrSet {
+    of.iter().filter(|_| rng.gen_bool(0.5)).collect()
+}
+
+fn random_tuple(rng: &mut StdRng, x: AttrSet, domain: u64) -> Tuple {
+    x.iter()
+        .map(|_| Value::int(rng.gen_range(0..domain)))
+        .collect()
+}
+
+/// `t` with its `X ∩ Y` part copied from `from`, so condition (a) holds.
+fn with_shared(x: AttrSet, shared: AttrSet, t: &Tuple, from: &Tuple) -> Tuple {
+    Tuple::from_pairs(
+        &x,
+        x.iter().map(|a| {
+            let src = if shared.contains(a) { from } else { t };
+            (a, src.get(&x, a))
+        }),
+    )
+    .expect("covers x")
+}
+
+fn gen_case(seed: u64) -> Case {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.gen_range(4..7usize);
+    let names: Vec<String> = (0..n).map(|i| format!("A{i}")).collect();
+    let schema = Schema::new(names.iter().map(String::as_str)).unwrap();
+    let u = schema.universe();
+    // X and Y cover U; one attribute is in X only, another in Y only,
+    // and each of the rest lands in X only, Y only, or both.
+    let only_x = rng.gen_range(0..n);
+    let only_y = (only_x + rng.gen_range(1..n)) % n;
+    let (mut x, mut y) = (AttrSet::new(), AttrSet::new());
+    for (i, a) in u.iter().enumerate() {
+        let side = match i {
+            _ if i == only_x => 0,
+            _ if i == only_y => 1,
+            _ => rng.gen_range(0..4),
+        };
+        if side != 1 {
+            x.insert(a);
+        }
+        if side != 0 {
+            y.insert(a);
+        }
+    }
+    let y_minus_x = y - x;
+    let shared = x & y;
+    let mut fds = Vec::new();
+    // Mostly make condition (b) hold, so that condition (c) is reached.
+    if rng.gen_bool(0.9) && !shared.is_empty() {
+        for a in y_minus_x.iter() {
+            fds.push(Fd::from_sets(shared, AttrSet::singleton(a)));
+        }
+    }
+    // FDs whose left-hand sides cross Y − X, plus a few arbitrary ones.
+    for _ in 0..rng.gen_range(1..5) {
+        let mut lhs = random_subset(&mut rng, u);
+        lhs.insert(
+            y_minus_x
+                .iter()
+                .nth(rng.gen_range(0..y_minus_x.len()))
+                .unwrap(),
+        );
+        let rhs = u.iter().nth(rng.gen_range(0..n)).unwrap();
+        fds.push(Fd::from_sets(lhs, AttrSet::singleton(rhs)));
+    }
+    for _ in 0..rng.gen_range(0..3) {
+        let lhs = random_subset(&mut rng, u);
+        let rhs = u.iter().nth(rng.gen_range(0..n)).unwrap();
+        fds.push(Fd::from_sets(lhs, AttrSet::singleton(rhs)));
+    }
+    let fds = FdSet::new(fds);
+    let domain = rng.gen_range(2..5u64);
+    let rows = rng.gen_range(2..10usize);
+    let v = Relation::from_rows(x, (0..rows).map(|_| random_tuple(&mut rng, x, domain))).unwrap();
+    let t1 = (!v.is_empty()).then(|| v.rows()[rng.gen_range(0..v.len())].clone());
+    let mut t = random_tuple(&mut rng, x, domain + 2);
+    if !v.is_empty() && rng.gen_bool(0.8) {
+        let from = &v.rows()[rng.gen_range(0..v.len())];
+        t = with_shared(x, shared, &t, from);
+    }
+    Case {
+        schema,
+        fds,
+        x,
+        y,
+        v,
+        t,
+        t1,
+    }
+}
+
+// ── The clone-per-pair oracle ───────────────────────────────────────────
+
+/// The labeled null filling row `row` at `a ∈ Y − X`, numbered as the
+/// translators number them.
+fn null_of(y_minus_x: AttrSet, row: usize, a: Attr) -> Value {
+    Value::Null((row * y_minus_x.len() + y_minus_x.rank(a).unwrap()) as u64)
+}
+
+fn fill(x: AttrSet, y_minus_x: AttrSet, v: &Relation) -> Relation {
+    let u = x | y_minus_x;
+    let mut out = Relation::new(u);
+    for (i, row) in v.iter().enumerate() {
+        let full = Tuple::from_pairs(
+            &u,
+            u.iter().map(|a| {
+                let val = if x.contains(a) {
+                    row.get(&x, a)
+                } else {
+                    null_of(y_minus_x, i, a)
+                };
+                (a, val)
+            }),
+        )
+        .unwrap();
+        out.insert(full).unwrap();
+    }
+    out
+}
+
+/// Condition (c) as the clone-per-pair loop decides it: every pair with
+/// a hypothesis clones the pre-chased `V` and chases it in full.
+fn oracle_condition_c(
+    c: &Case,
+    t: &Tuple,
+    mu: usize,
+    skip: Option<usize>,
+) -> Result<Option<RejectReason>, CoreError> {
+    let (x, y_minus_x) = (c.x, c.y - c.x);
+    let mut base = ChaseState::new(&fill(x, y_minus_x, &c.v));
+    if base.run(&c.fds).is_err() {
+        return Err(CoreError::InvalidViewInstance);
+    }
+    for (fd_index, fd) in c.fds.atomized().iter().enumerate() {
+        let z = fd.lhs();
+        let a = fd.rhs().first().unwrap();
+        let z_in_rest = z & y_minus_x;
+        let a_in_rest = y_minus_x.contains(a);
+        let qualifying = c.v.iter().enumerate().filter(|(_, r)| {
+            r.agrees(&x, t, &x, &(z & x)) && !(x.contains(a) && r.get(&x, a) == t.get(&x, a))
+        });
+        for (row, _) in qualifying {
+            if Some(row) == skip {
+                continue;
+            }
+            if z_in_rest.is_empty() {
+                if a_in_rest && base.equated(null_of(y_minus_x, row, a), null_of(y_minus_x, mu, a))
+                {
+                    continue;
+                }
+                return Ok(Some(RejectReason::ChaseCounterexample {
+                    fd_index,
+                    row,
+                    counterexample: Box::new(base.materialize()),
+                }));
+            }
+            let mut st = base.clone();
+            let mut succeeded = false;
+            for w in z_in_rest.iter() {
+                if st
+                    .unify(null_of(y_minus_x, row, w), null_of(y_minus_x, mu, w))
+                    .is_err()
+                {
+                    succeeded = true;
+                    break;
+                }
+            }
+            if !succeeded {
+                match st.run(&c.fds) {
+                    Err(_) => succeeded = true,
+                    Ok(_) => {
+                        succeeded = a_in_rest
+                            && st.equated(null_of(y_minus_x, row, a), null_of(y_minus_x, mu, a));
+                    }
+                }
+            }
+            if !succeeded {
+                return Ok(Some(RejectReason::ChaseCounterexample {
+                    fd_index,
+                    row,
+                    counterexample: Box::new(st.materialize()),
+                }));
+            }
+        }
+    }
+    Ok(None)
+}
+
+fn mu_rows(c: &Case, t: &Tuple) -> Vec<usize> {
+    let shared = c.x & c.y;
+    (0..c.v.len())
+        .filter(|&i| c.v.rows()[i].agrees(&c.x, t, &c.x, &shared))
+        .collect()
+}
+
+fn condition_b(c: &Case) -> Option<RejectReason> {
+    let cl = closure::closure(&c.fds, c.x & c.y);
+    if c.x.is_subset(&cl) {
+        Some(RejectReason::ViewSideDetermined)
+    } else if !c.y.is_subset(&cl) {
+        Some(RejectReason::ComplementNotDetermined)
+    } else {
+        None
+    }
+}
+
+/// Theorem 3 decided with the oracle's condition (c).
+fn oracle_insert(c: &Case) -> Result<Translatability, CoreError> {
+    if c.v.contains(&c.t) {
+        return Ok(Translatability::Translatable(Translation::Identity));
+    }
+    let Some(&mu) = mu_rows(c, &c.t).first() else {
+        return Ok(Translatability::Rejected(
+            RejectReason::IntersectionNotInView,
+        ));
+    };
+    if let Some(reason) = condition_b(c) {
+        return Ok(Translatability::Rejected(reason));
+    }
+    Ok(match oracle_condition_c(c, &c.t, mu, None)? {
+        Some(reason) => Translatability::Rejected(reason),
+        None => Translatability::Translatable(Translation::InsertJoin { t: c.t.clone() }),
+    })
+}
+
+/// Theorem 9 decided with the oracle's condition (c): replace `t1` by
+/// `t2`.
+fn oracle_replace(c: &Case, t1: &Tuple, t2: &Tuple) -> Result<Translatability, CoreError> {
+    if t1 == t2 {
+        return Ok(Translatability::Translatable(Translation::Identity));
+    }
+    if c.v.contains(t2) {
+        return Err(CoreError::TupleAlreadyInView);
+    }
+    let shared = c.x & c.y;
+    let mu = mu_rows(c, t2);
+    if !t1.agrees(&c.x, t2, &c.x, &shared) {
+        if mu_rows(c, t1).len() < 2 {
+            return Ok(Translatability::Rejected(
+                RejectReason::IntersectionNotInRemainder,
+            ));
+        }
+        if mu.is_empty() {
+            return Ok(Translatability::Rejected(
+                RejectReason::ReplacementTargetNotInView,
+            ));
+        }
+        if let Some(reason) = condition_b(c) {
+            return Ok(Translatability::Rejected(reason));
+        }
+    }
+    let skip = c.v.iter().position(|r| r == t1);
+    Ok(match oracle_condition_c(c, t2, mu[0], skip)? {
+        Some(reason) => Translatability::Rejected(reason),
+        None => Translatability::Translatable(Translation::ReplaceJoin {
+            t1: t1.clone(),
+            t2: t2.clone(),
+        }),
+    })
+}
+
+/// Instances drawn per proptest case: most instances decide early (at
+/// conditions (a) and (b), or `t ∈ V`), so each case checks a batch.
+const BATCH: u64 = 8;
+
+proptest! {
+    #[test]
+    fn insert_matches_clone_per_pair_oracle(seed in 0u64..u64::MAX / BATCH) {
+        for c in (0..BATCH).map(|k| gen_case(seed * BATCH + k)) {
+            let got = translate_insert(&c.schema, &c.fds, c.x, c.y, &c.v, &c.t);
+            prop_assert_eq!(&got, &oracle_insert(&c), "{:?}", c);
+            let naive = translate_insert_naive(&c.schema, &c.fds, c.x, c.y, &c.v, &c.t);
+            prop_assert_eq!(
+                got.as_ref().map(Translatability::is_translatable),
+                naive.as_ref().map(Translatability::is_translatable),
+                "{:?}",
+                c
+            );
+        }
+    }
+
+    #[test]
+    fn replace_matches_clone_per_pair_oracle(seed in 0u64..u64::MAX / BATCH) {
+        for c in (0..BATCH).map(|k| gen_case(seed * BATCH + k)) {
+            let Some(t1) = &c.t1 else { continue };
+            let got = translate_replace(&c.schema, &c.fds, c.x, c.y, &c.v, t1, &c.t);
+            prop_assert_eq!(&got, &oracle_replace(&c, t1, &c.t), "{:?}", c);
+        }
+    }
+}
+
+/// The generator must reach the interesting outcomes: accepted updates,
+/// counterexamples, and pairs the closure settles.
+#[test]
+fn generator_reaches_every_outcome() {
+    let settled = relvu::obs::counter("core.chase.pairs_settled");
+    let settled_before = settled.get();
+    let (mut accepted, mut counterexamples) = (0, 0);
+    for seed in 0..2000 {
+        let c = gen_case(seed);
+        match translate_insert(&c.schema, &c.fds, c.x, c.y, &c.v, &c.t) {
+            Ok(Translatability::Translatable(Translation::InsertJoin { .. })) => accepted += 1,
+            Ok(Translatability::Rejected(RejectReason::ChaseCounterexample { .. })) => {
+                counterexamples += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(accepted >= 300, "only {accepted} accepted inserts");
+    assert!(
+        counterexamples >= 40,
+        "only {counterexamples} counterexamples"
+    );
+    if relvu::obs::enabled() {
+        // Other tests of this binary may add to the counter too, but the
+        // loop above alone settles pairs.
+        assert!(
+            settled.get() - settled_before >= 100,
+            "the pair closure settled too few pairs"
+        );
+    }
+}

@@ -677,3 +677,39 @@ fn aborted_batch_leaves_log_ring_and_streams_like_a_twin() {
         "the next commit streams as usual"
     );
 }
+
+// ── Bug 8: replacing by a tuple already in the view ─────────────────────
+
+/// Replacing a view tuple by another one already in `V` is outside
+/// Theorem 9 (`t₂ ∉ V`) and is refused as an input error — but it used
+/// to be reported as `TupleNotOverView`, "tuple arity does not match the
+/// view attributes", although the arity was right. It now has its own
+/// error, and the engine state is untouched.
+#[test]
+fn replace_by_tuple_already_in_view_names_the_cause() {
+    let f = fixtures::edm();
+    let db = Database::new(f.schema.clone(), f.fds.clone(), f.base.clone()).unwrap();
+    db.create_view("staff", f.x, Some(f.y), Policy::Exact)
+        .unwrap();
+    let staff = |e: &str, d: &str| Tuple::new([f.dict.sym(e), f.dict.sym(d)]);
+    let before = db.dump();
+    let err = db
+        .apply_op(
+            "staff",
+            UpdateOp::Replace {
+                t1: staff("ada", "toys"),
+                t2: staff("bob", "toys"),
+            },
+        )
+        .unwrap_err();
+    assert_eq!(
+        err,
+        EngineError::Core(relvu::core::CoreError::TupleAlreadyInView)
+    );
+    assert_eq!(
+        err.to_string(),
+        "the replacement tuple is already present in the view instance"
+    );
+    assert_eq!(db.dump(), before);
+    assert_eq!(db.last_seq(), 0);
+}
