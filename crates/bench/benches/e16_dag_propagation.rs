@@ -121,8 +121,9 @@ fn flat_run(b: &BenchSchema, base: &Relation, n_nodes: usize) -> Duration {
     for (t1, t2) in replaces() {
         let start = Instant::now();
         db.replace_via("mgrs", t1, t2).expect("translatable");
+        let base = db.snapshot().base();
         for _ in 0..n_nodes {
-            black_box(ops::project(&db.base(), dm).expect("dm within universe"));
+            black_box(ops::project(&base, dm).expect("dm within universe"));
         }
         laps.push(start.elapsed());
     }

@@ -84,7 +84,11 @@ fn build_script(w: &relvu_bench::InsertWorkload, target: usize) -> Vec<UpdateOp>
     };
     let mut script = Vec::with_capacity(target);
     while script.len() < target {
-        let v = db.reader().view_instance("staff").expect("view exists");
+        let v = db
+            .reader()
+            .snapshot()
+            .view_instance("staff")
+            .expect("view exists");
         let batch = update_gen::update_batch(&mut rng, w.bench.x, shared, &v, 64, mix, 1 << 40);
         for u in batch {
             let op = match u {

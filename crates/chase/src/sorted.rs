@@ -6,8 +6,8 @@
 //! >     Sort R* lexicographically according to the elements of the Z
 //! >     columns.
 //! >     Find the first pair of consecutive tuples μ, ν such that
-//! >     μ[Z] = ν[Z], μ[A] ≠ ν[A].
-//! >     Replace μ[A] by ν[A] throughout the A column.
+//! >     μ\[Z\] = ν\[Z\], μ\[A\] ≠ ν\[A\].
+//! >     Replace μ\[A\] by ν\[A\] throughout the A column.
 //!
 //! This is the algorithm behind the paper's `O(|V|² log |V| |Σ| |Y−X|)`
 //! per-chase bound. The union-find chase in [`crate::ChaseState`] computes

@@ -594,11 +594,13 @@ mod tests {
         let vfs = MemVfs::new();
         let (_, db) = seeded_db();
         let seq = write_checkpoint(&vfs, &db).unwrap();
-        assert_eq!(seq, db.last_seq());
+        let live = db.snapshot();
+        assert_eq!(seq, live.seq());
         let loaded = load_checkpoint(&vfs, &checkpoint_name(seq)).unwrap();
         assert_eq!(loaded.seq, seq);
-        assert_eq!(loaded.db.dump(), db.dump());
-        assert_eq!(loaded.db.last_seq(), seq);
+        let snap = loaded.db.snapshot();
+        assert_eq!(snap.dump(), live.dump());
+        assert_eq!(snap.seq(), seq);
     }
 
     #[test]
@@ -625,14 +627,15 @@ mod tests {
         for _ in 0..4 {
             // Same seq each time would collide; nudge seq forward to get
             // distinct checkpoint files.
-            let next = db.last_seq() + 1;
+            let next = db.snapshot().seq() + 1;
             db.resume_at(next).unwrap();
             write_checkpoint(&vfs, &db).unwrap();
         }
         let ckpts = list_checkpoints(&vfs).unwrap();
         assert_eq!(ckpts.len(), DEFAULT_RETAIN);
         let seqs: Vec<u64> = ckpts.iter().map(|(_, s, _)| *s).collect();
-        assert_eq!(seqs, vec![db.last_seq() - 1, db.last_seq()]);
+        let now = db.snapshot().seq();
+        assert_eq!(seqs, vec![now - 1, now]);
         // The temp file never lingers.
         assert!(!vfs.list().unwrap().contains(&TMP_NAME.to_string()));
     }
@@ -651,7 +654,7 @@ mod tests {
         for n in names {
             let t = Tuple::new([f.dict.sym(n), f.dict.sym("toys")]);
             db.insert_via("xy", t).unwrap();
-            let now = db.last_seq();
+            let now = db.snapshot().seq();
             let commits = db.base_delta_range(tip.0, now).unwrap();
             let crc = write_delta_checkpoint(vfs, now, &commits, tip, retain).unwrap();
             tip = (now, crc);
@@ -667,7 +670,7 @@ mod tests {
         // Mix in a removal so swap-remove ordering is exercised.
         let t = Tuple::new([f.dict.sym("dan"), f.dict.sym("toys")]);
         db.delete_via("xy", t).unwrap();
-        let now = db.last_seq();
+        let now = db.snapshot().seq();
         let commits = db.base_delta_range(tip_seq, now).unwrap();
         let tip = (
             tip_seq,
@@ -681,8 +684,8 @@ mod tests {
         assert_eq!(loaded.seq, now);
         assert_eq!(loaded.deltas, 4);
         assert_eq!(
-            loaded.db.dump(),
-            db.dump(),
+            loaded.db.snapshot().dump(),
+            db.snapshot().dump(),
             "chain must round-trip byte-identical"
         );
     }
@@ -727,7 +730,10 @@ mod tests {
         assert_eq!(names.len(), 3, "base + two deltas all retained");
         // The whole chain still loads.
         let tip = names.last().unwrap();
-        assert_eq!(load_chain(&vfs, tip).unwrap().db.dump(), db.dump());
+        assert_eq!(
+            load_chain(&vfs, tip).unwrap().db.snapshot().dump(),
+            db.snapshot().dump()
+        );
     }
 
     #[test]
@@ -742,7 +748,7 @@ mod tests {
         // entries).
         let t = Tuple::new([f.dict.sym("eve"), f.dict.sym("toys")]);
         db.insert_via("xy", t).unwrap();
-        let next = db.last_seq();
+        let next = db.snapshot().seq();
         write_full_checkpoint(&vfs, &db.snapshot(), 1).unwrap();
         let ckpts = list_checkpoints(&vfs).unwrap();
         assert_eq!(ckpts.len(), 1);

@@ -307,7 +307,7 @@ impl<V: Vfs + Clone> DurableDatabase<V> {
         }
         let (seq, crc) =
             checkpoint::write_full_checkpoint(&vfs, &db.snapshot(), opts.retain_checkpoints)?;
-        let wal = Wal::new(vfs.clone(), opts, db.last_seq() + 1, None);
+        let wal = Wal::new(vfs.clone(), opts, seq + 1, None);
         Ok(DurableDatabase {
             shared: Arc::new(Shared {
                 db,
@@ -350,7 +350,7 @@ impl<V: Vfs + Clone> DurableDatabase<V> {
         let wal = Wal::new(
             vfs.clone(),
             opts,
-            recovered.db.last_seq() + 1,
+            recovered.report.last_seq + 1,
             recovered.wal_resume,
         );
         Ok((
@@ -746,7 +746,7 @@ impl<V: Vfs + Clone> DurableDatabase<V> {
     /// # Errors
     /// [`DurabilityError::InvariantViolation`] naming the failure.
     pub fn check_invariants(&self) -> Result<(), DurabilityError> {
-        check_invariants(&self.shared.db)
+        check_invariants(&self.shared.db.snapshot())
     }
 
     /// The WAL writer's current state.
@@ -768,8 +768,9 @@ impl<V: Vfs + Clone> DurableDatabase<V> {
         (chain.tip.0, chain.tip.2)
     }
 
-    /// A **read-only** handle over the wrapped engine, for queries,
-    /// dumps, and stats.
+    /// A **read-only** handle over the wrapped engine: pin a
+    /// [`relvu_engine::EngineSnapshot`] with `reader().snapshot()` and
+    /// read everything off it, or take `reader().metrics()`.
     ///
     /// This replaces the old `engine()` accessor, which returned
     /// `&Database` and with it the full mutating API — a caller could
@@ -790,7 +791,7 @@ impl<V: Vfs + Clone> DurableDatabase<V> {
     /// order — including the members of a group-committed batch, whose
     /// events land atomically in batch order.
     ///
-    /// Durability nuance per [`SyncPolicy`](crate::SyncPolicy): with `Always`,
+    /// Durability nuance per [`SyncPolicy`]: with `Always`,
     /// every event the subscriber sees is already fsync-durable when its
     /// apply call returns; with `EveryN`/`Never`, an event can precede
     /// its fsync, so a crash may roll the store back below seqs a
@@ -872,7 +873,7 @@ mod tests {
             Err(DurabilityError::Poisoned)
         ));
         assert!(matches!(
-            ddb.set_fds(ddb.reader().fds()),
+            ddb.set_fds(ddb.reader().snapshot().fds()),
             Err(DurabilityError::Poisoned)
         ));
     }
@@ -927,7 +928,7 @@ mod tests {
             &BatchOptions::default(),
         )
         .unwrap();
-        ddb.set_fds(ddb.reader().fds()).unwrap();
+        ddb.set_fds(ddb.reader().snapshot().fds()).unwrap();
         ddb.apply(
             "xy2",
             UpdateOp::Insert {
@@ -942,8 +943,9 @@ mod tests {
 
         let (recovered, _) =
             DurableDatabase::recover(vfs.crash_image(), WalOptions::default()).unwrap();
-        assert_eq!(recovered.reader().dump(), ddb.reader().dump());
-        assert_eq!(recovered.reader().last_seq(), ddb.reader().last_seq());
+        let (got, want) = (recovered.reader().snapshot(), ddb.reader().snapshot());
+        assert_eq!(got.dump(), want.dump());
+        assert_eq!(got.seq(), want.seq());
     }
 
     #[test]

@@ -94,9 +94,9 @@ pub enum DurabilityError {
         /// Description of the mismatch.
         detail: String,
     },
-    /// The post-recovery invariant checker found the recovered state
-    /// inconsistent (Σ violated, a non-complementary view, or a
-    /// non-monotone log).
+    /// The invariant checker (run after recovery and on demand on a live
+    /// handle) found the state inconsistent (Σ violated, a
+    /// non-complementary view, or a non-monotone log).
     InvariantViolation {
         /// Which invariant failed.
         detail: String,
@@ -147,7 +147,7 @@ impl fmt::Display for DurabilityError {
                 "replay of WAL record seq {seq} diverged from the recorded translation: {detail}"
             ),
             DurabilityError::InvariantViolation { detail } => {
-                write!(f, "post-recovery invariant violated: {detail}")
+                write!(f, "invariant violated: {detail}")
             }
             DurabilityError::AlreadyInitialized => write!(
                 f,

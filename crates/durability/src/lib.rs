@@ -76,9 +76,11 @@
 //! let image = vfs.crash_image();
 //! let (recovered, report) = DurableDatabase::recover(image, WalOptions::default()).unwrap();
 //! assert_eq!(report.records_replayed, 1);
-//! // Queries go through the read-only reader; mutation must go through
-//! // the durable wrappers (the WAL-bypassing `engine()` hatch is gone).
-//! assert_eq!(recovered.reader().dump(), ddb.reader().dump());
+//! // Queries pin one snapshot through the read-only reader; mutation
+//! // must go through the durable wrappers.
+//! let (got, want) = (recovered.reader().snapshot(), ddb.reader().snapshot());
+//! assert_eq!(got.dump(), want.dump());
+//! assert_eq!(got.seq(), 1);
 //! ```
 
 #![warn(missing_docs)]

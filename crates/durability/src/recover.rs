@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use relvu_core::are_complementary;
 use relvu_deps::check::satisfies_fds;
-use relvu_engine::{BatchOptions, BatchRequest, Database};
+use relvu_engine::{BatchOptions, BatchRequest, Database, EngineSnapshot};
 use relvu_relation::ops;
 
 use crate::checkpoint::{self, LoadedChain};
@@ -100,7 +100,7 @@ pub(crate) fn recover_from<V: Vfs>(
 }
 
 /// Run full recovery against a store. Besides the sync policy (see
-/// [`recover_from`]), `opts` controls the replay itself:
+/// `recover_from`), `opts` controls the replay itself:
 /// `replay_threads` (0 = all cores, 1 = sequential), `replay_chunk`
 /// (records handed to the partitioner per batch) and `progress_every`
 /// (stderr heartbeat cadence, 0 = silent).
@@ -175,7 +175,7 @@ pub(crate) fn recover_with<V: Vfs>(
         .filter(|r| r.entry.seq > chain.seq)
         .collect();
     if let Some(first) = tail.first() {
-        let expected = db.last_seq() + 1;
+        let expected = db.snapshot().seq() + 1;
         if first.entry.seq != expected {
             return Err(DurabilityError::SeqGap {
                 expected,
@@ -246,9 +246,10 @@ pub(crate) fn recover_with<V: Vfs>(
     relvu_obs::histogram!("durability.recover.verify_ns").record(replay_wall.as_nanos() as u64);
 
     // 4. The recovered state must satisfy the paper's invariants.
-    check_invariants(&db)?;
+    let snap = db.snapshot();
+    check_invariants(&snap)?;
 
-    let last_seq = db.last_seq();
+    let last_seq = snap.seq();
     Ok(Recovered {
         db,
         report: RecoveryReport {
@@ -297,8 +298,10 @@ fn check_report(
     Ok(())
 }
 
-/// Verify the paper's invariants on a database (used after recovery,
-/// and exposed for tests and the REPL):
+/// Verify the paper's invariants on one pinned epoch of a database
+/// (used after recovery, and exposed for tests and the REPL). Every
+/// value checked is read off `snap`, so a check running next to a live
+/// writer compares Σ, the base, each view and the log of one commit:
 ///
 /// * the base instance satisfies Σ;
 /// * every registered view's `(X, Y)` pair passes Theorem 1's
@@ -312,20 +315,20 @@ fn check_report(
 ///   replay — equals a fresh `π_X(R)` of the recovered base (and, for
 ///   selection views, the fresh `σ_P`/`σ_¬P` split);
 /// * the in-memory log's sequence numbers are contiguous and end at the
-///   database's current sequence number.
+///   snapshot's sequence number.
 ///
 /// # Errors
 /// [`DurabilityError::InvariantViolation`] naming the first failure.
-pub fn check_invariants(db: &Database) -> Result<(), DurabilityError> {
+pub fn check_invariants(snap: &EngineSnapshot) -> Result<(), DurabilityError> {
     let violated = |detail: String| DurabilityError::InvariantViolation { detail };
-    let schema = db.schema();
-    let fds = db.fds();
-    let base = db.base();
+    let schema = snap.schema();
+    let fds = snap.fds();
+    let base = snap.base();
     if !satisfies_fds(&base, &fds) {
         return Err(violated("base instance violates Σ".to_string()));
     }
-    for name in db.view_names() {
-        let def = db.view_def(&name)?;
+    for name in snap.view_names() {
+        let def = snap.view_def(&name)?;
         if !are_complementary(&schema, &fds, def.x(), def.y()) {
             return Err(violated(format!(
                 "view `{name}`: X and Y are not complementary under Σ"
@@ -339,7 +342,7 @@ pub fn check_invariants(db: &Database) -> Result<(), DurabilityError> {
             }
         }
         if let Some(parent) = def.parent() {
-            let pdef = db.view_def(parent).map_err(|_| {
+            let pdef = snap.view_def(parent).map_err(|_| {
                 violated(format!(
                     "view `{name}`: parent `{parent}` is not a registered view"
                 ))
@@ -350,7 +353,7 @@ pub fn check_invariants(db: &Database) -> Result<(), DurabilityError> {
                 )));
             }
         }
-        let (instance, split) = db.mat_parts(&name)?;
+        let (instance, split) = snap.mat_parts(&name)?;
         let fresh = ops::project(&base, def.x())
             .map_err(|e| violated(format!("view `{name}`: projecting π_X failed: {e}")))?;
         if *instance != fresh {
@@ -372,7 +375,7 @@ pub fn check_invariants(db: &Database) -> Result<(), DurabilityError> {
             }
         }
     }
-    let log = db.log();
+    let log = snap.log();
     for pair in log.windows(2) {
         if pair[1].seq != pair[0].seq + 1 {
             return Err(violated(format!(
@@ -382,11 +385,11 @@ pub fn check_invariants(db: &Database) -> Result<(), DurabilityError> {
         }
     }
     if let Some(last) = log.last() {
-        if last.seq != db.last_seq() {
+        if last.seq != snap.seq() {
             return Err(violated(format!(
                 "log ends at seq {} but the database is at seq {}",
                 last.seq,
-                db.last_seq()
+                snap.seq()
             )));
         }
     }
@@ -419,7 +422,12 @@ mod tests {
         let vfs = MemVfs::new();
         let (db, dict) = seeded();
         write_checkpoint(&vfs, &db).unwrap();
-        let mut wal = Wal::new(vfs.clone(), WalOptions::default(), db.last_seq() + 1, None);
+        let mut wal = Wal::new(
+            vfs.clone(),
+            WalOptions::default(),
+            db.snapshot().seq() + 1,
+            None,
+        );
         // Two view updates after the checkpoint: an insert and a delete,
         // both through `xy` (tuples over X = {Emp, Dept}).
         for op in [
@@ -432,16 +440,17 @@ mod tests {
                 t: vt(&dict, "ada", "toys"),
             },
         ] {
-            let before = db.log().len();
+            let before = db.snapshot().log().len();
             db.apply_op("xy", op).unwrap();
-            let entry = db.log()[before..].last().unwrap().clone();
+            let entry = db.snapshot().log()[before..].last().unwrap().clone();
             wal.append(&entry).unwrap();
         }
-        let expected = db.dump();
+        let live = db.snapshot();
         let recovered = recover_from(&vfs, SyncPolicy::Always).unwrap();
-        assert_eq!(recovered.db.dump(), expected);
+        let snap = recovered.db.snapshot();
+        assert_eq!(snap.dump(), live.dump());
         assert_eq!(recovered.report.records_replayed, 2);
-        assert_eq!(recovered.db.last_seq(), db.last_seq());
+        assert_eq!(snap.seq(), live.seq());
         assert!(recovered.report.torn_truncated.is_none());
     }
 
@@ -465,7 +474,7 @@ mod tests {
             ..WalOptions::default()
         };
         let seq_a = write_checkpoint(vfs, &db).unwrap();
-        let mut wal = Wal::new(vfs.clone(), opts, db.last_seq() + 1, None);
+        let mut wal = Wal::new(vfs.clone(), opts, db.snapshot().seq() + 1, None);
         let ops = [
             UpdateOp::Insert {
                 t: vt(&dict, "dan", "toys"),
@@ -480,14 +489,14 @@ mod tests {
         let mut it = ops.into_iter();
         for op in it.by_ref().take(2) {
             db.apply_op("xy", op).unwrap();
-            wal.append(db.log().last().unwrap()).unwrap();
+            wal.append(db.snapshot().log().last().unwrap()).unwrap();
         }
         let seq_b = write_checkpoint(vfs, &db).unwrap();
         for op in it {
             db.apply_op("xy", op).unwrap();
-            wal.append(db.log().last().unwrap()).unwrap();
+            wal.append(db.snapshot().log().last().unwrap()).unwrap();
         }
-        (db.dump(), seq_a, seq_b)
+        (db.snapshot().dump(), seq_a, seq_b)
     }
 
     #[test]
@@ -507,7 +516,7 @@ mod tests {
         assert_eq!(recovered.report.checkpoint, checkpoint_name(seq_a));
         assert_eq!(recovered.report.skipped_checkpoints.len(), 1);
         assert_eq!(recovered.report.records_replayed, 3);
-        assert_eq!(recovered.db.dump(), expected);
+        assert_eq!(recovered.db.snapshot().dump(), expected);
     }
 
     #[test]
@@ -549,6 +558,6 @@ mod tests {
     #[test]
     fn invariants_hold_on_the_fixture() {
         let (db, _) = seeded();
-        check_invariants(&db).unwrap();
+        check_invariants(&db.snapshot()).unwrap();
     }
 }

@@ -506,12 +506,10 @@ mod tests {
             .collect();
 
         assert_eq!(report.outcomes, expected);
-        assert_eq!(par_db.base(), seq_db.base());
-        assert_eq!(par_db.log(), seq_db.log());
-        assert_eq!(
-            par_db.stats("staff").unwrap(),
-            seq_db.stats("staff").unwrap()
-        );
+        let (par, seq) = (par_db.snapshot(), seq_db.snapshot());
+        assert_eq!(par.base(), seq.base());
+        assert_eq!(par.log(), seq.log());
+        assert_eq!(par.stats("staff").unwrap(), seq.stats("staff").unwrap());
         assert_eq!(report.stats.requests, 4);
         assert_eq!(report.stats.reused + report.stats.revalidated, 4);
     }
@@ -534,7 +532,8 @@ mod tests {
                 },
             );
             assert!(report.outcomes.iter().all(Result::is_ok));
-            logs.push((db.base(), db.log()));
+            let snap = db.snapshot();
+            logs.push((snap.base(), snap.log()));
         }
         assert_eq!(logs[0], logs[1]);
         assert_eq!(logs[1], logs[2]);
@@ -560,7 +559,7 @@ mod tests {
             Err(EngineError::UnknownView { .. })
         ));
         assert!(report.outcomes[1].is_ok());
-        assert_eq!(db.base().len(), 4);
+        assert_eq!(db.snapshot().base().len(), 4);
     }
 
     #[test]
@@ -606,8 +605,7 @@ mod tests {
         // Sabotage the prepared Test 2 state: speculation for any insert
         // through `staff` now hits `.expect("prepared at creation")`.
         db.break_test2("staff");
-        let base_before = db.base();
-        let log_before = db.log();
+        let before = db.snapshot();
 
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             db.apply_batch_parallel(
@@ -631,8 +629,9 @@ mod tests {
 
         // Nothing committed, no lock left held: the engine is unchanged
         // and fully usable afterwards.
-        assert_eq!(db.base(), base_before);
-        assert_eq!(db.log(), log_before);
+        let after = db.snapshot();
+        assert_eq!(after.base(), before.base());
+        assert_eq!(after.log(), before.log());
         db.create_view("staff2", f.x, Some(f.y), Policy::Exact)
             .unwrap();
         let report = db.apply_batch_parallel(
@@ -645,7 +644,7 @@ mod tests {
             &BatchOptions::default(),
         );
         assert!(report.outcomes[0].is_ok());
-        assert_eq!(db.base().len(), 4);
+        assert_eq!(db.snapshot().base().len(), 4);
     }
 
     #[test]

@@ -39,8 +39,8 @@ impl ViewDag {
     }
 
     /// Remove a view with no dependents. The caller has already checked
-    /// [`ViewDag::has_children`]; `parent` is the view's own parent so
-    /// its child list can be pruned.
+    /// that [`ViewDag::dependents`] is empty; `parent` is the view's own
+    /// parent so its child list can be pruned.
     pub(crate) fn remove(&mut self, name: &str, parent: Option<&str>) {
         self.order.retain(|n| n != name);
         self.children.remove(name);

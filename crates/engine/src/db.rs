@@ -17,7 +17,7 @@ use relvu_relation::{AttrSet, Pred, Relation, Schema, Tuple};
 
 use crate::commit::{Commit, ViewDelta};
 use crate::dirty::DirtyRing;
-use crate::log::{LogEntry, LogRange, UpdateOp, UpdateReport};
+use crate::log::{LogEntry, UpdateOp, UpdateReport};
 use crate::mat::ViewMat;
 use crate::mvcc::{EngineSnapshot, LazyRel, LogState, SnapCell, SnapState, ViewSnap};
 use crate::subscribe::{
@@ -241,9 +241,10 @@ impl Database {
     }
 
     /// Pin the current published snapshot: a single consistent epoch
-    /// holding the base, every view instance, the log and Σ — the fix
-    /// for the torn multi-call read (`base()` then `view_instance()`
-    /// straddling a commit). Never takes the engine lock.
+    /// holding the base, every view instance, the log and Σ. This is the
+    /// engine's one read surface — every query is a method on the
+    /// returned [`EngineSnapshot`], so two reads off one pin can never
+    /// straddle a commit. Never takes the engine lock.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             state: self.cell.load(),
@@ -644,11 +645,6 @@ impl Database {
         Ok(())
     }
 
-    /// The current dependency set Σ, from the published snapshot.
-    pub fn fds(&self) -> FdSet {
-        self.snapshot().fds()
-    }
-
     /// Register a selection view `σ_pred(π_x(R))` (§6(2)) whose constant
     /// complement is the pair `(σ_{¬pred}(π_x(R)), π_y(R))`. Only the
     /// exact test is supported for selection views.
@@ -673,11 +669,6 @@ impl Database {
         // predicate — a concurrent writer in the window could commit an
         // update through the unrestricted view, bypassing σ_P.)
         self.register_view(name, None, x, y, Policy::Exact, Some(pred))
-    }
-
-    /// Per-view accepted/rejected counters, from the published snapshot.
-    pub fn stats(&self, name: &str) -> Result<ViewStats> {
-        self.snapshot().stats(name)
     }
 
     /// Apply a batch of updates atomically: either every update applies
@@ -720,98 +711,6 @@ impl Database {
         // One publish for the whole transaction: atomic visibility.
         self.publish(&mut inner);
         Ok(reports)
-    }
-
-    /// The names of the registered views, sorted, from the published
-    /// snapshot.
-    pub fn view_names(&self) -> Vec<String> {
-        self.snapshot().view_names()
-    }
-
-    /// A registered view's definition, from the published snapshot.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownView`] if absent.
-    pub fn view_def(&self, name: &str) -> Result<ViewDef> {
-        self.snapshot().view_def(name)
-    }
-
-    /// The view `name` was registered over, or `None` when it reads the
-    /// base relation directly.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownView`] if absent.
-    pub fn view_parent(&self, name: &str) -> Result<Option<String>> {
-        self.snapshot().view_parent(name)
-    }
-
-    /// The views registered directly over `name`, in registration order.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownView`] if absent.
-    pub fn view_children(&self, name: &str) -> Result<Vec<String>> {
-        self.snapshot().view_children(name)
-    }
-
-    /// The current instance of a view: `π_X(R)`, answered from the
-    /// published snapshot without taking the engine lock. The returned
-    /// relation is structurally shared — repeated reads of a quiet view
-    /// return the same allocation, never a per-read copy.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownView`] if absent.
-    pub fn view_instance(&self, name: &str) -> Result<Arc<Relation>> {
-        self.snapshot().view_instance(name)
-    }
-
-    /// The materialized instance and (for selection views) the
-    /// `(σ_P, σ_¬P)` split — test/diagnostic access for the
-    /// differential oracles; not part of the stable API.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownView`] if absent.
-    #[doc(hidden)]
-    pub fn mat_parts(&self, name: &str) -> Result<crate::mvcc::MatParts> {
-        self.snapshot().mat_parts(name)
-    }
-
-    /// The base relation, answered from the published snapshot without
-    /// taking the engine lock; structurally shared with the snapshot.
-    pub fn base(&self) -> Arc<Relation> {
-        self.snapshot().base()
-    }
-
-    /// Snapshot of the whole audit log.
-    ///
-    /// Thin wrapper over [`Database::log_range`]; callers that tail the
-    /// log (WAL shippers, the REPL) should use `log_range` directly so
-    /// they never copy unbounded history.
-    pub fn log(&self) -> Vec<LogEntry> {
-        self.log_range(0, usize::MAX).entries
-    }
-
-    /// The entries with sequence number `>= from_seq`, at most `limit` of
-    /// them, in sequence order, from the published snapshot — an
-    /// `O(limit)` copy out of the persistent chunked log, lock-free.
-    ///
-    /// When the log no longer reaches back to `from_seq` (it was started
-    /// by a recovery/[`Database::resume_at`] above that point), the
-    /// missing prefix is reported in [`LogRange::gap`] — never silently
-    /// clamped to the oldest held entry, which would let a log tailer
-    /// misread "history discarded" as "nothing happened".
-    pub fn log_range(&self, from_seq: u64, limit: usize) -> LogRange {
-        self.snapshot().log_range(from_seq, limit)
-    }
-
-    /// The sequence number of the most recently applied update (0 for a
-    /// fresh database).
-    pub fn last_seq(&self) -> u64 {
-        self.snapshot().seq()
-    }
-
-    /// The database schema.
-    pub fn schema(&self) -> Schema {
-        self.snapshot().schema()
     }
 
     /// Fast-forward the update sequence counter to `seq` without applying
@@ -1108,10 +1007,11 @@ impl Database {
         (snap.schema(), snap.fds(), snap.base(), snap.ordered_defs())
     }
 
-    /// A read-only handle over this database: every query, none of the
-    /// mutators. `relvu-durability`'s `DurableDatabase` hands this out
-    /// instead of `&Database` so WAL-bypassing mutation is a compile
-    /// error rather than a silently-lost update.
+    /// A read-only handle over this database: the snapshot pin and the
+    /// metrics, none of the mutators. `relvu-durability`'s
+    /// `DurableDatabase` hands this out instead of `&Database` so
+    /// WAL-bypassing mutation is a compile error rather than a
+    /// silently-lost update.
     pub fn reader(&self) -> crate::reader::EngineReader<'_> {
         crate::reader::EngineReader::new(self)
     }
@@ -1127,9 +1027,9 @@ impl Database {
     /// can fall between them.
     ///
     /// For selection views the stream carries the visible `σ_P` side,
-    /// matching [`Database::view_instance`]: folding the deltas into the
-    /// origin instance reproduces `view_instance` at every event's seq
-    /// byte-identically.
+    /// matching [`EngineSnapshot::view_instance`]: folding the deltas
+    /// into the origin instance reproduces `view_instance` at every
+    /// event's seq byte-identically.
     ///
     /// # Errors
     /// [`EngineError::UnknownView`] if absent;
@@ -1341,9 +1241,10 @@ mod tests {
     fn create_view_with_auto_complement() {
         let (f, db) = edm_db();
         db.create_view("staff", f.x, None, Policy::Exact).unwrap();
-        let def = db.view_def("staff").unwrap();
+        let snap = db.snapshot();
+        let def = snap.view_def("staff").unwrap();
         assert!(are_complementary(&f.schema, &f.fds, f.x, def.y()));
-        assert_eq!(db.view_names(), vec!["staff".to_string()]);
+        assert_eq!(snap.view_names(), vec!["staff".to_string()]);
     }
 
     #[test]
@@ -1382,9 +1283,10 @@ mod tests {
         db.replace_via("staff", dan, eve.clone()).unwrap();
         // Delete eve (toys still has ada and bob).
         db.delete_via("staff", eve).unwrap();
-        assert_eq!(db.base().len(), 3);
-        assert_eq!(db.log().len(), 3);
-        assert_eq!(db.log()[2].seq, 3);
+        let snap = db.snapshot();
+        assert_eq!(snap.base().len(), 3);
+        assert_eq!(snap.log().len(), 3);
+        assert_eq!(snap.log()[2].seq, 3);
     }
 
     #[test]
@@ -1396,20 +1298,21 @@ mod tests {
             let t = Tuple::new([f.dict.sym(&format!("w{i}")), f.dict.sym("toys")]);
             db.insert_via("staff", t).unwrap();
         }
-        assert_eq!(db.last_seq(), 6);
-        let mid = db.log_range(3, 2);
+        let snap = db.snapshot();
+        assert_eq!(snap.seq(), 6);
+        let mid = snap.log_range(3, 2);
         assert!(mid.is_complete());
         assert_eq!(
             mid.entries.iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![3, 4]
         );
         // from_seq 0 and 1 both mean "from the start" — no gap.
-        assert_eq!(db.log_range(0, usize::MAX).entries.len(), 6);
-        assert_eq!(db.log_range(1, usize::MAX).entries.len(), 6);
+        assert_eq!(snap.log_range(0, usize::MAX).entries.len(), 6);
+        assert_eq!(snap.log_range(1, usize::MAX).entries.len(), 6);
         // Past the end is empty but complete, not a gap.
-        let past = db.log_range(7, 10);
+        let past = snap.log_range(7, 10);
         assert!(past.is_complete() && past.entries.is_empty());
-        assert_eq!(db.log(), db.log_range(0, usize::MAX).entries);
+        assert_eq!(snap.log(), snap.log_range(0, usize::MAX).entries);
     }
 
     #[test]
@@ -1420,8 +1323,9 @@ mod tests {
         db.resume_at(41).unwrap();
         let t = Tuple::new([f.dict.sym("dan"), f.dict.sym("toys")]);
         db.insert_via("staff", t).unwrap();
-        assert_eq!(db.last_seq(), 42);
-        assert_eq!(db.log_range(42, 8).entries[0].seq, 42);
+        let snap = db.snapshot();
+        assert_eq!(snap.seq(), 42);
+        assert_eq!(snap.log_range(42, 8).entries[0].seq, 42);
         assert_eq!(
             db.resume_at(7),
             Err(EngineError::SeqRegression {
@@ -1439,7 +1343,7 @@ mod tests {
         );
         // Below the resumed origin the missing prefix is a reported gap,
         // never a silent clamp onto the wrong entries.
-        let below = db.log_range(3, 8);
+        let below = db.snapshot().log_range(3, 8);
         assert_eq!(
             below.gap,
             Some(crate::log::LogGap {
@@ -1468,8 +1372,9 @@ mod tests {
             other => panic!("unexpected: {other:?}"),
         }
         // Base untouched after a rejection.
-        assert_eq!(db.base().len(), 3);
-        assert!(db.log().is_empty());
+        let snap = db.snapshot();
+        assert_eq!(snap.base().len(), 3);
+        assert!(snap.log().is_empty());
     }
 
     #[test]
@@ -1480,7 +1385,10 @@ mod tests {
             db.create_view("staff", f.x, Some(f.y), policy).unwrap();
             if policy == Policy::Test2 {
                 assert_eq!(
-                    db.view_def("staff").unwrap().complement_is_good(),
+                    db.snapshot()
+                        .view_def("staff")
+                        .unwrap()
+                        .complement_is_good(),
                     Some(true)
                 );
             }
@@ -1494,10 +1402,10 @@ mod tests {
         let (f, db) = edm_db();
         db.create_view("staff", f.x, Some(f.y), Policy::Exact)
             .unwrap();
-        let before = ops::project(&db.base(), f.y).unwrap();
+        let before = ops::project(&db.snapshot().base(), f.y).unwrap();
         let dan = Tuple::new([f.dict.sym("dan"), f.dict.sym("books")]);
         db.insert_via("staff", dan).unwrap();
-        let after = ops::project(&db.base(), f.y).unwrap();
+        let after = ops::project(&db.snapshot().base(), f.y).unwrap();
         assert_eq!(before, after);
     }
 
@@ -1505,7 +1413,7 @@ mod tests {
     fn unknown_view_errors() {
         let (_, db) = edm_db();
         assert!(matches!(
-            db.view_instance("nope"),
+            db.snapshot().view_instance("nope"),
             Err(EngineError::UnknownView { .. })
         ));
         assert!(matches!(
@@ -1522,7 +1430,7 @@ mod tests {
             .unwrap();
         // New part order for supplier 1 (city on record): translatable.
         db.insert_via("orders", tup![1, 102, 7]).unwrap();
-        assert_eq!(db.base().len(), 4);
+        assert_eq!(db.snapshot().base().len(), 4);
         // Unknown supplier 3: complement (its city) missing → rejected.
         assert!(matches!(
             db.insert_via("orders", tup![3, 100, 2]),
@@ -1549,7 +1457,7 @@ mod selection_tests {
         let pred = Pred::cmp(f.schema.attr("S").unwrap(), CmpOp::Eq, 1);
         db.create_selection_view("s1_orders", f.x, Some(f.y), pred)
             .unwrap();
-        let v = db.view_instance("s1_orders").unwrap();
+        let v = db.snapshot().view_instance("s1_orders").unwrap();
         assert_eq!(v.len(), 2);
         assert!(v
             .iter()
@@ -1564,14 +1472,15 @@ mod selection_tests {
             .unwrap();
         // In-predicate insert for a known supplier: applies.
         db.insert_via("s1_orders", tup![1, 102, 7]).unwrap();
-        assert_eq!(db.base().len(), 4);
+        assert_eq!(db.snapshot().base().len(), 4);
         // Out-of-predicate insert: rejected, base untouched.
         assert!(matches!(
             db.insert_via("s1_orders", tup![2, 103, 4]),
             Err(EngineError::Rejected { .. })
         ));
-        assert_eq!(db.base().len(), 4);
-        let stats = db.stats("s1_orders").unwrap();
+        let snap = db.snapshot();
+        assert_eq!(snap.base().len(), 4);
+        let stats = snap.stats("s1_orders").unwrap();
         assert_eq!(stats.accepted, 1);
         assert_eq!(stats.rejected, 1);
     }
@@ -1583,12 +1492,12 @@ mod selection_tests {
         let pred = Pred::cmp(s_attr, CmpOp::Eq, 1);
         db.create_selection_view("s1_orders", f.x, Some(f.y), pred.clone())
             .unwrap();
-        let before_full = ops::project(&db.base(), f.x).unwrap();
+        let before_full = ops::project(&db.snapshot().base(), f.x).unwrap();
         let before_anti = ops::select(&before_full, |t| !pred.eval(&f.x, t));
         db.insert_via("s1_orders", tup![1, 102, 7]).unwrap();
         db.replace_via("s1_orders", tup![1, 100, 5], tup![1, 100, 6])
             .unwrap();
-        let after_full = ops::project(&db.base(), f.x).unwrap();
+        let after_full = ops::project(&db.snapshot().base(), f.x).unwrap();
         let after_anti = ops::select(&after_full, |t| !pred.eval(&f.x, t));
         assert_eq!(before_anti, after_anti, "σ_¬P component constant");
     }
@@ -1633,8 +1542,9 @@ mod batch_tests {
             ])
             .unwrap();
         assert_eq!(reports.len(), 2);
-        assert_eq!(db.base().len(), 5);
-        assert_eq!(db.stats("staff").unwrap().accepted, 2);
+        let snap = db.snapshot();
+        assert_eq!(snap.base().len(), 5);
+        assert_eq!(snap.stats("staff").unwrap().accepted, 2);
 
         // Failing batch rolls everything back.
         let err = db.apply_batch(vec![
@@ -1656,9 +1566,10 @@ mod batch_tests {
             Err(EngineError::BatchFailed { index: 1, ref source })
                 if matches!(**source, EngineError::Rejected { .. })
         ));
-        assert_eq!(db.base().len(), 5, "rollback must undo the first insert");
-        assert_eq!(db.log().len(), 2, "log truncated to the snapshot");
-        assert_eq!(db.stats("staff").unwrap().accepted, 2, "stats restored");
+        let snap = db.snapshot();
+        assert_eq!(snap.base().len(), 5, "rollback must undo the first insert");
+        assert_eq!(snap.log().len(), 2, "log truncated to the snapshot");
+        assert_eq!(snap.stats("staff").unwrap().accepted, 2, "stats restored");
     }
 
     #[test]
@@ -1677,7 +1588,7 @@ mod batch_tests {
             Err(EngineError::BatchFailed { index: 1, ref source })
                 if matches!(**source, EngineError::UnknownView { .. })
         ));
-        assert_eq!(db.base().len(), 3);
+        assert_eq!(db.snapshot().base().len(), 3);
     }
 
     #[test]
@@ -1697,15 +1608,16 @@ mod batch_tests {
                     let name = format!("w{i}_{j}");
                     let t = Tuple::new([dict.sym(&name), dict.sym("toys")]);
                     db.insert_via("staff", t).unwrap();
-                    let _ = db.view_instance("staff").unwrap();
+                    let _ = db.snapshot().view_instance("staff").unwrap();
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(db.base().len(), 3 + 20);
-        assert_eq!(db.stats("staff").unwrap().accepted, 20);
+        let snap = db.snapshot();
+        assert_eq!(snap.base().len(), 3 + 20);
+        assert_eq!(snap.stats("staff").unwrap().accepted, 20);
     }
 }
 
@@ -1766,7 +1678,7 @@ mod panic_tests {
         assert_eq!(seq, twin.apply_op(view, op).unwrap().seq);
         ddl(db);
         ddl(twin);
-        assert_eq!(db.dump(), twin.dump());
+        assert_eq!(db.snapshot().dump(), twin.snapshot().dump());
     }
 
     fn edm_pair(second: Policy) -> (fixtures::EdmFixture, Database, Database) {

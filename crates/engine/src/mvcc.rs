@@ -367,14 +367,16 @@ impl SnapState {
     }
 }
 
-/// A pinned, immutable view of the whole engine at one commit.
+/// A pinned, immutable view of the whole engine at one commit — the
+/// engine's read surface: every query is a method here.
 ///
 /// Obtained from [`crate::Database::snapshot`] (or
 /// [`crate::EngineReader::snapshot`]). Every accessor answers from the
 /// same published epoch: the base, each view instance, the log, Σ and
 /// the sequence number are mutually consistent no matter how many
-/// commits land after the pin. Holding a snapshot never blocks writers;
-/// it only keeps that epoch's memory alive.
+/// commits land after the pin, so a caller that reads two or more
+/// values pins once and reads them all here. Holding a snapshot never
+/// blocks writers; it only keeps that epoch's memory alive.
 #[derive(Clone)]
 pub struct EngineSnapshot {
     pub(crate) state: Arc<SnapState>,
@@ -429,8 +431,12 @@ impl EngineSnapshot {
         })
     }
 
-    /// The full instance and optional `(σ_P, σ_¬P)` split — the
-    /// snapshot analog of `Database::mat_parts`.
+    /// The materialized instance and (for selection views) the
+    /// `(σ_P, σ_¬P)` split — diagnostic access for the differential
+    /// oracles and the invariant checker; not part of the stable API.
+    ///
+    /// # Errors
+    /// [`EngineError::UnknownView`] if absent.
     #[doc(hidden)]
     pub fn mat_parts(&self, name: &str) -> Result<MatParts> {
         let vs = self

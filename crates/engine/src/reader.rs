@@ -8,24 +8,22 @@
 //! type instead of `&Database` — queries stay free, while the mutators
 //! (`apply_op`, `apply_batch*`, `set_fds`, `create_*_view`, `resume_at`)
 //! simply do not exist here, making the WAL bypass a compile error.
+//!
+//! Reads go through [`EngineReader::snapshot`]: a caller that reads two
+//! or more values pins one [`EngineSnapshot`] and reads them all from it,
+//! so they come from the same commit. The three single-value readers
+//! kept here are one-liners over a fresh pin.
 
-use std::sync::Arc;
-
-use relvu_deps::FdSet;
-use relvu_relation::{Relation, Schema};
-
-use crate::db::{Database, ViewStats};
-use crate::log::{LogEntry, LogRange};
+use crate::db::Database;
 use crate::metrics::EngineMetrics;
 use crate::mvcc::EngineSnapshot;
-use crate::subscribe::{SubscribeOptions, Subscription};
 use crate::view::ViewDef;
 use crate::Result;
 
-/// A read-only view of a [`Database`]: every query method, no mutators.
+/// A read-only view of a [`Database`]: a snapshot pin, the metrics, and
+/// no mutators.
 ///
-/// Obtained from [`Database::reader`]. All methods delegate to the
-/// underlying database and take the same locks the direct calls would.
+/// Obtained from [`Database::reader`].
 #[derive(Clone, Copy)]
 pub struct EngineReader<'a> {
     db: &'a Database,
@@ -44,111 +42,28 @@ impl<'a> EngineReader<'a> {
         self.db.snapshot()
     }
 
-    /// The current instance of a view — see [`Database::view_instance`].
-    ///
-    /// # Errors
-    /// As [`Database::view_instance`].
-    pub fn view_instance(&self, name: &str) -> Result<Arc<Relation>> {
-        self.db.view_instance(name)
-    }
-
-    /// Snapshot of the base relation — see [`Database::base`].
-    pub fn base(&self) -> Arc<Relation> {
-        self.db.base()
-    }
-
-    /// Snapshot of the whole audit log — see [`Database::log`].
-    pub fn log(&self) -> Vec<LogEntry> {
-        self.db.log()
-    }
-
-    /// A bounded slice of the audit log — see [`Database::log_range`].
-    pub fn log_range(&self, from_seq: u64, limit: usize) -> LogRange {
-        self.db.log_range(from_seq, limit)
-    }
-
-    /// Subscribe to a view's delta stream — see [`Database::subscribe`].
-    /// Receiving events only observes state, so the read-only handle
-    /// exposes it: a subscriber cannot bypass the WAL.
-    ///
-    /// # Errors
-    /// As [`Database::subscribe`].
-    pub fn subscribe(&self, view: &str, opts: SubscribeOptions) -> Result<Subscription> {
-        self.db.subscribe(view, opts)
-    }
-
-    /// Subscribe to the base relation's delta stream — see
-    /// [`Database::subscribe_base`].
-    ///
-    /// # Errors
-    /// As [`Database::subscribe_base`].
-    pub fn subscribe_base(&self, opts: SubscribeOptions) -> Result<Subscription> {
-        self.db.subscribe_base(opts)
-    }
-
-    /// The most recently applied sequence number — see
-    /// [`Database::last_seq`].
-    pub fn last_seq(&self) -> u64 {
-        self.db.last_seq()
-    }
-
-    /// The database schema — see [`Database::schema`].
-    pub fn schema(&self) -> Schema {
-        self.db.schema()
-    }
-
-    /// The current dependency set Σ — see [`Database::fds`].
-    pub fn fds(&self) -> FdSet {
-        self.db.fds()
-    }
-
-    /// Per-view accepted/rejected counters — see [`Database::stats`].
-    ///
-    /// # Errors
-    /// As [`Database::stats`].
-    pub fn stats(&self, name: &str) -> Result<ViewStats> {
-        self.db.stats(name)
-    }
-
-    /// The names of the registered views — see [`Database::view_names`].
-    pub fn view_names(&self) -> Vec<String> {
-        self.db.view_names()
-    }
-
-    /// A registered view's definition — see [`Database::view_def`].
-    ///
-    /// # Errors
-    /// As [`Database::view_def`].
-    pub fn view_def(&self, name: &str) -> Result<ViewDef> {
-        self.db.view_def(name)
-    }
-
-    /// A view's parent in the dependency DAG — see
-    /// [`Database::view_parent`].
-    ///
-    /// # Errors
-    /// As [`Database::view_parent`].
-    pub fn view_parent(&self, name: &str) -> Result<Option<String>> {
-        self.db.view_parent(name)
-    }
-
-    /// The views registered directly over `name` — see
-    /// [`Database::view_children`].
-    ///
-    /// # Errors
-    /// As [`Database::view_children`].
-    pub fn view_children(&self, name: &str) -> Result<Vec<String>> {
-        self.db.view_children(name)
-    }
-
-    /// The `relvu-dump` serialization — see [`Database::dump`].
-    pub fn dump(&self) -> String {
-        self.db.dump()
-    }
-
     /// Metrics snapshot — see [`Database::metrics`].
     pub fn metrics(&self) -> EngineMetrics {
         self.db.metrics()
+    }
+
+    /// The most recently applied sequence number — see
+    /// [`EngineSnapshot::seq`].
+    pub fn last_seq(&self) -> u64 {
+        self.db.snapshot().seq()
+    }
+
+    /// A registered view's definition — see [`EngineSnapshot::view_def`].
+    ///
+    /// # Errors
+    /// As [`EngineSnapshot::view_def`].
+    pub fn view_def(&self, name: &str) -> Result<ViewDef> {
+        self.db.snapshot().view_def(name)
+    }
+
+    /// The `relvu-dump` serialization — see [`EngineSnapshot::dump`].
+    pub fn dump(&self) -> String {
+        self.db.snapshot().dump()
     }
 }
 
@@ -167,17 +82,20 @@ mod tests {
         db.insert_via("staff", Tuple::new([f.dict.sym("dan"), f.dict.sym("toys")]))
             .unwrap();
         let r = db.reader();
-        assert_eq!(r.base(), db.base());
-        assert_eq!(r.log(), db.log());
+        let (rs, snap) = (r.snapshot(), db.snapshot());
+        assert_eq!(rs.base(), snap.base());
+        assert_eq!(rs.log(), snap.log());
         assert_eq!(r.last_seq(), 1);
-        assert_eq!(r.view_names(), vec!["staff".to_string()]);
+        assert_eq!(rs.view_names(), vec!["staff".to_string()]);
         assert_eq!(
-            r.view_instance("staff").unwrap(),
-            db.view_instance("staff").unwrap()
+            rs.view_instance("staff").unwrap(),
+            snap.view_instance("staff").unwrap()
         );
-        assert_eq!(r.stats("staff").unwrap().accepted, 1);
-        assert_eq!(r.dump(), db.dump());
-        assert_eq!(r.fds(), db.fds());
-        assert_eq!(r.schema(), db.schema());
+        assert_eq!(rs.stats("staff").unwrap().accepted, 1);
+        assert_eq!(r.dump(), snap.dump());
+        assert_eq!(rs.fds(), snap.fds());
+        assert_eq!(rs.schema(), snap.schema());
+        assert_eq!(r.view_def("staff").unwrap().x(), f.x);
+        assert_eq!(r.metrics().views["staff"].accepted, 1);
     }
 }

@@ -89,24 +89,13 @@ fn load_err_at(line: usize, reason: impl Into<String>) -> EngineError {
     }
 }
 
-impl Database {
-    /// Serialize the schema, Σ, base instance and view definitions.
-    ///
-    /// The audit log and statistics are *not* persisted (they are
-    /// session-scoped). Delegates to [`EngineSnapshot::dump`] on a
-    /// freshly pinned epoch — serialization reads no engine lock, so a
-    /// checkpoint never stalls writers.
-    pub fn dump(&self) -> String {
-        self.snapshot().dump()
-    }
-}
-
 impl EngineSnapshot {
     /// Serialize this pinned epoch's schema, Σ, base instance and view
-    /// definitions — same format and byte-for-byte output as
-    /// [`Database::dump`], but from an explicitly held snapshot, so a
-    /// caller can serialize and read the matching [`EngineSnapshot::seq`]
-    /// without a window for a commit in between.
+    /// definitions. The audit log and statistics are *not* persisted
+    /// (they are session-scoped). Serialization reads no engine lock, so
+    /// a checkpoint never stalls writers, and the caller can read the
+    /// matching [`EngineSnapshot::seq`] off the same pin without a
+    /// window for a commit in between.
     pub fn dump(&self) -> String {
         let (schema, fds, base, views) = Database::export_parts(self);
         // Only a parented view needs the v2 `from` section; flat
@@ -179,7 +168,7 @@ impl EngineSnapshot {
 }
 
 impl Database {
-    /// Reconstruct a database from [`Database::dump`] output.
+    /// Reconstruct a database from [`EngineSnapshot::dump`] output.
     ///
     /// # Errors
     /// [`EngineError::Load`] on malformed input; the usual creation errors
@@ -371,15 +360,17 @@ mod tests {
         let db = Database::new(f.schema.clone(), f.fds.clone(), f.base.clone()).unwrap();
         db.create_view("orders", f.x, Some(f.y), Policy::Test1)
             .unwrap();
-        let text = db.dump();
+        let snap = db.snapshot();
+        let text = snap.dump();
         let db2 = Database::load(&text).unwrap();
-        assert_eq!(db2.base(), db.base());
-        let def = db2.view_def("orders").unwrap();
+        let snap2 = db2.snapshot();
+        assert_eq!(snap2.base(), snap.base());
+        let def = snap2.view_def("orders").unwrap();
         assert_eq!(def.x(), f.x);
         assert_eq!(def.y(), f.y);
         assert_eq!(def.policy(), Policy::Test1);
         // Second roundtrip is identical text.
-        assert_eq!(db2.dump(), text);
+        assert_eq!(snap2.dump(), text);
         // And the reloaded engine still translates updates.
         db2.insert_via("orders", tup![1, 102, 7]).unwrap();
     }
@@ -393,12 +384,13 @@ mod tests {
         let pred = Pred::cmp(s, CmpOp::Eq, 1).and(qty, CmpOp::Le, 5);
         db.create_selection_view("cheap_s1", f.x, Some(f.y), pred.clone())
             .unwrap();
-        let db2 = Database::load(&db.dump()).unwrap();
-        let def = db2.view_def("cheap_s1").unwrap();
+        let snap = db.snapshot();
+        let snap2 = Database::load(&snap.dump()).unwrap().snapshot();
+        let def = snap2.view_def("cheap_s1").unwrap();
         assert_eq!(def.pred(), Some(&pred));
         assert_eq!(
-            db2.view_instance("cheap_s1").unwrap(),
-            db.view_instance("cheap_s1").unwrap()
+            snap2.view_instance("cheap_s1").unwrap(),
+            snap.view_instance("cheap_s1").unwrap()
         );
     }
 
@@ -419,25 +411,29 @@ mod tests {
             Pred::cmp(qty, CmpOp::Ge, 5),
         )
         .unwrap();
-        let text = db.dump();
+        let snap = db.snapshot();
+        let text = snap.dump();
         assert!(text.starts_with("relvu-dump v2\n"), "{text}");
         assert!(text.contains("from orders"), "{text}");
-        let db2 = Database::load(&text).unwrap();
+        let snap2 = Database::load(&text).unwrap().snapshot();
         // Parent edges, predicates and instances survive the roundtrip…
         assert_eq!(
-            db2.view_parent("bulk_orders").unwrap().as_deref(),
+            snap2.view_parent("bulk_orders").unwrap().as_deref(),
             Some("order_keys")
         );
-        assert_eq!(db2.view_children("orders").unwrap(), ["order_keys"]);
+        assert_eq!(snap2.view_children("orders").unwrap(), ["order_keys"]);
         for v in ["orders", "order_keys", "bulk_orders"] {
-            assert_eq!(db2.view_instance(v).unwrap(), db.view_instance(v).unwrap());
             assert_eq!(
-                db2.view_def(v).unwrap().pred(),
-                db.view_def(v).unwrap().pred()
+                snap2.view_instance(v).unwrap(),
+                snap.view_instance(v).unwrap()
+            );
+            assert_eq!(
+                snap2.view_def(v).unwrap().pred(),
+                snap.view_def(v).unwrap().pred()
             );
         }
         // …and a second roundtrip is byte-identical.
-        assert_eq!(db2.dump(), text);
+        assert_eq!(snap2.dump(), text);
     }
 
     #[test]
@@ -446,7 +442,7 @@ mod tests {
         let db = Database::new(f.schema.clone(), f.fds.clone(), f.base.clone()).unwrap();
         db.create_view("orders", f.x, Some(f.y), Policy::Exact)
             .unwrap();
-        assert!(db.dump().starts_with("relvu-dump v1\n"));
+        assert!(db.snapshot().dump().starts_with("relvu-dump v1\n"));
     }
 
     #[test]

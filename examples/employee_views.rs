@@ -21,11 +21,14 @@ fn main() {
         let db2 = Database::new(f.schema.clone(), f.fds.clone(), f.base.clone()).unwrap();
         db2.create_view("staff2", f.x, Some(f.y), Policy::Test2)
             .unwrap();
-        db2.view_def("staff2").unwrap().complement_is_good()
+        db2.snapshot()
+            .view_def("staff2")
+            .unwrap()
+            .complement_is_good()
     });
 
     let show = |label: &str| {
-        let v = db.view_instance("staff").expect("view exists");
+        let v = db.snapshot().view_instance("staff").expect("view exists");
         println!("\n{label}:");
         print!("{}", RelationDisplay::new(&v, &f.schema, Some(&f.dict)));
     };
@@ -53,11 +56,12 @@ fn main() {
 
     // ── The constant-complement guarantees, visibly:
     let before = ops::project(&f.base, f.y).expect("complement");
-    let after = ops::project(&db.base(), f.y).expect("complement");
+    let snap = db.snapshot();
+    let after = ops::project(&snap.base(), f.y).expect("complement");
     assert_eq!(before, after);
     println!(
         "\nπ_{{Dept,Mgr}}(R) never changed across {} updates ✓",
-        db.log().len()
+        snap.log().len()
     );
 
     // ── And the rejections the theory prescribes:
@@ -83,7 +87,7 @@ fn main() {
     }
 
     println!("\naudit log:");
-    for e in db.log() {
+    for e in db.snapshot().log() {
         println!(
             "  #{} via `{}`: {:?} ({} → {} rows)",
             e.seq, e.view, e.op, e.rows_before, e.rows_after

@@ -79,23 +79,26 @@ fn main() {
             Err(_) => break,
         };
         let words: Vec<&str> = line.split_whitespace().collect();
+        // Every read a command makes comes off this one pinned epoch, so
+        // its lines are mutually consistent whatever commits meanwhile.
+        let snap = ddb.reader().snapshot();
         match words.as_slice() {
             [] => {}
             ["quit"] | ["exit"] => break,
             ["show"] | ["show", _] => {
                 let name = words.get(1).copied().unwrap_or("staff");
-                match ddb.reader().view_instance(name) {
+                match snap.view_instance(name) {
                     Ok(v) => print!("{}", RelationDisplay::new(&v, &f.schema, Some(&f.dict))),
                     Err(e) => println!("error: {e}"),
                 }
             }
             ["base"] => {
-                let b = ddb.reader().base();
+                let b = snap.base();
                 print!("{}", RelationDisplay::new(&b, &f.schema, Some(&f.dict)));
             }
             ["views"] => {
-                for name in ddb.reader().view_names() {
-                    match ddb.reader().view_parent(&name).expect("registered") {
+                for name in snap.view_names() {
+                    match snap.view_parent(&name).expect("registered") {
                         Some(parent) => println!("  {name}  (over {parent})"),
                         None => println!("  {name}  (over the base)"),
                     }
@@ -147,7 +150,7 @@ fn main() {
                 ));
             }
             ["log"] => {
-                for entry in ddb.reader().log() {
+                for entry in snap.log() {
                     println!(
                         "  #{} {:?} ({} → {} rows)",
                         entry.seq, entry.op, entry.rows_before, entry.rows_after
@@ -204,7 +207,7 @@ fn main() {
                 let image = vfs.crash_image();
                 match DurableDatabase::recover(image.clone(), opts) {
                     Ok((recovered, report)) => {
-                        let lost = ddb.reader().last_seq() - report.last_seq;
+                        let lost = snap.seq() - report.last_seq;
                         print_recovery(&report);
                         if lost > 0 {
                             println!("  {lost} unsynced update(s) would be lost");
@@ -258,9 +261,6 @@ fn main() {
                 }
             }
             ["\\snapshot"] | ["snapshot"] => {
-                // One pinned epoch: every line below is mutually
-                // consistent no matter what commits land meanwhile.
-                let snap = ddb.reader().snapshot();
                 println!(
                     "  epoch {}, seq {}, base {} rows",
                     snap.epoch(),

@@ -69,7 +69,8 @@ fn run_once(f: &Fixture, threads: usize) -> (Vec<LogEntry>, Relation, Vec<bool>)
         },
     );
     let accept_pattern = report.outcomes.iter().map(Result::is_ok).collect();
-    (db.log(), (*db.base()).clone(), accept_pattern)
+    let snap = db.snapshot();
+    (snap.log(), (*snap.base()).clone(), accept_pattern)
 }
 
 #[test]

@@ -34,8 +34,8 @@ fn registry_counters_agree_with_view_stats_after_rollback() {
 
     // A transactional batch whose two-update prefix applies before the
     // third is rejected: everything must roll back.
-    let stats_before = db.stats("staff").unwrap();
-    let base_before = db.base();
+    let before = db.snapshot();
+    let stats_before = before.stats("staff").unwrap();
     let err = db
         .apply_batch(vec![
             (
@@ -68,8 +68,9 @@ fn registry_counters_agree_with_view_stats_after_rollback() {
 
     // The base and the accepted count are back to the pre-batch state;
     // the failing update's rejection is recorded exactly once.
-    assert_eq!(db.base(), base_before);
-    let stats_after = db.stats("staff").unwrap();
+    let after = db.snapshot();
+    assert_eq!(after.base(), before.base());
+    let stats_after = after.stats("staff").unwrap();
     assert_eq!(stats_after.accepted, stats_before.accepted);
     assert_eq!(stats_after.rejected, stats_before.rejected + 1);
 

@@ -126,11 +126,12 @@ proptest! {
         );
 
         prop_assert_eq!(&report.outcomes, &expected, "per-update outcomes");
-        prop_assert_eq!(par_db.base(), seq_db.base(), "base relation");
-        prop_assert_eq!(par_db.log(), seq_db.log(), "audit log");
+        let (par, seq) = (par_db.snapshot(), seq_db.snapshot());
+        prop_assert_eq!(par.base(), seq.base(), "base relation");
+        prop_assert_eq!(par.log(), seq.log(), "audit log");
         prop_assert_eq!(
-            par_db.stats("staff").unwrap(),
-            seq_db.stats("staff").unwrap(),
+            par.stats("staff").unwrap(),
+            seq.stats("staff").unwrap(),
             "per-view stats"
         );
         // Bookkeeping sanity: every known-view request was either
@@ -190,8 +191,9 @@ proptest! {
             &BatchOptions { threads: Some(threads) },
         );
         prop_assert_eq!(&report.outcomes, &expected);
-        prop_assert_eq!(par_db.base(), seq_db.base());
-        prop_assert_eq!(par_db.log(), seq_db.log());
+        let (par, seq) = (par_db.snapshot(), seq_db.snapshot());
+        prop_assert_eq!(par.base(), seq.base());
+        prop_assert_eq!(par.log(), seq.log());
         prop_assert_eq!(report.stats.reused, 0, "serial mode reuses nothing");
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! The columnar rewrite keeps tuples in an append-order `Vec<Tuple>`
 //! (holes filled by `swap_remove`) plus per-attribute interned id
-//! columns and a sorted membership index. Every byte of `Database::dump`
-//! depends on that storage order, so this file checks the store against
-//! a *retained row-oracle* — a plain `Vec<Tuple>` driven through the
-//! same push-if-absent / `swap_remove` discipline — with **exact order
-//! equality**, not just set equality:
+//! columns and a sorted membership index. Every byte of
+//! `EngineSnapshot::dump` depends on that storage order, so this file
+//! checks the store against a *retained row-oracle* — a plain
+//! `Vec<Tuple>` driven through the same push-if-absent / `swap_remove`
+//! discipline — with **exact order equality**, not just set equality:
 //!
 //! 1. random insert/remove/contains streams vs the row-oracle,
 //! 2. every `ops` operator vs an order-preserving nested-loop oracle,
@@ -32,7 +32,7 @@ use relvu_workload::{instance_gen, schema_gen};
 
 /// The retained row-oracle: first-occurrence append order, removals by
 /// `swap_remove` — exactly the storage discipline `Relation` documents
-/// (and that `Database::dump` bytes depend on).
+/// (and that `EngineSnapshot::dump` bytes depend on).
 #[derive(Default)]
 struct RowOracle {
     rows: Vec<Tuple>,
@@ -270,8 +270,9 @@ proptest! {
             .expect("complementary");
 
         for _ in 0..2 {
-            let def = db.view_def("v").expect("registered");
-            let v = db.view_instance("v").expect("registered");
+            let snap = db.snapshot();
+            let def = snap.view_def("v").expect("registered");
+            let v = snap.view_instance("v").expect("registered");
             if !v.is_empty() {
                 let batch = update_gen::update_batch(
                     &mut rng,
@@ -291,13 +292,13 @@ proptest! {
                     let _ = db.apply_op("v", op);
                 }
             }
-            db.set_fds(db.fds()).expect("same Σ revalidates");
+            db.set_fds(db.snapshot().fds()).expect("same Σ revalidates");
         }
 
         // Dump → load → dump must be byte-identical.
-        let d1 = db.dump();
+        let d1 = db.snapshot().dump();
         let reloaded = Database::load(&d1).expect("dump loads");
-        prop_assert_eq!(&d1, &reloaded.dump(), "dump/load byte drift (seed {})", seed);
+        prop_assert_eq!(&d1, &reloaded.snapshot().dump(), "dump/load byte drift (seed {})", seed);
 
         // Crash-recovery replay lands on the byte-identical dump too.
         let vfs = MemVfs::new();
@@ -307,7 +308,7 @@ proptest! {
             WalOptions::default(),
         )
         .expect("create store");
-        let v = durable.reader().view_instance("v").expect("registered");
+        let v = durable.reader().snapshot().view_instance("v").expect("registered");
         if let Some(t) = v.rows().first().cloned() {
             let _ = durable.apply("v", UpdateOp::Delete { t });
         }

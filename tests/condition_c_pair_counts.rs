@@ -35,7 +35,7 @@ fn same_department_manager_replace_takes_one_chase() {
     let x = schema.set(["D", "M0"]).unwrap();
     db.create_view("mgrs", x, None, Policy::Exact).unwrap();
     assert_eq!(
-        db.view_def("mgrs").unwrap().y(),
+        db.snapshot().view_def("mgrs").unwrap().y(),
         schema.set(["E", "D"]).unwrap()
     );
 

@@ -24,17 +24,18 @@ use relvu_workload::{instance_gen, schema_gen};
 /// The oracle: every DAG node's materialization equals a fresh
 /// projection (and split) recomputed from scratch off the current base.
 fn assert_dag_matches_fresh(db: &Database, at: &str) -> Result<(), TestCaseError> {
-    let base = db.base();
-    for name in db.view_names() {
-        let def = db.view_def(&name).expect("registered");
+    let snap = db.snapshot();
+    let base = snap.base();
+    for name in snap.view_names() {
+        let def = snap.view_def(&name).expect("registered");
         // A child's X is within its parent's, so the collapsed
         // composition π_X(parent instance) equals π_X(R) exactly.
         if let Some(parent) = def.parent() {
-            let pdef = db.view_def(parent).expect("parent registered");
+            let pdef = snap.view_def(parent).expect("parent registered");
             prop_assert!(def.x().is_subset(&pdef.x()), "uncollapsed child X {}", at);
         }
         let fresh = ops::project(&base, def.x()).expect("x within universe");
-        let (instance, split) = db.mat_parts(&name).expect("registered");
+        let (instance, split) = snap.mat_parts(&name).expect("registered");
         prop_assert_eq!(
             &*instance,
             &fresh,
@@ -133,8 +134,9 @@ fn to_op(u: ViewUpdate) -> UpdateOp {
 /// an update through a depth-3 node exercises the whole collapsed
 /// translation); rejected updates are part of the point.
 fn stream_for(rng: &mut StdRng, db: &Database, name: &str, n: usize) -> Vec<UpdateOp> {
-    let def = db.view_def(name).expect("registered");
-    let v = db.view_instance(name).expect("registered");
+    let snap = db.snapshot();
+    let def = snap.view_def(name).expect("registered");
+    let v = snap.view_instance(name).expect("registered");
     if v.is_empty() {
         return Vec::new();
     }
@@ -164,7 +166,7 @@ proptest! {
         // 1. Mixed accepted/rejected updates through every node, root
         //    and deep child alike, checking the whole DAG after each.
         for round in 0..2 {
-            for name in &db.view_names() {
+            for name in &db.snapshot().view_names() {
                 for op in stream_for(&mut rng, &db, name, 3) {
                     let _ = db.apply_op(name, op);
                     assert_dag_matches_fresh(
@@ -174,16 +176,17 @@ proptest! {
                 }
             }
             // 2. Σ replacement forces the topological full-rebuild path.
-            db.set_fds(db.fds()).expect("same Σ revalidates");
+            db.set_fds(db.snapshot().fds()).expect("same Σ revalidates");
             assert_dag_matches_fresh(&db, "after set_fds")?;
         }
 
         // 3. Mid-run DDL: graft a new child onto a random live node
         //    (its full X keeps any composed predicate in scope), then
         //    drop a random leaf.
-        let names = db.view_names();
+        let snap = db.snapshot();
+        let names = snap.view_names();
         let graft_parent = names[rng.gen_range(0..names.len())].clone();
-        let gx = db.view_def(&graft_parent).expect("registered").x();
+        let gx = snap.view_def(&graft_parent).expect("registered").x();
         db.create_view_over("grafted", &graft_parent, gx, None, Policy::Exact)
             .expect("full-X child of a live node always composes");
         assert_dag_matches_fresh(&db, "after grafting a child mid-run")?;
@@ -210,11 +213,13 @@ proptest! {
 
         // 5. Dump/load rebuilds the DAG from the snapshot text, parent
         //    edges included.
-        let reloaded = Database::load(&db.dump()).expect("dump loads");
-        for name in &db.view_names() {
+        let snap = db.snapshot();
+        let reloaded = Database::load(&snap.dump()).expect("dump loads");
+        let reloaded_snap = reloaded.snapshot();
+        for name in &snap.view_names() {
             prop_assert_eq!(
-                reloaded.view_parent(name).expect("registered"),
-                db.view_parent(name).expect("registered"),
+                reloaded_snap.view_parent(name).expect("registered"),
+                snap.view_parent(name).expect("registered"),
                 "parent edge lost across dump/load"
             );
         }
@@ -226,11 +231,11 @@ proptest! {
         let vfs = MemVfs::new();
         let durable = DurableDatabase::create(
             vfs.clone(),
-            Database::load(&db.dump()).expect("dump loads"),
+            Database::load(&snap.dump()).expect("dump loads"),
             WalOptions::default(),
         )
         .expect("create store");
-        for name in &db.view_names() {
+        for name in &snap.view_names() {
             for op in stream_for(&mut rng, &db, name, 2) {
                 let _ = durable.apply(name, op);
             }

@@ -93,6 +93,20 @@ struct Ack {
     ddl: bool,
 }
 
+impl Ack {
+    /// The step `ddb` just acknowledged, its dump and seq read off one
+    /// pinned epoch.
+    fn read(ddb: &DurableDatabase<MemVfs>, vfs: &MemVfs, ddl: bool) -> Ack {
+        let snap = ddb.reader().snapshot();
+        Ack {
+            ops: vfs.write_ops(),
+            dump: snap.dump(),
+            seq: snap.seq(),
+            ddl,
+        }
+    }
+}
+
 struct Trace {
     /// Operations consumed by `DurableDatabase::create`.
     ops_created: u64,
@@ -121,12 +135,7 @@ fn run(s: &Script, vfs: &MemVfs) -> Trace {
     };
     for op in &s.updates {
         match ddb.apply("staff", op.clone()) {
-            Ok(_) => trace.acks.push(Ack {
-                ops: vfs.write_ops(),
-                dump: ddb.reader().dump(),
-                seq: ddb.reader().last_seq(),
-                ddl: false,
-            }),
+            Ok(_) => trace.acks.push(Ack::read(&ddb, vfs, false)),
             // An engine rejection consumes no storage ops; skip it.
             Err(DurabilityError::Engine(_)) => continue,
             // The injected crash surfaced (directly or as poisoning).
@@ -179,13 +188,14 @@ fn recovery_yields_exactly_the_durable_prefix_at_every_crash_point() {
                     .map_or((baseline.dump_created.as_str(), 0), |a| {
                         (a.dump.as_str(), a.seq)
                     });
+                let snap = recovered.reader().snapshot();
                 assert_eq!(
-                    recovered.reader().dump(),
+                    snap.dump(),
                     want_dump,
                     "crash point {k}: recovered state is not the durable prefix"
                 );
                 assert_eq!(
-                    recovered.reader().last_seq(),
+                    snap.seq(),
                     want_seq,
                     "crash point {k}: wrong sequence number"
                 );
@@ -310,8 +320,9 @@ fn torn_tail_is_truncated_and_the_prefix_survives() {
     let image = vfs.crash_image();
     let (recovered, report) = DurableDatabase::recover(image.clone(), opts()).unwrap();
     let torn = report.torn_truncated.expect("torn tail detected");
-    assert_eq!(recovered.reader().dump(), baseline.acks[n - 1].dump);
-    assert_eq!(recovered.reader().last_seq(), baseline.acks[n - 1].seq);
+    let snap = recovered.reader().snapshot();
+    assert_eq!(snap.dump(), baseline.acks[n - 1].dump);
+    assert_eq!(snap.seq(), baseline.acks[n - 1].seq);
 
     // The truncation really happened on storage.
     let len = image.file_len(&torn.segment).unwrap();
@@ -426,14 +437,6 @@ fn run_dag(s: &Script, steps: &[DagStep], vfs: &MemVfs) -> Trace {
         dump_created: ddb.reader().dump(),
         acks: Vec::new(),
     };
-    let ack = |trace: &mut Trace, ddl: bool| {
-        trace.acks.push(Ack {
-            ops: vfs.write_ops(),
-            dump: ddb.reader().dump(),
-            seq: ddb.reader().last_seq(),
-            ddl,
-        });
-    };
     for step in steps {
         let (outcome, ddl) = match step {
             DagStep::Up(op) => (ddb.apply("staff", op.clone()).map(|_| ()), false),
@@ -450,7 +453,7 @@ fn run_dag(s: &Script, steps: &[DagStep], vfs: &MemVfs) -> Trace {
             DagStep::Drop(name) => (ddb.drop_view(name), true),
         };
         match outcome {
-            Ok(()) => ack(&mut trace, ddl),
+            Ok(()) => trace.acks.push(Ack::read(&ddb, vfs, ddl)),
             Err(DurabilityError::Engine(_)) => continue,
             Err(_) => return trace,
         }
@@ -474,7 +477,9 @@ fn dag_ddl_recovery_matrix() {
         baseline.acks.len()
     );
     // The fully-applied workload really holds the DAG.
-    let full = Database::load(&baseline.acks.last().unwrap().dump).unwrap();
+    let full = Database::load(&baseline.acks.last().unwrap().dump)
+        .unwrap()
+        .snapshot();
     assert_eq!(
         full.view_parent("kinds2").unwrap().as_deref(),
         Some("depts")
@@ -571,12 +576,7 @@ fn run_incr(s: &Script, vfs: &MemVfs) -> Trace {
     };
     for op in &s.updates {
         match ddb.apply("staff", op.clone()) {
-            Ok(_) => trace.acks.push(Ack {
-                ops: vfs.write_ops(),
-                dump: ddb.reader().dump(),
-                seq: ddb.reader().last_seq(),
-                ddl: false,
-            }),
+            Ok(_) => trace.acks.push(Ack::read(&ddb, vfs, false)),
             Err(DurabilityError::Engine(_)) => continue,
             Err(_) => return trace,
         }
@@ -627,13 +627,14 @@ fn incremental_checkpoint_recovery_matrix() {
                     .map_or((baseline.dump_created.as_str(), 0), |a| {
                         (a.dump.as_str(), a.seq)
                     });
+                let snap = recovered.reader().snapshot();
                 assert_eq!(
-                    recovered.reader().dump(),
+                    snap.dump(),
                     want_dump,
                     "crash point {k}: recovered state is not the durable prefix"
                 );
                 assert_eq!(
-                    recovered.reader().last_seq(),
+                    snap.seq(),
                     want_seq,
                     "crash point {k}: wrong sequence number"
                 );
@@ -685,8 +686,9 @@ fn torn_delta_checkpoint_falls_back_to_an_intact_restore_point() {
     );
     assert!(report.checkpoint_seq < final_ack.seq);
     assert!(report.records_replayed > 0, "fallback must replay the gap");
-    assert_eq!(recovered.reader().dump(), final_ack.dump);
-    assert_eq!(recovered.reader().last_seq(), final_ack.seq);
+    let snap = recovered.reader().snapshot();
+    assert_eq!(snap.dump(), final_ack.dump);
+    assert_eq!(snap.seq(), final_ack.seq);
     recovered.check_invariants().unwrap();
 }
 
@@ -722,8 +724,9 @@ fn broken_middle_chain_link_falls_back_below_the_break() {
         report.skipped_checkpoints
     );
     assert!(report.records_replayed > 0);
-    assert_eq!(recovered.reader().dump(), final_ack.dump);
-    assert_eq!(recovered.reader().last_seq(), final_ack.seq);
+    let snap = recovered.reader().snapshot();
+    assert_eq!(snap.dump(), final_ack.dump);
+    assert_eq!(snap.seq(), final_ack.seq);
     recovered.check_invariants().unwrap();
 }
 
@@ -752,12 +755,7 @@ fn run_bg(s: &Script, vfs: &MemVfs) -> Trace {
     };
     for op in &s.updates {
         match ddb.apply("staff", op.clone()) {
-            Ok(_) => trace.acks.push(Ack {
-                ops: vfs.write_ops(),
-                dump: ddb.reader().dump(),
-                seq: ddb.reader().last_seq(),
-                ddl: false,
-            }),
+            Ok(_) => trace.acks.push(Ack::read(&ddb, vfs, false)),
             Err(DurabilityError::Engine(_)) => continue,
             Err(_) => break,
         }

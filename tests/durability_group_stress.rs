@@ -275,10 +275,10 @@ fn crash_between_group_append_and_fsync_recovers_a_clean_prefix() {
     // Expected state after each sequential prefix of the group.
     let replay = fresh_engine(&f);
     replay.apply_op("staff", pre).unwrap();
-    let mut dumps = vec![replay.dump()];
+    let mut dumps = vec![replay.snapshot().dump()];
     for op in &accepted {
         replay.apply_op("staff", op.clone()).unwrap();
-        dumps.push(replay.dump());
+        dumps.push(replay.snapshot().dump());
     }
     assert_eq!(dumps[4], ddb.reader().dump(), "batch ≠ sequential fold");
 
@@ -342,4 +342,47 @@ fn crash_between_group_append_and_fsync_recovers_a_clean_prefix() {
     }
     // The byte sweep crossed every frame boundary in the group.
     assert_eq!(prefixes, (1..=5).collect(), "sweep missed a prefix length");
+}
+
+/// `check_invariants` on a live handle reads one pinned epoch: run next
+/// to a writer, every call must pass. Reading Σ, the base, the views
+/// and the log from separate epochs let a commit land between two reads
+/// and report a violation the engine never had. The writer's op count
+/// is fixed because each check copies the whole log.
+#[test]
+fn check_invariants_on_a_live_handle_sees_one_epoch() {
+    const PAIRS: usize = 2_000;
+    let f = fixtures::edm();
+    let ddb =
+        DurableDatabase::create(MemVfs::new(), fresh_engine(&f), opts(SyncPolicy::Never)).unwrap();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let (checks, failures) = thread::scope(|s| {
+        s.spawn(|| {
+            for i in 0..PAIRS {
+                let t = Tuple::new([f.dict.sym(&format!("tmp{i}")), f.dict.sym("toys")]);
+                ddb.apply("staff", UpdateOp::Insert { t: t.clone() })
+                    .unwrap();
+                ddb.apply("staff", UpdateOp::Delete { t }).unwrap();
+            }
+            done.store(true, std::sync::atomic::Ordering::Release);
+        });
+        let (mut checks, mut failures) = (0u64, Vec::new());
+        loop {
+            let writer_done = done.load(std::sync::atomic::Ordering::Acquire);
+            checks += 1;
+            if let Err(e) = ddb.check_invariants() {
+                failures.push(e.to_string());
+            }
+            if writer_done {
+                break (checks, failures);
+            }
+        }
+    });
+    assert!(
+        failures.is_empty(),
+        "{} of {checks} checks failed, first: {}",
+        failures.len(),
+        failures[0]
+    );
+    assert_eq!(ddb.reader().last_seq(), 2 * PAIRS as u64);
 }

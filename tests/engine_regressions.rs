@@ -33,7 +33,7 @@ fn selection_view_creation_is_atomic_under_concurrent_writes() {
     let f = fixtures::supplier_part();
     let s_attr = f.schema.attr("S").unwrap();
     let anti_rows = |db: &Database| -> BTreeSet<Vec<u64>> {
-        let full = ops::project(&db.base(), f.x).unwrap();
+        let full = ops::project(&db.snapshot().base(), f.x).unwrap();
         full.iter()
             .filter(|t| t.get(&f.x, s_attr) != Value::int(1))
             .map(|t| {
@@ -81,7 +81,7 @@ fn failed_selection_view_creation_registers_nothing() {
     let err = db.create_selection_view("bad", f.x, Some(f.y), Pred::cmp(city, CmpOp::Eq, 70));
     assert!(err.is_err());
     assert!(
-        db.view_def("bad").is_err(),
+        db.snapshot().view_def("bad").is_err(),
         "half-registered view left over"
     );
     assert!(matches!(
@@ -131,8 +131,9 @@ fn apply_batch_reports_failing_index() {
         other => panic!("expected BatchFailed, got {other:?}"),
     }
     // And the whole batch rolled back.
-    assert_eq!(db.base().len(), 3);
-    assert_eq!(db.log().len(), 0);
+    let snap = db.snapshot();
+    assert_eq!(snap.base().len(), 3);
+    assert_eq!(snap.log().len(), 0);
 }
 
 // ── Bug 3: dump/load preserves auto-derived complements ─────────────────
@@ -143,16 +144,17 @@ fn dump_load_preserves_auto_complement() {
     let db = Database::new(f.schema.clone(), f.fds.clone(), f.base.clone()).unwrap();
     // No declared complement: the engine derives it (Corollary 2).
     db.create_view("staff", f.x, None, Policy::Exact).unwrap();
-    assert!(db.view_def("staff").unwrap().auto_complement());
+    let snap = db.snapshot();
+    assert!(snap.view_def("staff").unwrap().auto_complement());
 
-    let text = db.dump();
+    let text = snap.dump();
     assert!(
         text.contains(" auto "),
         "dump must record the derived complement: {text}"
     );
     let db2 = Database::load(&text).unwrap();
     assert!(
-        db2.view_def("staff").unwrap().auto_complement(),
+        db2.snapshot().view_def("staff").unwrap().auto_complement(),
         "auto-complement flag lost across dump/load"
     );
 
@@ -164,8 +166,8 @@ fn dump_load_preserves_auto_complement() {
     db2.set_fds(FdSet::default())
         .expect("reloaded database must recompute the complement like the original");
     assert_eq!(
-        db2.view_def("staff").unwrap().y(),
-        db.view_def("staff").unwrap().y(),
+        db2.snapshot().view_def("staff").unwrap().y(),
+        db.snapshot().view_def("staff").unwrap().y(),
         "original and reloaded engines derived different complements"
     );
 }
@@ -181,7 +183,7 @@ fn old_dumps_without_auto_marker_still_load() {
                 view staff exact x Emp Dept y Dept Mgr\n\
                 end\n";
     let db = Database::load(text).unwrap();
-    let def = db.view_def("staff").unwrap();
+    let def = db.snapshot().view_def("staff").unwrap();
     assert!(!def.auto_complement());
     let same_schema = Schema::new(["Emp", "Dept", "Mgr"]).unwrap();
     assert_eq!(def.y(), same_schema.set(["Dept", "Mgr"]).unwrap());
@@ -322,23 +324,25 @@ fn set_fds_cascades_rebuild_through_the_dag() {
     let db = dag_db();
     // Same Σ revalidates every node and forces the topological rebuild.
     db.set_fds(f.fds.clone()).unwrap();
+    let snap = db.snapshot();
     for name in ["staff", "depts", "dept_kinds"] {
-        let def = db.view_def(name).unwrap();
+        let def = snap.view_def(name).unwrap();
         assert_eq!(
-            *db.view_instance(name).unwrap(),
-            ops::project(&db.base(), def.x()).unwrap(),
+            *snap.view_instance(name).unwrap(),
+            ops::project(&snap.base(), def.x()).unwrap(),
             "view `{name}` diverged after the set_fds cascade"
         );
     }
     // Parent edges survive the rebuild, and updates still propagate.
-    assert_eq!(db.view_parent("depts").unwrap().as_deref(), Some("staff"));
+    assert_eq!(snap.view_parent("depts").unwrap().as_deref(), Some("staff"));
     let dict = f.dict;
     db.insert_via("staff", Tuple::new([dict.sym("dan"), dict.sym("toys")]))
         .unwrap();
     let d = f.schema.attr("Dept").unwrap();
+    let snap = db.snapshot();
     assert_eq!(
-        *db.view_instance("dept_kinds").unwrap(),
-        ops::project(&db.base(), AttrSet::singleton(d)).unwrap()
+        *snap.view_instance("dept_kinds").unwrap(),
+        ops::project(&snap.base(), AttrSet::singleton(d)).unwrap()
     );
 }
 
@@ -348,7 +352,7 @@ fn set_fds_cascades_rebuild_through_the_dag() {
 #[test]
 fn set_fds_rejection_names_dependent_views() {
     let db = dag_db();
-    let before = db.dump();
+    let before = db.snapshot().dump();
     // Under an empty Σ the declared {Emp,Dept}/{Dept,Mgr} pair is no
     // longer complementary (no FD makes the join lossless).
     let err = db.set_fds(FdSet::default()).unwrap_err();
@@ -365,7 +369,7 @@ fn set_fds_rejection_names_dependent_views() {
         other => panic!("expected SetFdsRejected, got {other}"),
     }
     // Nothing changed: same Σ, same views, updates still work.
-    assert_eq!(db.dump(), before);
+    assert_eq!(db.snapshot().dump(), before);
     let f = fixtures::edm();
     db.insert_via("staff", Tuple::new([f.dict.sym("dan"), f.dict.sym("toys")]))
         .unwrap();
@@ -389,7 +393,7 @@ fn drop_view_refuses_while_dependents_exist() {
     db.drop_view("dept_kinds").unwrap();
     db.drop_view("depts").unwrap();
     db.drop_view("staff").unwrap();
-    assert!(db.view_names().is_empty());
+    assert!(db.snapshot().view_names().is_empty());
     assert!(matches!(
         db.drop_view("staff"),
         Err(EngineError::UnknownView { .. })
@@ -443,7 +447,7 @@ fn composition_rejections_name_the_failing_rule() {
         Err(EngineError::UnknownView { .. })
     ));
     // None of the rejections left a trace.
-    assert_eq!(db.view_names(), ["small_staff", "staff"]);
+    assert_eq!(db.snapshot().view_names(), ["small_staff", "staff"]);
 }
 
 // ── Bug 4 (PR 7): torn multi-call reads across the write path ───────────
@@ -524,7 +528,8 @@ fn quiet_view_reads_are_pointer_equal() {
     // not reallocate it: the new epoch shares the old instance.
     db.insert_via("staff", Tuple::new([f.dict.sym("dan"), f.dict.sym("toys")]))
         .unwrap();
-    let c = db.view_instance("depts").unwrap();
+    let after = db.snapshot();
+    let c = after.view_instance("depts").unwrap();
     assert_eq!(*a, *c, "depts content changed unexpectedly");
     assert!(
         std::sync::Arc::ptr_eq(&a, &c),
@@ -532,8 +537,8 @@ fn quiet_view_reads_are_pointer_equal() {
     );
     // The views the commit did touch still read correctly.
     assert_eq!(
-        *db.view_instance("staff").unwrap(),
-        ops::project(&db.base(), f.x).unwrap()
+        *after.view_instance("staff").unwrap(),
+        ops::project(&after.base(), f.x).unwrap()
     );
 }
 
@@ -597,14 +602,16 @@ fn failed_checkpoint_delta_replay_leaves_the_engine_unchanged() {
         .apply_checkpoint_deltas([(1, &none[..], &row_a[..]), (2, &absent[..], &none[..])], 2)
         .unwrap_err();
     assert!(matches!(err, EngineError::Load { .. }), "{err:?}");
-    assert_eq!(db.last_seq(), 0);
-    assert_eq!(db.dump(), before.dump());
+    let snap = db.snapshot();
+    assert_eq!(snap.seq(), 0);
+    assert_eq!(snap.dump(), before.dump());
 
     db.apply_checkpoint_deltas([(1, &none[..], &row_a[..])], 1)
         .expect("the good prefix replays after the failed attempt");
-    assert_eq!(db.last_seq(), 1);
-    assert!(db.base().contains(&row_a[0]));
-    assert_eq!(db.base().len(), before.base().len() + 1);
+    let snap = db.snapshot();
+    assert_eq!(snap.seq(), 1);
+    assert!(snap.base().contains(&row_a[0]));
+    assert_eq!(snap.base().len(), before.base().len() + 1);
 }
 
 // ── Aborted transactions: log, commit ring and CDC ──────────────────────
@@ -654,9 +661,10 @@ fn aborted_batch_leaves_log_ring_and_streams_like_a_twin() {
     assert!(matches!(err, EngineError::BatchFailed { index: 2, .. }));
     assert!(drain(&base_sub).is_empty(), "no base event from the prefix");
     assert!(drain(&view_sub).is_empty(), "no view event from the prefix");
-    let last = twin.last_seq();
-    assert_eq!(db.last_seq(), last);
-    assert_eq!(db.log(), twin.log());
+    let (snap, twin_snap) = (db.snapshot(), twin.snapshot());
+    let last = twin_snap.seq();
+    assert_eq!(snap.seq(), last);
+    assert_eq!(snap.log(), twin_snap.log());
     assert_eq!(ring(&db), ring(&twin));
     assert_eq!(
         db.base_delta_range(0, last).map(|c| c.len()),
@@ -667,8 +675,9 @@ fn aborted_batch_leaves_log_ring_and_streams_like_a_twin() {
     for db in [&db, &twin] {
         db.apply_op("staff", ins("hal", "books")).unwrap();
     }
-    assert_eq!(db.dump(), twin.dump());
-    assert_eq!(db.log(), twin.log());
+    let (snap, twin_snap) = (db.snapshot(), twin.snapshot());
+    assert_eq!(snap.dump(), twin_snap.dump());
+    assert_eq!(snap.log(), twin_snap.log());
     assert_eq!(ring(&db), ring(&twin));
     assert_eq!(catch_up(&db), catch_up(&twin));
     assert_eq!(
@@ -692,7 +701,7 @@ fn replace_by_tuple_already_in_view_names_the_cause() {
     db.create_view("staff", f.x, Some(f.y), Policy::Exact)
         .unwrap();
     let staff = |e: &str, d: &str| Tuple::new([f.dict.sym(e), f.dict.sym(d)]);
-    let before = db.dump();
+    let before = db.snapshot().dump();
     let err = db
         .apply_op(
             "staff",
@@ -710,6 +719,7 @@ fn replace_by_tuple_already_in_view_names_the_cause() {
         err.to_string(),
         "the replacement tuple is already present in the view instance"
     );
-    assert_eq!(db.dump(), before);
-    assert_eq!(db.last_seq(), 0);
+    let snap = db.snapshot();
+    assert_eq!(snap.dump(), before);
+    assert_eq!(snap.seq(), 0);
 }

@@ -24,15 +24,16 @@ fn selection_view_full_lifecycle() {
     )
     .unwrap();
     // Visible instance is the σ_P part only.
-    assert_eq!(db.view_instance("s1_orders").unwrap().len(), 2);
+    assert_eq!(db.snapshot().view_instance("s1_orders").unwrap().len(), 2);
     // Insert, replace, delete through the selection view.
     db.insert_via("s1_orders", tup![1, 102, 7]).unwrap();
     db.replace_via("s1_orders", tup![1, 102, 7], tup![1, 102, 9])
         .unwrap();
     db.delete_via("s1_orders", tup![1, 102, 9]).unwrap();
-    assert_eq!(*db.base(), f.base, "net effect of the round trip is nil");
+    let base = db.snapshot().base();
+    assert_eq!(*base, f.base, "net effect of the round trip is nil");
     // The anti-component was never touched (supplier 2 rows intact).
-    let full = ops::project(&db.base(), f.x).unwrap();
+    let full = ops::project(&base, f.x).unwrap();
     assert!(full.contains(&tup![2, 100, 9]));
     // A batch mixing selection and failure rolls back.
     let err = db.apply_batch(vec![
@@ -47,7 +48,7 @@ fn selection_view_full_lifecycle() {
         Err(EngineError::BatchFailed { index: 1, ref source })
             if matches!(**source, EngineError::Rejected { .. })
     ));
-    assert_eq!(*db.base(), f.base);
+    assert_eq!(*db.snapshot().base(), f.base);
 }
 
 #[test]
@@ -99,8 +100,9 @@ fn dump_load_preserves_update_behavior() {
     let dan = Tuple::new([f.dict.sym("dan"), f.dict.sym("toys")]);
     db.insert_via("staff", dan.clone()).unwrap();
 
-    let db2 = Database::load(&db.dump()).unwrap();
-    assert_eq!(db2.base(), db.base());
+    let snap = db.snapshot();
+    let db2 = Database::load(&snap.dump()).unwrap();
+    assert_eq!(db2.snapshot().base(), snap.base());
     // The reloaded engine makes the same decisions.
     let eve_games = Tuple::new([f.dict.sym("eve"), f.dict.sym("games")]);
     assert!(matches!(
@@ -109,5 +111,5 @@ fn dump_load_preserves_update_behavior() {
     ));
     let eve_books = Tuple::new([f.dict.sym("eve"), f.dict.sym("books")]);
     db2.insert_via("staff", eve_books).unwrap();
-    assert_eq!(db2.base().len(), db.base().len() + 1);
+    assert_eq!(db2.snapshot().base().len(), snap.base().len() + 1);
 }

@@ -18,11 +18,12 @@ use relvu_workload::{instance_gen, schema_gen};
 /// The oracle: every view's materialization equals a fresh projection
 /// (and split) recomputed from scratch off the current base.
 fn assert_mats_match_fresh(db: &Database, at: &str) -> Result<(), TestCaseError> {
-    let base = db.base();
-    for name in db.view_names() {
-        let def = db.view_def(&name).expect("registered");
+    let snap = db.snapshot();
+    let base = snap.base();
+    for name in snap.view_names() {
+        let def = snap.view_def(&name).expect("registered");
         let fresh = ops::project(&base, def.x()).expect("x within universe");
-        let (instance, split) = db.mat_parts(&name).expect("registered");
+        let (instance, split) = snap.mat_parts(&name).expect("registered");
         prop_assert_eq!(
             &*instance,
             &fresh,
@@ -121,8 +122,9 @@ fn to_op(u: ViewUpdate) -> UpdateOp {
 /// part of the point (a rejection must leave the materialization
 /// untouched, not half-folded).
 fn stream_for(rng: &mut StdRng, db: &Database, name: &str, n: usize) -> Vec<UpdateOp> {
-    let def = db.view_def(name).expect("registered");
-    let v = db.view_instance(name).expect("registered");
+    let snap = db.snapshot();
+    let def = snap.view_def(name).expect("registered");
+    let v = snap.view_instance(name).expect("registered");
     if v.is_empty() {
         return Vec::new();
     }
@@ -148,7 +150,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let db = random_db(&mut rng);
         assert_mats_match_fresh(&db, "after registration")?;
-        let names = db.view_names();
+        let names = db.snapshot().view_names();
 
         // 1. A mixed accepted/rejected singleton-update stream.
         for round in 0..2 {
@@ -160,7 +162,7 @@ proptest! {
             }
             // 2. Σ replacement forces the full-rebuild path even when the
             //    new Σ equals the old one.
-            db.set_fds(db.fds()).expect("same Σ revalidates");
+            db.set_fds(db.snapshot().fds()).expect("same Σ revalidates");
             assert_mats_match_fresh(&db, "after set_fds")?;
         }
 
@@ -179,7 +181,8 @@ proptest! {
         assert_mats_match_fresh(&db, "after batch rollback")?;
 
         // 4. Dump/load rebuilds from the snapshot text.
-        let reloaded = Database::load(&db.dump()).expect("dump loads");
+        let dump = db.snapshot().dump();
+        let reloaded = Database::load(&dump).expect("dump loads");
         assert_mats_match_fresh(&reloaded, "after dump/load")?;
 
         // 5. Crash-recovery replay: a durable store, a few WAL'd updates,
@@ -189,7 +192,7 @@ proptest! {
         let vfs = MemVfs::new();
         let durable = DurableDatabase::create(
             vfs.clone(),
-            Database::load(&db.dump()).expect("dump loads"),
+            Database::load(&dump).expect("dump loads"),
             WalOptions::default(),
         )
         .expect("create store");

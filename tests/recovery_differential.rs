@@ -53,7 +53,7 @@ fn build_script(target: usize) -> (BenchSchema, Relation, Vec<UpdateOp>) {
     let mut script = Vec::new();
     let mut accepted = 0usize;
     while accepted < target {
-        let v = db.reader().view_instance("staff").unwrap();
+        let v = db.reader().snapshot().view_instance("staff").unwrap();
         let batch = update_gen::update_batch(&mut rng, bench.x, shared, &v, 64, mix, 1 << 40);
         for u in batch {
             let op = match u {
@@ -106,7 +106,8 @@ fn committed_store(
             }
         }
     }
-    (vfs, ddb.reader().dump(), ddb.reader().last_seq(), accepted)
+    let snap = ddb.reader().snapshot();
+    (vfs, snap.dump(), snap.seq(), accepted)
 }
 
 fn opts_with(threads: usize, max_delta_chain: usize) -> WalOptions {
@@ -147,12 +148,13 @@ fn all_recovery_strategies_agree_byte_for_byte() {
             let (rec, report) =
                 DurableDatabase::recover(vfs.crash_image(), opts_with(threads, max_chain))
                     .unwrap_or_else(|e| panic!("{label}/{threads} threads: {e}"));
+            let snap = rec.reader().snapshot();
             assert_eq!(
-                rec.reader().dump(),
+                snap.dump(),
                 dump_full,
                 "{label} with {threads} replay threads diverged"
             );
-            assert_eq!(rec.reader().last_seq(), seq_full);
+            assert_eq!(snap.seq(), seq_full);
             assert_eq!(report.last_seq, seq_full);
             assert_eq!(report.replay_threads, threads);
             rec.check_invariants().unwrap();

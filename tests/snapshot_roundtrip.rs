@@ -71,8 +71,8 @@ fn random_db(seed: u64) -> Database {
 fn random_dag_db(seed: u64) -> Database {
     let db = random_db(seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let schema = db.schema();
-    let fds = db.fds();
+    let snap = db.snapshot();
+    let (schema, fds) = (snap.schema(), snap.fds());
     let attrs: Vec<Attr> = schema.attrs().collect();
     let mut root_x = AttrSet::new();
     while root_x.is_empty() {
@@ -113,9 +113,10 @@ proptest! {
     #[test]
     fn dump_load_dump_is_byte_identical(seed in 0u64..u64::MAX) {
         let db = random_db(seed);
-        let first = db.dump();
+        let snap = db.snapshot();
+        let first = snap.dump();
         let reloaded = match Database::load(&first) {
-            Ok(db) => db,
+            Ok(db) => db.snapshot(),
             Err(e) => {
                 return Err(TestCaseError::Fail(format!(
                     "dump does not load back (seed {seed}): {e}\n{first}"
@@ -127,8 +128,8 @@ proptest! {
 
         // And the reloaded database is semantically identical where it
         // counts: same base, same view definitions.
-        prop_assert_eq!(db.base(), reloaded.base());
-        prop_assert_eq!(db.view_names(), reloaded.view_names());
+        prop_assert_eq!(snap.base(), reloaded.base());
+        prop_assert_eq!(snap.view_names(), reloaded.view_names());
     }
 
     /// Same fixpoint with a maintenance DAG on top: `from` directives
@@ -137,9 +138,10 @@ proptest! {
     #[test]
     fn dag_dump_load_dump_is_byte_identical(seed in 0u64..u64::MAX) {
         let db = random_dag_db(seed);
-        let first = db.dump();
+        let snap = db.snapshot();
+        let first = snap.dump();
         let reloaded = match Database::load(&first) {
-            Ok(db) => db,
+            Ok(db) => db.snapshot(),
             Err(e) => {
                 return Err(TestCaseError::Fail(format!(
                     "DAG dump does not load back (seed {seed}): {e}\n{first}"
@@ -148,9 +150,9 @@ proptest! {
         };
         let second = reloaded.dump();
         prop_assert_eq!(&first, &second, "DAG roundtrip drift for seed {}", seed);
-        for name in db.view_names() {
+        for name in snap.view_names() {
             prop_assert_eq!(
-                db.view_parent(&name).expect("registered"),
+                snap.view_parent(&name).expect("registered"),
                 reloaded.view_parent(&name).expect("registered"),
                 "parent edge drift for view `{}`", name
             );

@@ -262,7 +262,7 @@ fn stress_round(n_subs: usize, updates: usize) {
                     .unwrap();
                 }
             }
-            db.last_seq()
+            db.snapshot().seq()
         });
 
         // A late subscriber on the mid-run view: it polls until the
@@ -503,7 +503,7 @@ fn subscription_across_crash_and_recovery() {
     assert_eq!(fold_at.len(), 12, "SyncPolicy::Always: every ack streamed");
     assert_eq!(
         rows_of(&rel),
-        rows_of(&ddb.reader().view_instance("staff").unwrap()),
+        rows_of(&ddb.reader().snapshot().view_instance("staff").unwrap()),
         "pre-crash fold matches the live instance"
     );
 
@@ -526,7 +526,12 @@ fn subscription_across_crash_and_recovery() {
     // commit, so a mid-history fold catches up to the recovered
     // instance (set equality here — recovery may rebuild row order).
     let mid = 6u64;
-    let staff_attrs = recovered.reader().view_instance("staff").unwrap().attrs();
+    let staff_attrs = recovered
+        .reader()
+        .snapshot()
+        .view_instance("staff")
+        .unwrap()
+        .attrs();
     let mut mid_rel = Relation::from_rows(staff_attrs, fold_at[&mid].iter().cloned()).unwrap();
     let mid_sub = recovered
         .subscribe("staff", SubscribeOptions::from_seq(mid))
@@ -536,7 +541,11 @@ fn subscription_across_crash_and_recovery() {
     }
     assert_eq!(
         mid_rel,
-        *recovered.reader().view_instance("staff").unwrap(),
+        *recovered
+            .reader()
+            .snapshot()
+            .view_instance("staff")
+            .unwrap(),
         "mid-history resume catches up to the recovered instance"
     );
 
@@ -560,7 +569,11 @@ fn subscription_across_crash_and_recovery() {
     assert_eq!(post, 4);
     assert_eq!(
         rel,
-        *recovered.reader().view_instance("staff").unwrap(),
+        *recovered
+            .reader()
+            .snapshot()
+            .view_instance("staff")
+            .unwrap(),
         "fold across the crash boundary tracks the live instance"
     );
 
