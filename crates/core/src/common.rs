@@ -118,7 +118,6 @@ impl ViewCtx {
     pub fn mu_rows(&self, v: &Relation, t: &Tuple) -> Vec<usize> {
         let out: Vec<usize> = v
             .slots_agreeing(t, &self.x, self.shared, None)
-            .into_iter()
             .map(|i| i as usize)
             .collect();
         #[cfg(debug_assertions)]
@@ -140,7 +139,7 @@ impl ViewCtx {
     /// reasons report the same `row` the historical row-wise scan did.
     pub fn qualifying_rows(&self, v: &Relation, t: &Tuple, z: AttrSet, a: Attr) -> Vec<u32> {
         let differ = self.x.contains(a).then_some(a);
-        let out = v.slots_agreeing(t, &self.x, z & self.x, differ);
+        let out: Vec<u32> = v.slots_agreeing(t, &self.x, z & self.x, differ).collect();
         #[cfg(debug_assertions)]
         {
             let expect: Vec<u32> = v

@@ -38,8 +38,11 @@ pub fn translate_delete(
     }
     // (a): another tuple of V must carry t's X∩Y projection. `t ∈ V`
     // matches itself in the columnar scan, so "some other row agrees"
-    // is a match count of at least two.
-    let has_other = v.slots_agreeing(t, &ctx.x, ctx.shared, None).len() >= 2;
+    // is a second match; the scan stops there.
+    let has_other = v
+        .slots_agreeing(t, &ctx.x, ctx.shared, None)
+        .nth(1)
+        .is_some();
     if !has_other {
         return Ok(Translatability::Rejected(
             RejectReason::IntersectionNotInRemainder,

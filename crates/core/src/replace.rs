@@ -52,8 +52,12 @@ pub fn translate_replace(
     let mu_rows = ctx.mu_rows(v, t2);
     if !t1.agrees(&ctx.x, t2, &ctx.x, &ctx.shared) {
         // Case 1 preconditions (a) and (b). `t1 ∈ V` matches itself, so
-        // "another row agrees on X∩Y" is a match count of at least two.
-        let t1_elsewhere = v.slots_agreeing(t1, &ctx.x, ctx.shared, None).len() >= 2;
+        // "another row agrees on X∩Y" is a second match; the scan stops
+        // there.
+        let t1_elsewhere = v
+            .slots_agreeing(t1, &ctx.x, ctx.shared, None)
+            .nth(1)
+            .is_some();
         if !t1_elsewhere {
             return Ok(Translatability::Rejected(
                 RejectReason::IntersectionNotInRemainder,

@@ -45,8 +45,11 @@ fn structural(
     }
     if !t1.agrees(&ctx.x, t2, &ctx.x, &ctx.shared) {
         // `t1 ∈ V` matches itself in the columnar scan, so "another row
-        // agrees on X∩Y" is a match count of at least two.
-        let t1_elsewhere = v.slots_agreeing(t1, &ctx.x, ctx.shared, None).len() >= 2;
+        // agrees on X∩Y" is a second match; the scan stops there.
+        let t1_elsewhere = v
+            .slots_agreeing(t1, &ctx.x, ctx.shared, None)
+            .nth(1)
+            .is_some();
         if !t1_elsewhere {
             return Ok(Err(Translatability::Rejected(
                 RejectReason::IntersectionNotInRemainder,

@@ -176,16 +176,22 @@ pub fn decode_frame(buf: &[u8], offset: usize) -> FrameOutcome {
     }
 }
 
-/// Read `arity` value tokens written by [`push_tuple`].
+/// Read `arity` value tokens written by [`push_tuple`]. The arity is
+/// decoded input, so the values grow with the tokens actually read
+/// rather than being allocated up front.
 pub(crate) fn parse_tuple<'a>(
     toks: &mut impl Iterator<Item = &'a str>,
     arity: usize,
 ) -> Result<Tuple, String> {
-    let mut vals = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let tok = toks.next().ok_or("truncated tuple")?;
-        let v: u64 = tok.parse().map_err(|_| format!("bad value `{tok}`"))?;
-        vals.push(Value::Const(v));
+    let vals: Vec<Value> = toks
+        .take(arity)
+        .map(|tok| match tok.parse() {
+            Ok(v) => Ok(Value::Const(v)),
+            Err(_) => Err(format!("bad value `{tok}`")),
+        })
+        .collect::<Result<_, _>>()?;
+    if vals.len() < arity {
+        return Err("truncated tuple".to_string());
     }
     Ok(Tuple::new(vals))
 }
@@ -235,29 +241,27 @@ pub fn decode_payload(seq: u64, payload: &[u8]) -> Result<LogEntry, String> {
     };
     expect(&mut toks, "view")?;
     let view = toks.next().ok_or("missing view name")?.to_string();
-    // `parse_kind` yields exactly the kind's tuples, so `next` cannot
-    // run dry below.
     expect(&mut toks, "op")?;
     let (kind, mut ts) = parse_kind(&mut toks, "op")?;
-    let mut next = || ts.next().expect("one tuple per slot");
+    let mut next = || ts.next().ok_or("op kind without its tuple");
     let op = match kind {
-        "insert" => UpdateOp::Insert { t: next() },
-        "delete" => UpdateOp::Delete { t: next() },
+        "insert" => UpdateOp::Insert { t: next()? },
+        "delete" => UpdateOp::Delete { t: next()? },
         "replace" => UpdateOp::Replace {
-            t1: next(),
-            t2: next(),
+            t1: next()?,
+            t2: next()?,
         },
         other => return Err(format!("unknown op kind `{other}`")),
     };
     expect(&mut toks, "tr")?;
     let (kind, mut ts) = parse_kind(&mut toks, "translation")?;
-    let mut next = || ts.next().expect("one tuple per slot");
+    let mut next = || ts.next().ok_or("translation kind without its tuple");
     let translation = match kind {
-        "insert" => Translation::InsertJoin { t: next() },
-        "delete" => Translation::DeleteJoin { t: next() },
+        "insert" => Translation::InsertJoin { t: next()? },
+        "delete" => Translation::DeleteJoin { t: next()? },
         "replace" => Translation::ReplaceJoin {
-            t1: next(),
-            t2: next(),
+            t1: next()?,
+            t2: next()?,
         },
         // `identity`, the one other kind `parse_kind` accepts.
         _ => Translation::Identity,
@@ -410,5 +414,14 @@ mod tests {
         assert!(decode_payload(1, b"\xff\xfe").is_err());
         assert!(decode_payload(1, b"view v op insert 2 1").is_err());
         assert!(decode_payload(1, b"view v op insert 1 1 tr identity rows 0 1 extra").is_err());
+    }
+
+    #[test]
+    fn a_huge_decoded_arity_is_an_error_not_an_allocation() {
+        // A payload can pass its checksum and still carry any arity.
+        let huge = b"view v op insert 99999999999999999 1 tr identity rows 1 1";
+        assert!(decode_payload(1, huge).is_err());
+        let huge_tr = b"view v op insert 1 1 tr delete 99999999999999999 1 rows 1 1";
+        assert!(decode_payload(1, huge_tr).is_err());
     }
 }

@@ -260,13 +260,14 @@ impl Database {
     pub(crate) fn publish(&self, inner: &mut Inner) {
         let _t = relvu_obs::histogram!("engine.snap.publish_ns").timer();
         let mut next = inner.cur.successor();
-        for commit in std::mem::take(&mut inner.pending) {
+        let staged = std::mem::take(&mut inner.pending);
+        for commit in &staged {
             // Fan out to subscribers exactly here — the same commit, in
             // the same order, that this publish makes visible to
             // snapshot readers. A batch publishes all its staged commits
             // at once, so its events land atomically too.
-            self.hub.dispatch(&commit);
-            inner.dirty.record(&commit);
+            self.hub.dispatch(commit);
+            inner.dirty.record(commit);
             let view = commit.entry.view.clone();
             inner.stats.entry(view).or_default().accepted += 1;
             relvu_obs::counter!("engine.accepted").inc();
@@ -283,6 +284,21 @@ impl Database {
                     vs.split = Some((m.advance(&delta.side(true)), r.advance(&delta.side(false))));
                 }
                 vs.inst = vs.inst.advance(delta);
+            }
+        }
+        #[cfg(debug_assertions)]
+        for (name, _) in staged.iter().flat_map(|c| c.views.iter()) {
+            // The writer's folds apply each delta in the order the
+            // published chain replays it, so the rows agree in order,
+            // not only as sets. Replay uncached: `get` would re-root.
+            let (Some(mat), Some(vs)) = (inner.mats.get(name), next.insts.get(name)) else {
+                continue;
+            };
+            let rows = |rel: &LazyRel| rel.materialize().rows().to_vec();
+            assert_eq!(mat.instance().rows(), rows(&vs.inst), "`{name}` row order");
+            if let (Some((m, r)), Some((pm, pr))) = (mat.split(), &vs.split) {
+                assert_eq!(m.rows(), rows(pm), "`{name}` σ_P row order");
+                assert_eq!(r.rows(), rows(pr), "`{name}` σ_¬P row order");
             }
         }
         self.install(inner, next);
@@ -529,7 +545,7 @@ impl Database {
                 .instance()
                 .clone()
         });
-        let mat = ViewMat::build(&inner.base, source.as_ref(), &def)?;
+        let mat = ViewMat::build(&inner.base, source.as_ref(), &def, None)?;
         let mut next = cur.successor();
         next.insts.insert(name.to_string(), ViewSnap::of(&mat));
         Arc::make_mut(&mut next.views).insert(name.to_string(), def);
@@ -542,7 +558,9 @@ impl Database {
     /// Rebuild the materialization of every view of `state` from the
     /// working base by a full scan — the path after wholesale state
     /// changes (Σ replacement, checkpoint-delta replay, abort) where
-    /// incremental maintenance has no delta to fold.
+    /// incremental maintenance has no delta to fold. A view instance
+    /// `state` publishes must be one of the working base; the rebuild
+    /// keeps its row order.
     fn rebuild_mats(inner: &mut Inner, state: &SnapState) {
         for mat in inner.mats.values() {
             mat.retire();
@@ -556,7 +574,7 @@ impl Database {
                 let parent: &ViewMat = mats.get(p).expect("parents precede children");
                 parent.instance().clone()
             });
-            let mat = ViewMat::build(&inner.base, source.as_ref(), def)
+            let mat = ViewMat::build(&inner.base, source.as_ref(), def, state.insts.get(name))
                 .expect("registered view attrs lie within the universe");
             mats.insert(name.clone(), mat);
         }
@@ -1194,6 +1212,9 @@ impl Database {
             return Err(e);
         }
         inner.dirty.prune_below(final_seq);
+        // The published instances are those of the base before the
+        // replay.
+        next.insts.clear();
         Self::rebuild_mats(&mut inner, &next);
         next.base = Arc::new(LazyRel::ready(Arc::new(inner.base.clone())));
         next.insts = inner
@@ -1436,6 +1457,34 @@ mod tests {
             db.insert_via("orders", tup![3, 100, 2]),
             Err(EngineError::Rejected { .. })
         ));
+    }
+
+    #[test]
+    fn writer_rows_keep_the_published_order() {
+        // `mgrs = π{D, M}` and `emp = π{E, D}` over E → D → M, two
+        // employees in each of three departments.
+        let s = Schema::new(["E", "D", "M"]).unwrap();
+        let fds = FdSet::parse(&s, "E -> D; D -> M").unwrap();
+        let rows = (0..6u64).map(|e| tup![e, e % 3, 100 + e % 3]);
+        let base = Relation::from_rows(s.universe(), rows).unwrap();
+        let db = Database::new(s.clone(), fds, base).unwrap();
+        let mgrs = s.set(["D", "M"]).unwrap();
+        db.create_view("mgrs", mgrs, None, Policy::Exact).unwrap();
+        db.create_view("emp", s.set(["E", "D"]).unwrap(), Some(mgrs), Policy::Exact)
+            .unwrap();
+        // The manager change moves department 0's rows but no `emp`
+        // tuple; the departure then touches `emp`.
+        db.replace_via("mgrs", tup![0, 100], tup![0, 200]).unwrap();
+        db.delete_via("emp", tup![1, 1]).unwrap();
+        let snap = db.snapshot();
+        let inner = db.inner.read();
+        for name in ["mgrs", "emp"] {
+            assert_eq!(
+                inner.mats[name].instance().rows(),
+                snap.view_instance(name).unwrap().rows(),
+                "`{name}`: the writer's rows in the published order"
+            );
+        }
     }
 }
 

@@ -4,43 +4,49 @@
 //! (through the translations `t ⋈ π_Y(R)`) the constant complement
 //! `π_Y(R)`. Recomputing either from the full base is O(|base|) per
 //! operation; [`ViewMat`] keeps both materialized and folds each
-//! committed [`Translation`]'s base-row delta into them in O(|Δ|), in
-//! the support-counting style of Incremental Relational Lenses (Horn,
-//! Perera, Cheney, 2018).
+//! committed [`Translation`]'s base-row delta into them in
+//! O(|Δ| log |Δ|), in the support-counting style of Incremental
+//! Relational Lenses (Horn, Perera, Cheney, 2018).
 //!
 //! * The **view side** tracks, per view tuple, the number of *source*
 //!   rows projecting onto it. For a view over the base the source is
 //!   the base relation; for a view registered over another view (PR 6)
 //!   it is the parent's materialized instance, so deltas propagate down
-//!   the dependency DAG one edge at a time. A source-row insert bumps
-//!   the count (creating the view tuple at 0→1); a source-row delete
-//!   drops it (removing the view tuple only at 1→0, i.e. when its
-//!   *last* supporting row goes). The counts live in a `Vec<u64>`
-//!   parallel to the columnar instance's row slots — the instance's own
-//!   sorted-id index resolves a projection to its count slot, so no
-//!   tuple-keyed hash map (and none of its key clones) remains.
-//!   Selection views additionally keep the `σ_P` / `σ_¬P` split of the
-//!   instance, which is the pair the §6(2) machinery checks against.
+//!   the dependency DAG one edge at a time. The counts live in a
+//!   `Vec<u64>` parallel to the columnar instance's row slots — the
+//!   instance's own sorted-id index resolves a projection to its count
+//!   slot, so no tuple-keyed hash map (and none of its key clones)
+//!   remains. Selection views additionally keep the `σ_P` / `σ_¬P`
+//!   split of the instance, which is the pair the §6(2) machinery
+//!   checks against.
 //! * The **complement side** keeps the distinct `π_Y(R)` tuples with
 //!   their support counts in one array sorted by (`X∩Y` projection,
 //!   full tuple): a translation's join `t ⋈ π_Y(R)` binary-searches the
 //!   run start and [`gallop`]s to the run end instead of probing a
-//!   bucket map, and maintenance is a binary search per delta row. It
-//!   is *always* fed from the base delta — `π_Y(R)` can change even
-//!   when the parent's instance does not — which keeps commits through
-//!   any DAG node O(|Δ| log |π_Y(R)|).
+//!   bucket map. It is *always* fed from the base delta — `π_Y(R)` can
+//!   change even when the parent's instance does not.
+//!
+//! Both sides fold a commit's delta **netted by key**: the rows are
+//! projected and sorted, each key collapses to one signed count, and
+//! only a key whose support crosses zero edits an array (obs
+//! `engine.mat.instance_edits` / `engine.mat.complement_edits`). So a
+//! translation's own complement, and every view tuple whose rows all
+//! move together, cost no edit. Edits run as removals then insertions,
+//! each in sorted order — the order the published chain replays the
+//! delta in, so the writer's instance and split keep the published row
+//! order exactly.
 //!
 //! Full recomputation ([`ViewMat::build`]) survives as the rebuild path
 //! after Σ replacement, snapshot load, checkpoint-delta replay and an
-//! abort — and, in
-//! debug builds, as the oracle [`ViewMat::debug_assert_consistent`]
-//! checks after every commit.
+//! abort — and, in debug builds, as the oracle
+//! [`ViewMat::debug_assert_consistent`] checks after every commit.
 
 use std::cmp::Ordering;
 
 use relvu_core::Translation;
 use relvu_relation::{gallop, ops, Attr, AttrSet, Pred, Relation, Tuple};
 
+use crate::mvcc::ViewSnap;
 use crate::view::ViewDef;
 use crate::Result;
 
@@ -81,18 +87,28 @@ impl ViewMat {
     /// and from `base` otherwise. O((|base| + |source|) log) via the
     /// bulk construction paths; used at view registration and as the
     /// rebuild path after `set_fds`, `Database::load`, checkpoint-delta
-    /// replay and an abort.
+    /// replay and an abort. A rebuild that keeps the view's `published`
+    /// instance (and split) over the same base adopts it, row order
+    /// included, so later folds stay in the published row order.
     ///
     /// # Errors
     /// The same [`relvu_relation::RelationError::NotASubset`] a fresh
     /// projection would produce if the view's attribute sets reach
     /// outside its source's universe.
-    pub(crate) fn build(base: &Relation, source: Option<&Relation>, def: &ViewDef) -> Result<Self> {
+    pub(crate) fn build(
+        base: &Relation,
+        source: Option<&Relation>,
+        def: &ViewDef,
+        published: Option<&ViewSnap>,
+    ) -> Result<Self> {
         let x = def.x();
         let y = def.y();
         let shared = x & y;
         let feed = source.unwrap_or(base);
-        let instance = ops::project(feed, x)?;
+        let instance = match published {
+            Some(vs) => (*vs.inst.get()).clone(),
+            None => ops::project(feed, x)?,
+        };
         if !y.is_subset(&base.attrs()) {
             ops::project(base, y)?;
         }
@@ -104,26 +120,23 @@ impl ViewMat {
                 .expect("every projection is in the bulk projection");
             support[slot] += 1;
         }
-        let split = def.pred().map(|pred| {
-            (
+        let kept_split = published.and_then(|vs| vs.split.as_ref());
+        let split = def.pred().map(|pred| match kept_split {
+            Some((m, r)) => ((*m.get()).clone(), (*r.get()).clone()),
+            None => (
                 ops::select(&instance, |t| pred.eval(&x, t)),
                 ops::select(&instance, |t| !pred.eval(&x, t)),
-            )
+            ),
         });
         let shared_ranks: Vec<usize> = shared.iter().map(|a| y.rank(a).expect("X∩Y ⊆ Y")).collect();
         let shared_attrs: Vec<Attr> = shared.iter().collect();
-        // Bulk complement: sort all projections once, collapse runs into
-        // counted entries.
+        // Bulk complement: the whole base, netted by key.
         let from = base.attrs();
-        let mut ys: Vec<Tuple> = base.iter().map(|r| r.project(&from, &y)).collect();
-        ys.sort_unstable_by(|a, b| cmp_y(&shared_ranks, a, b));
-        let mut y_entries: Vec<(Tuple, u64)> = Vec::new();
-        for yt in ys {
-            match y_entries.last_mut() {
-                Some((last, n)) if *last == yt => *n += 1,
-                _ => y_entries.push((yt, 1)),
-            }
-        }
+        let project = |r: &Tuple| r.project(&from, &y);
+        let y_entries = net(&[], base.rows(), project, |a, b| cmp_y(&shared_ranks, a, b))
+            .into_iter()
+            .map(|(yt, n)| (yt, n as u64))
+            .collect();
         relvu_obs::counter!("engine.mat.tuples").add(instance.len() as u64);
         relvu_obs::counter!("engine.mat.rebuilds").inc();
         Ok(ViewMat {
@@ -192,9 +205,7 @@ impl ViewMat {
     /// `base − removed ∪ added` equals [`Translation::apply`]'s result
     /// — the sort makes replay after crash recovery reproduce base row
     /// *order* too, not just set content, since row order is then a
-    /// pure function of the starting order and the operation sequence
-    /// (it also hides the complement's sort order, so switching the
-    /// bucket map to a sorted array changed no observable bytes).
+    /// pure function of the starting order and the operation sequence.
     pub(crate) fn delta(&self, base: &Relation, tr: &Translation) -> (Vec<Tuple>, Vec<Tuple>) {
         let (mut added, mut removed) = match tr {
             Translation::Identity => (Vec::new(), Vec::new()),
@@ -225,138 +236,101 @@ impl ViewMat {
         (added, removed)
     }
 
-    /// Fold a committed *source*-row delta into the view side (support
-    /// counts, instance, split), returning this view's own instance
-    /// delta `(added, removed)` sorted by tuple value — the incoming
-    /// delta for its children in the dependency DAG. O(|added| +
-    /// |removed|) membership work, independent of |base| and |V|.
+    /// Fold a committed *source*-row delta, netted by key, into the view
+    /// side (support counts, instance, split), returning this view's own
+    /// instance delta `(added, removed)` sorted by tuple value — the
+    /// incoming delta for its children in the dependency DAG, and the
+    /// order both lists were applied in here.
     pub(crate) fn fold_instance(
         &mut self,
         added: &[Tuple],
         removed: &[Tuple],
     ) -> (Vec<Tuple>, Vec<Tuple>) {
-        let mut out_added = Vec::new();
+        let project = |r: &Tuple| r.project(&self.src, &self.x);
+        let keys = net(removed, added, project, Tuple::cmp);
+        let mut fresh = Vec::new();
         let mut out_removed = Vec::new();
-        for row in removed {
-            if let Some(gone) = self.remove_source_row(row) {
-                out_removed.push(gone);
-            }
-        }
-        for row in added {
-            if let Some(new) = self.add_source_row(row) {
-                out_added.push(new);
-            }
-        }
-        // A tuple in both lists left the instance and re-entered within
-        // this commit (its support dipped to 0 before an addition
-        // restored it): a net no-op. Cancel the pair — the delta is
-        // set-level, so children see identical final support counts
-        // either way — to keep subtrees below a net-quiet node skipped
-        // instead of folding a vacuous remove/add.
-        if !out_added.is_empty() && !out_removed.is_empty() {
-            let in_both: std::collections::HashSet<Tuple> = {
-                let rem: std::collections::HashSet<&Tuple> = out_removed.iter().collect();
-                out_added
-                    .iter()
-                    .filter(|t| rem.contains(t))
-                    .cloned()
-                    .collect()
+        for (xt, n) in keys {
+            let Some(slot) = self.instance.slot_of(&xt) else {
+                fresh.push((xt, n));
+                continue;
             };
-            if !in_both.is_empty() {
-                out_added.retain(|t| !in_both.contains(t));
-                out_removed.retain(|t| !in_both.contains(t));
+            let left = self.support[slot].checked_add_signed(n);
+            self.support[slot] = left.expect("removed rows were folded in");
+            if left == Some(0) {
+                // The relation swap-removes storage slot `slot`; mirror
+                // the move on the counts.
+                self.instance.remove(&xt);
+                self.support.swap_remove(slot);
+                if let Some(part) = self.part_of(&xt) {
+                    part.remove(&xt);
+                }
+                out_removed.push(xt);
             }
         }
-        out_added.sort();
-        out_removed.sort();
+        let out_added: Vec<Tuple> = fresh
+            .into_iter()
+            .map(|(xt, n)| {
+                if let Some(part) = self.part_of(&xt) {
+                    part.insert(xt.clone()).expect("projection of a source row");
+                }
+                // Appends at the slot `support.len()`, keeping the
+                // vectors parallel.
+                self.instance
+                    .insert(xt.clone())
+                    .expect("projection of a source row");
+                self.support
+                    .push(u64::try_from(n).expect("removed rows were folded in"));
+                xt
+            })
+            .collect();
+        let (ins, del) = (out_added.len() as u64, out_removed.len() as u64);
+        relvu_obs::counter!("engine.mat.tuples").add(ins);
+        relvu_obs::counter!("engine.mat.tuples").sub(del);
+        relvu_obs::counter!("engine.mat.instance_edits").add(ins + del);
         (out_added, out_removed)
     }
 
     /// Fold a committed *base*-row delta into the complement side (the
     /// sorted `π_Y(R)` entries). Runs for every view on every commit —
     /// even when the view-side subtree is skipped — because the
-    /// complement projects the base, not the parent.
-    /// O(|added| + |removed|) binary searches.
+    /// complement projects the base, not the parent. Netted by key, so
+    /// a translation of this very view edits no entry at all.
     pub(crate) fn fold_complement(&mut self, from: &AttrSet, added: &[Tuple], removed: &[Tuple]) {
-        for row in removed {
-            self.remove_complement_row(from, row);
-        }
-        for row in added {
-            self.add_complement_row(from, row);
-        }
-    }
-
-    /// Account one source row into the view side. Returns the view
-    /// tuple if it is new to the instance (support 0→1).
-    fn add_source_row(&mut self, row: &Tuple) -> Option<Tuple> {
-        let xt = row.project(&self.src, &self.x);
-        if let Some(slot) = self.instance.slot_of(&xt) {
-            self.support[slot] += 1;
-            return None;
-        }
-        if let Some((matching, rest)) = self.split.as_mut() {
-            let pred = self.pred.as_ref().expect("split implies pred");
-            if pred.eval(&self.x, &xt) {
-                let _ = matching.insert(xt.clone());
-            } else {
-                let _ = rest.insert(xt.clone());
+        let ranks = &self.shared_ranks;
+        let project = |r: &Tuple| r.project(from, &self.y);
+        let keys = net(removed, added, project, |a, b| cmp_y(ranks, a, b));
+        let find =
+            |es: &[(Tuple, u64)], yt: &Tuple| es.binary_search_by(|(e, _)| cmp_y(ranks, e, yt));
+        let mut fresh = Vec::new();
+        let mut edits = 0;
+        for (yt, n) in keys {
+            match find(&self.y_entries, &yt) {
+                Err(_) => fresh.push((yt, n)),
+                Ok(i) => match self.y_entries[i].1.checked_add_signed(n) {
+                    Some(0) => {
+                        self.y_entries.remove(i);
+                        edits += 1;
+                    }
+                    left => self.y_entries[i].1 = left.expect("removed rows were folded in"),
+                },
             }
         }
-        // Appends at the slot `support.len()`, keeping the vectors
-        // parallel.
-        self.instance
-            .insert(xt.clone())
-            .expect("projection of a source row");
-        self.support.push(1);
-        relvu_obs::counter!("engine.mat.tuples").inc();
-        Some(xt)
+        edits += fresh.len() as u64;
+        for (yt, n) in fresh {
+            let i = find(&self.y_entries, &yt).expect_err("absent keys stay absent");
+            let n = u64::try_from(n).expect("removed rows were folded in");
+            self.y_entries.insert(i, (yt, n));
+        }
+        relvu_obs::counter!("engine.mat.complement_edits").add(edits);
     }
 
-    /// Account one source row out of the view side. Returns the view
-    /// tuple if it left the instance (support 1→0).
-    fn remove_source_row(&mut self, row: &Tuple) -> Option<Tuple> {
-        let xt = row.project(&self.src, &self.x);
-        let slot = self
-            .instance
-            .slot_of(&xt)
-            .expect("removed row was folded in");
-        self.support[slot] -= 1;
-        if self.support[slot] == 0 {
-            // The relation swap-removes storage slot `slot`; mirror the
-            // move on the counts.
-            self.instance.remove(&xt);
-            self.support.swap_remove(slot);
-            if let Some((matching, rest)) = self.split.as_mut() {
-                matching.remove(&xt);
-                rest.remove(&xt);
-            }
-            relvu_obs::counter!("engine.mat.tuples").sub(1);
-            return Some(xt);
-        }
-        None
-    }
-
-    fn add_complement_row(&mut self, from: &AttrSet, row: &Tuple) {
-        let yt = row.project(from, &self.y);
-        match self
-            .y_entries
-            .binary_search_by(|(e, _)| cmp_y(&self.shared_ranks, e, &yt))
-        {
-            Ok(i) => self.y_entries[i].1 += 1,
-            Err(i) => self.y_entries.insert(i, (yt, 1)),
-        }
-    }
-
-    fn remove_complement_row(&mut self, from: &AttrSet, row: &Tuple) {
-        let yt = row.project(from, &self.y);
-        let i = self
-            .y_entries
-            .binary_search_by(|(e, _)| cmp_y(&self.shared_ranks, e, &yt))
-            .expect("removed row was folded in");
-        self.y_entries[i].1 -= 1;
-        if self.y_entries[i].1 == 0 {
-            self.y_entries.remove(i);
-        }
+    /// The split part, `σ_P` or `σ_¬P`, that view tuple `xt` belongs to.
+    fn part_of(&mut self, xt: &Tuple) -> Option<&mut Relation> {
+        let (matching, rest) = self.split.as_mut()?;
+        let pred = self.pred.as_ref().expect("split implies pred");
+        let keep = pred.eval(&self.x, xt);
+        Some(if keep { matching } else { rest })
     }
 
     /// Debug oracle: the incrementally maintained state must equal a
@@ -396,16 +370,10 @@ impl ViewMat {
                 );
             }
             let fresh_y = ops::project(base, self.y).expect("y within the universe");
-            assert_eq!(
-                self.y_entries.len(),
-                fresh_y.len(),
-                "materialized complement diverged from π_Y(R)"
-            );
+            let held = |(t, n): &(Tuple, u64)| *n > 0 && fresh_y.contains(t);
             assert!(
-                self.y_entries
-                    .iter()
-                    .all(|(t, n)| *n > 0 && fresh_y.contains(t)),
-                "materialized complement holds a tuple not in π_Y(R)"
+                self.y_entries.len() == fresh_y.len() && self.y_entries.iter().all(held),
+                "materialized complement diverged from π_Y(R)"
             );
             assert!(
                 self.y_entries
@@ -430,3 +398,32 @@ fn cmp_y(shared_ranks: &[usize], a: &Tuple, b: &Tuple) -> Ordering {
     }
     a.cmp(b)
 }
+
+/// Net a delta by key: project every removed row (−1) and added row
+/// (+1), sort by `cmp`, and collapse each key to one signed count,
+/// dropping the keys that net to zero. The result is strictly sorted.
+fn net(
+    removed: &[Tuple],
+    added: &[Tuple],
+    project: impl Fn(&Tuple) -> Tuple,
+    cmp: impl Fn(&Tuple, &Tuple) -> Ordering,
+) -> Vec<(Tuple, i64)> {
+    let mut keys: Vec<(Tuple, i64)> = removed
+        .iter()
+        .map(|r| (project(r), -1))
+        .chain(added.iter().map(|r| (project(r), 1)))
+        .collect();
+    keys.sort_unstable_by(|a, b| cmp(&a.0, &b.0));
+    keys.dedup_by(|(k, n), (kept, total)| {
+        let same = k == kept;
+        if same {
+            *total += *n;
+        }
+        same
+    });
+    keys.retain(|&(_, n)| n != 0);
+    keys
+}
+
+#[cfg(test)]
+mod tests;

@@ -110,7 +110,7 @@ impl LazyRel {
     /// Replay the pending chain over a clone of the root — the same
     /// removals-then-insertions, in the same commit order, the writer
     /// applied in place, so row order is reproduced exactly.
-    fn materialize(&self) -> Relation {
+    pub(crate) fn materialize(&self) -> Relation {
         let mut nodes: Vec<&DeltaNode> = Vec::with_capacity(self.depth as usize);
         let mut cur = self.pending.as_deref();
         while let Some(n) = cur {

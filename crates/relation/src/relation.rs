@@ -423,8 +423,9 @@ impl Relation {
     ///
     /// This is the columnar fast path for the paper's condition (a)
     /// μ-candidates and the Test 1 `qualifies` sweep: a conjunction of
-    /// `u32` comparisons per row, and O(1) overall when some value of
-    /// `t` was never interned (no row can agree).
+    /// `u32` comparisons per row, and empty at once when some value of
+    /// `t` was never interned (no row can agree). The scan is lazy, so a
+    /// caller that only asks whether a second row agrees stops there.
     ///
     /// # Panics
     /// Panics if `on` (or `differ`) is not within this relation's
@@ -437,42 +438,31 @@ impl Relation {
         t_attrs: &AttrSet,
         on: AttrSet,
         differ: Option<Attr>,
-    ) -> Vec<u32> {
+    ) -> impl Iterator<Item = u32> + '_ {
         let mut agree: Vec<(&[u32], u32)> = Vec::with_capacity(on.len());
+        let mut n = self.rows.len();
         for a in on.iter() {
             let rank = self.attrs.rank(a).expect("`on` within the relation");
             match self.cols[rank].id_of(t.get(t_attrs, a)) {
                 Some(id) => agree.push((&self.cols[rank].ids, id)),
-                None => return Vec::new(),
+                None => {
+                    n = 0;
+                    break;
+                }
             }
         }
         // `differ` with an un-interned probe value differs everywhere.
-        let differ: Option<(&[u32], u32)> = match differ {
-            None => None,
-            Some(a) => {
-                let rank = self.attrs.rank(a).expect("`differ` within the relation");
-                match self.cols[rank].id_of(t.get(t_attrs, a)) {
-                    Some(id) => Some((&self.cols[rank].ids, id)),
-                    None => None,
-                }
-            }
-        };
-        let n = self.rows.len();
-        let mut out = Vec::new();
-        'rows: for i in 0..n {
-            for &(ids, want) in &agree {
-                if ids[i] != want {
-                    continue 'rows;
-                }
-            }
-            if let Some((ids, avoid)) = differ {
-                if ids[i] == avoid {
-                    continue;
-                }
-            }
-            out.push(i as u32);
-        }
-        out
+        let differ: Option<(&[u32], u32)> = differ.and_then(|a| {
+            let rank = self.attrs.rank(a).expect("`differ` within the relation");
+            let id = self.cols[rank].id_of(t.get(t_attrs, a))?;
+            Some((&self.cols[rank].ids[..], id))
+        });
+        (0..n)
+            .filter(move |&i| {
+                agree.iter().all(|&(ids, want)| ids[i] == want)
+                    && differ.map_or(true, |(ids, avoid)| ids[i] != avoid)
+            })
+            .map(|i| i as u32)
     }
 
     /// Row slots sorted by the **values** of `key`'s columns, ties
@@ -730,25 +720,47 @@ mod tests {
         .unwrap();
         let t = tup![9, 10, 5]; // same attrs
         let on = set(&[1]);
-        assert_eq!(r.slots_agreeing(&t, &attrs, on, None), vec![0, 1, 3]);
+        let scan = |t: &Tuple, on: AttrSet, differ: Option<Attr>| -> Vec<u32> {
+            r.slots_agreeing(t, &attrs, on, differ).collect()
+        };
+        assert_eq!(scan(&t, on, None), vec![0, 1, 3]);
         // agree on attr 1, differ on attr 2
-        assert_eq!(
-            r.slots_agreeing(&t, &attrs, on, Some(Attr::new(2))),
-            vec![1]
-        );
+        assert_eq!(scan(&t, on, Some(Attr::new(2))), vec![1]);
         // value never interned: nothing agrees
         let t2 = tup![9, 99, 5];
-        assert!(r.slots_agreeing(&t2, &attrs, on, None).is_empty());
+        assert!(scan(&t2, on, None).is_empty());
         // differ on a never-interned value: everything differs
         assert_eq!(
-            r.slots_agreeing(&t2, &attrs, AttrSet::EMPTY, Some(Attr::new(1))),
+            scan(&t2, AttrSet::EMPTY, Some(Attr::new(1))),
             vec![0, 1, 2, 3]
         );
         // empty agree set: every row
-        assert_eq!(
-            r.slots_agreeing(&t, &attrs, AttrSet::EMPTY, None),
-            vec![0, 1, 2, 3]
-        );
+        assert_eq!(scan(&t, AttrSet::EMPTY, None), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn second_agreeing_slot_matches_the_collected_scan() {
+        let attrs = set(&[0, 1]);
+        let r = Relation::from_rows(
+            attrs,
+            [
+                tup![1, 10],
+                tup![2, 20],
+                tup![3, 10],
+                tup![4, 30],
+                tup![5, 10],
+            ],
+        )
+        .unwrap();
+        let on = set(&[1]);
+        for probe in [tup![0, 10], tup![0, 20], tup![0, 30], tup![0, 99]] {
+            let all: Vec<u32> = r.slots_agreeing(&probe, &attrs, on, None).collect();
+            assert_eq!(
+                r.slots_agreeing(&probe, &attrs, on, None).nth(1),
+                all.get(1).copied(),
+                "probe {probe:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! must equal a fresh `π_X(R)` of the current base — and for selection
 //! views the materialized `σ_P`/`σ_¬P` split must equal fresh selects —
 //! across random schemas, Σ, view mixes (exact/Test1/Test2/selection/
-//! auto-complement), accepted *and* rejected update streams, Σ
-//! replacement (`set_fds`), transactional batch rollback, dump/load,
-//! and crash-recovery replay.
+//! auto-complement), accepted *and* rejected update streams, many-row
+//! replaces that netting cancels, Σ replacement (`set_fds`),
+//! transactional batch rollback, dump/load, and crash-recovery replay.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -142,6 +142,44 @@ fn stream_for(rng: &mut StdRng, db: &Database, name: &str, n: usize) -> Vec<Upda
     .collect()
 }
 
+/// Replaces that move many base rows without changing most of their
+/// projections — the shape the netted fold cancels. `t1` is a view
+/// tuple whose `X∩Y` value the most base rows carry (the translation
+/// moves every one of them), and `t2` copies `t1` except on `X − Y`,
+/// where it takes another view tuple's value or a fresh one. Each moved
+/// row keeps its `Y` projection, and so its projection on every view
+/// inside `Y`.
+fn x_preserving_replaces(rng: &mut StdRng, db: &Database, name: &str, n: usize) -> Vec<UpdateOp> {
+    let snap = db.snapshot();
+    let def = snap.view_def(name).expect("registered");
+    let (x, shared) = (def.x(), def.x() & def.y());
+    let moved = x - def.y();
+    let (v, base) = (snap.view_instance(name).expect("registered"), snap.base());
+    if moved.is_empty() || v.is_empty() {
+        return Vec::new();
+    }
+    let u = base.attrs();
+    let run = |t: &Tuple| base.iter().filter(|r| r.agrees(&u, t, &x, &shared)).count();
+    let mut t1s: Vec<&Tuple> = v.iter().collect();
+    t1s.sort_by_key(|t| std::cmp::Reverse(run(t)));
+    t1s.into_iter()
+        .take(n)
+        .map(|t1| {
+            let other = &v.rows()[rng.gen_range(0..v.len())];
+            let t2 = Tuple::new(x.iter().map(|a| {
+                if !moved.contains(a) {
+                    t1.get(&x, a)
+                } else if rng.gen_bool(0.5) {
+                    other.get(&x, a)
+                } else {
+                    Value::int(rng.gen_range(1u64 << 40..1 << 41))
+                }
+            }));
+            UpdateOp::Replace { t1: t1.clone(), t2 }
+        })
+        .collect()
+}
+
 proptest! {
     /// Materializations track fresh projections through every kind of
     /// state transition the engine has.
@@ -158,6 +196,13 @@ proptest! {
                 for op in stream_for(&mut rng, &db, name, 3) {
                     let _ = db.apply_op(name, op);
                     assert_mats_match_fresh(&db, &format!("after an update (round {round})"))?;
+                }
+            }
+            // 1b. Many-row, X-preserving replaces.
+            for name in &names {
+                for op in x_preserving_replaces(&mut rng, &db, name, 2) {
+                    let _ = db.apply_op(name, op);
+                    assert_mats_match_fresh(&db, &format!("after an X-preserving replace (round {round})"))?;
                 }
             }
             // 2. Σ replacement forces the full-rebuild path even when the
