@@ -183,6 +183,11 @@ impl ViewDelta {
         self.deletes().next().is_none() && self.inserts().next().is_none()
     }
 
+    /// Number of delta rows: deletes plus inserts.
+    pub(crate) fn len(&self) -> usize {
+        self.deletes().count() + self.inserts().count()
+    }
+
     /// Fold this delta into `rel`: deletes then inserts, in recorded
     /// order — the byte-identical reconstruction step.
     pub fn fold_into(&self, rel: &mut Relation) {

@@ -219,7 +219,7 @@ impl Database {
             stats: Arc::default(),
             log: LogState::default(),
             base: Arc::new(LazyRel::ready(Arc::new(base.clone()))),
-            insts: HashMap::new(),
+            insts: Arc::default(),
         });
         Ok(Database {
             cell: SnapCell::new(Arc::clone(&cur)),
@@ -275,7 +275,7 @@ impl Database {
             next.log.push(Arc::clone(&commit.entry));
             next.base = next.base.advance(&commit.base);
             for (name, delta) in commit.views.iter() {
-                let Some(vs) = next.insts.get_mut(name) else {
+                let Some(vs) = Arc::make_mut(&mut next.insts).get_mut(name) else {
                     continue;
                 };
                 if let Some((m, r)) = vs.split.as_ref() {
@@ -286,19 +286,24 @@ impl Database {
                 vs.inst = vs.inst.advance(delta);
             }
         }
-        #[cfg(debug_assertions)]
+        // Re-root what this publish advanced once its chain has grown as
+        // long as the relation. The writer's folds apply each delta in the
+        // order the chain replays it, so its copies are the chains'
+        // replays, row for row.
+        if !staged.is_empty() {
+            next.base = next.base.rerooted(&inner.base, "base");
+        }
         for (name, _) in staged.iter().flat_map(|c| c.views.iter()) {
-            // The writer's folds apply each delta in the order the
-            // published chain replays it, so the rows agree in order,
-            // not only as sets. Replay uncached: `get` would re-root.
-            let (Some(mat), Some(vs)) = (inner.mats.get(name), next.insts.get(name)) else {
+            let (Some(mat), Some(vs)) = (
+                inner.mats.get(name),
+                Arc::make_mut(&mut next.insts).get_mut(name),
+            ) else {
                 continue;
             };
-            let rows = |rel: &LazyRel| rel.materialize().rows().to_vec();
-            assert_eq!(mat.instance().rows(), rows(&vs.inst), "`{name}` row order");
-            if let (Some((m, r)), Some((pm, pr))) = (mat.split(), &vs.split) {
-                assert_eq!(m.rows(), rows(pm), "`{name}` σ_P row order");
-                assert_eq!(r.rows(), rows(pr), "`{name}` σ_¬P row order");
+            vs.inst = vs.inst.rerooted(mat.instance(), name);
+            if let (Some((m, r)), Some((pm, pr))) = (mat.split(), vs.split.as_mut()) {
+                *pm = pm.rerooted(m, name);
+                *pr = pr.rerooted(r, name);
             }
         }
         self.install(inner, next);
@@ -417,7 +422,7 @@ impl Database {
             });
         }
         Arc::make_mut(&mut next.dag).remove(name, def.parent());
-        next.insts.remove(name);
+        Arc::make_mut(&mut next.insts).remove(name);
         if let Some(mat) = inner.mats.remove(name) {
             mat.retire();
         }
@@ -547,7 +552,7 @@ impl Database {
         });
         let mat = ViewMat::build(&inner.base, source.as_ref(), &def, None)?;
         let mut next = cur.successor();
-        next.insts.insert(name.to_string(), ViewSnap::of(&mat));
+        Arc::make_mut(&mut next.insts).insert(name.to_string(), ViewSnap::of(&mat));
         Arc::make_mut(&mut next.views).insert(name.to_string(), def);
         Arc::make_mut(&mut next.dag).register(name, parent);
         inner.mats.insert(name.to_string(), mat);
@@ -885,33 +890,11 @@ impl Database {
         #[cfg(debug_assertions)]
         let old_base = inner.base.clone();
         let delta_timer = relvu_obs::histogram!("engine.mat.delta_ns").timer();
-        let (added, removed) = inner
-            .mats
-            .get(name)
-            .expect("registered views have mats")
-            .delta(&inner.base, &translation);
-        // The checks guarantee x ∪ y = U, so joined rows have base
-        // arity; verify up front so the in-place edit below can never
-        // abort half-applied.
-        if let Some(row) = added.first() {
-            if row.arity() != inner.base.attrs().len() {
-                return Err(relvu_relation::RelationError::ArityMismatch {
-                    expected: inner.base.attrs().len(),
-                    got: row.arity(),
-                }
-                .into());
-            }
-        }
-        for row in &removed {
-            inner.base.remove(row);
-        }
-        for row in &added {
-            inner
-                .base
-                .insert(row.clone())
-                .expect("arity verified above");
-        }
-        let from = inner.base.attrs();
+        let (added, removed) = {
+            let Inner { base, mats, .. } = &mut *inner;
+            let mat = mats.get(name).expect("registered views have mats");
+            mat.apply(base, &translation, mats.values())?
+        };
         let seq = inner.pending.last().map_or(inner.cur.seq, |c| c.seq()) + 1;
         let mut touched: Vec<(String, Arc<ViewDelta>)> = Vec::new();
         {
@@ -930,7 +913,7 @@ impl Database {
                 let mat = mats
                     .get_mut(node.as_str())
                     .expect("registered views have mats");
-                mat.fold_complement(&from, &added, &removed);
+                mat.fold_complement(&added, &removed);
                 let def = cur.views.get(node.as_str()).expect("registered");
                 let (in_add, in_rem): (&[Tuple], &[Tuple]) = match def.parent() {
                     None => (&added, &removed),
@@ -1214,14 +1197,16 @@ impl Database {
         inner.dirty.prune_below(final_seq);
         // The published instances are those of the base before the
         // replay.
-        next.insts.clear();
+        next.insts = Arc::default();
         Self::rebuild_mats(&mut inner, &next);
         next.base = Arc::new(LazyRel::ready(Arc::new(inner.base.clone())));
-        next.insts = inner
-            .mats
-            .iter()
-            .map(|(name, mat)| (name.clone(), ViewSnap::of(mat)))
-            .collect();
+        next.insts = Arc::new(
+            inner
+                .mats
+                .iter()
+                .map(|(name, mat)| (name.clone(), ViewSnap::of(mat)))
+                .collect(),
+        );
         self.install(&mut inner, next);
         Ok(())
     }

@@ -26,15 +26,29 @@
 //!   bucket map. It is *always* fed from the base delta — `π_Y(R)` can
 //!   change even when the parent's instance does not.
 //!
-//! Both sides fold a commit's delta **netted by key**: the rows are
-//! projected and sorted, each key collapses to one signed count, and
-//! only a key whose support crosses zero edits an array (obs
+//! A commit starts with one pass, [`ViewMat::apply`], that joins the
+//! committing view's translation against its complement and edits the
+//! base in place: removals then insertions, each in sorted order, each
+//! edit itself reporting whether the row was there (so no membership
+//! probe precedes it). The rows of `del ∩ add` are found by binary
+//! search in the sorted `add` list. Before the first edit it checks the
+//! joined rows' arity and that every relation the commit inserts into
+//! has dictionary ids left for them, so a commit fails whole or not at
+//! all.
+//!
+//! Both sides then fold the base delta **netted by key, in place**: the
+//! source rows themselves are sorted (by reference) on their key
+//! columns, each run of equal keys collapses to one signed count, and
+//! only a key whose count is non-zero is projected into a tuple. Only a
+//! key whose support crosses zero edits an array (obs
 //! `engine.mat.instance_edits` / `engine.mat.complement_edits`). So a
 //! translation's own complement, and every view tuple whose rows all
-//! move together, cost no edit. Edits run as removals then insertions,
-//! each in sorted order — the order the published chain replays the
-//! delta in, so the writer's instance and split keep the published row
-//! order exactly.
+//! move together, cost neither an edit nor an allocation. Edits run as
+//! removals then insertions, each in sorted order — the order the
+//! published chain replays the delta in, so the writer's instance and
+//! split keep the published row order exactly (which is what lets
+//! publish re-root a long chain on a clone of them; see
+//! [`crate::mvcc`]).
 //!
 //! Full recomputation ([`ViewMat::build`]) survives as the rebuild path
 //! after Σ replacement, snapshot load, checkpoint-delta replay and an
@@ -57,10 +71,14 @@ pub(crate) struct ViewMat {
     x: AttrSet,
     y: AttrSet,
     pred: Option<Pred>,
-    /// Attributes of the relation the view side is fed from: the
-    /// universe for base-rooted views, the parent's (effective) view
-    /// attributes for views over views. `x ⊆ src` always.
-    src: AttrSet,
+    /// Dense positions of `x` within a row of the relation the view
+    /// side is fed from: the base for base-rooted views, the parent's
+    /// instance for views over views.
+    x_pos: Vec<usize>,
+    /// Dense positions of `y` within a base row.
+    y_pos: Vec<usize>,
+    /// Dense positions of `X∩Y` within a base row.
+    shared_pos: Vec<usize>,
     /// Number of source rows projecting onto each view tuple, indexed
     /// by the tuple's storage slot in `instance` (kept parallel through
     /// the same append/swap-remove moves).
@@ -105,20 +123,19 @@ impl ViewMat {
         let y = def.y();
         let shared = x & y;
         let feed = source.unwrap_or(base);
+        let x_pos = positions(x, feed.attrs())?;
+        let y_pos = positions(y, base.attrs())?;
+        let shared_pos = positions(shared, base.attrs())?;
         let instance = match published {
             Some(vs) => (*vs.inst.get()).clone(),
             None => ops::project(feed, x)?,
         };
-        if !y.is_subset(&base.attrs()) {
-            ops::project(base, y)?;
-        }
-        let src = feed.attrs();
         let mut support = vec![0u64; instance.len()];
-        for row in feed.iter() {
+        for (xt, n) in net(&[], feed.rows(), &[], &x_pos) {
             let slot = instance
-                .slot_of(&row.project(&src, &x))
+                .slot_of(&xt)
                 .expect("every projection is in the bulk projection");
-            support[slot] += 1;
+            support[slot] = n as u64;
         }
         let kept_split = published.and_then(|vs| vs.split.as_ref());
         let split = def.pred().map(|pred| match kept_split {
@@ -131,9 +148,7 @@ impl ViewMat {
         let shared_ranks: Vec<usize> = shared.iter().map(|a| y.rank(a).expect("X∩Y ⊆ Y")).collect();
         let shared_attrs: Vec<Attr> = shared.iter().collect();
         // Bulk complement: the whole base, netted by key.
-        let from = base.attrs();
-        let project = |r: &Tuple| r.project(&from, &y);
-        let y_entries = net(&[], base.rows(), project, |a, b| cmp_y(&shared_ranks, a, b))
+        let y_entries = net(&[], base.rows(), &shared_pos, &y_pos)
             .into_iter()
             .map(|(yt, n)| (yt, n as u64))
             .collect();
@@ -143,7 +158,9 @@ impl ViewMat {
             x,
             y,
             pred: def.pred().cloned(),
-            src,
+            x_pos,
+            y_pos,
+            shared_pos,
             support,
             instance,
             split,
@@ -199,41 +216,77 @@ impl ViewMat {
             .map(move |(m, _)| t.joined(&self.x, m, &self.y))
     }
 
-    /// The base-row delta a committed translation induces, relative to
-    /// `base`: `(added, removed)` with `added ∩ base = ∅` and
-    /// `removed ⊆ base`, both sorted by tuple value. Applying
-    /// `base − removed ∪ added` equals [`Translation::apply`]'s result
-    /// — the sort makes replay after crash recovery reproduce base row
+    /// Apply a committed translation to `base` in place and return the
+    /// base-row delta it made, `(added, removed)`, both sorted by tuple
+    /// value: the rows of `base − removed ∪ added` equal
+    /// [`Translation::apply`]'s result. Removals run first, then
+    /// insertions, each in sorted order, and each edit itself reports
+    /// whether the row was there, so no membership probe precedes it.
+    /// The sort makes replay after crash recovery reproduce base row
     /// *order* too, not just set content, since row order is then a
     /// pure function of the starting order and the operation sequence.
-    pub(crate) fn delta(&self, base: &Relation, tr: &Translation) -> (Vec<Tuple>, Vec<Tuple>) {
-        let (mut added, mut removed) = match tr {
+    ///
+    /// # Errors
+    /// Before the first edit: an arity mismatch if the joined rows do
+    /// not range over `base`'s attributes, and
+    /// [`relvu_relation::RelationError::DictFull`] if `base` or one of
+    /// the `views` the rows fold into might run out of dictionary ids.
+    /// Either leaves `base` untouched.
+    pub(crate) fn apply<'a>(
+        &self,
+        base: &mut Relation,
+        tr: &Translation,
+        views: impl IntoIterator<Item = &'a ViewMat>,
+    ) -> Result<(Vec<Tuple>, Vec<Tuple>)> {
+        let (mut added, mut removed): (Vec<Tuple>, Vec<Tuple>) = match tr {
             Translation::Identity => (Vec::new(), Vec::new()),
-            Translation::InsertJoin { t } => (
-                self.join_rows(t).filter(|b| !base.contains(b)).collect(),
-                Vec::new(),
-            ),
-            Translation::DeleteJoin { t } => (
-                Vec::new(),
-                self.join_rows(t).filter(|b| base.contains(b)).collect(),
-            ),
+            Translation::InsertJoin { t } => (self.join_rows(t).collect(), Vec::new()),
+            Translation::DeleteJoin { t } => (Vec::new(), self.join_rows(t).collect()),
             Translation::ReplaceJoin { t1, t2 } => {
-                let add: Vec<Tuple> = self.join_rows(t2).collect();
-                // `(base − del) ∪ add` re-adds rows in both sets, so a
-                // row of `del ∩ add` is not removed at all.
-                let removed = self
-                    .join_rows(t1)
-                    .filter(|b| base.contains(b) && !add.contains(b))
-                    .collect();
-                (
-                    add.into_iter().filter(|b| !base.contains(b)).collect(),
-                    removed,
-                )
+                (self.join_rows(t2).collect(), self.join_rows(t1).collect())
             }
         };
-        added.sort();
-        removed.sort();
-        (added, removed)
+        added.sort_unstable();
+        removed.sort_unstable();
+        if !added.is_empty() {
+            // `(base − del) ∪ add` re-adds rows in both sets, so a row
+            // of `del ∩ add` is not removed at all.
+            removed.retain(|b| added.binary_search(b).is_err());
+        }
+        // Verify before the first edit so the edit can never stop
+        // half-applied. The checks guarantee x ∪ y = U, so joined rows
+        // have base arity.
+        let from = base.attrs();
+        if let Some(row) = added.first() {
+            if row.arity() != from.len() {
+                return Err(relvu_relation::RelationError::ArityMismatch {
+                    expected: from.len(),
+                    got: row.arity(),
+                }
+                .into());
+            }
+        }
+        if !base.has_dict_room(added.len())
+            || views.into_iter().any(|v| !v.has_dict_room(added.len()))
+        {
+            return Err(relvu_relation::RelationError::DictFull.into());
+        }
+        removed.retain(|b| base.remove(b));
+        added.retain(|b| {
+            base.insert(b.clone())
+                .expect("arity and dictionary room checked before the first edit")
+        });
+        Ok((added, removed))
+    }
+
+    /// Can every relation this view keeps (the instance and the σ_P
+    /// split) take the projections of `rows` more base rows without a
+    /// dictionary running out of ids? See [`Relation::has_dict_room`].
+    fn has_dict_room(&self, rows: usize) -> bool {
+        let parts = self.split.iter().flat_map(|(m, r)| [m, r]);
+        std::iter::once(&self.instance)
+            .chain(parts)
+            .all(|rel| rel.has_dict_room(rows))
     }
 
     /// Fold a committed *source*-row delta, netted by key, into the view
@@ -246,8 +299,7 @@ impl ViewMat {
         added: &[Tuple],
         removed: &[Tuple],
     ) -> (Vec<Tuple>, Vec<Tuple>) {
-        let project = |r: &Tuple| r.project(&self.src, &self.x);
-        let keys = net(removed, added, project, Tuple::cmp);
+        let keys = net(removed, added, &[], &self.x_pos);
         let mut fresh = Vec::new();
         let mut out_removed = Vec::new();
         for (xt, n) in keys {
@@ -272,13 +324,11 @@ impl ViewMat {
             .into_iter()
             .map(|(xt, n)| {
                 if let Some(part) = self.part_of(&xt) {
-                    part.insert(xt.clone()).expect("projection of a source row");
+                    part.insert(xt.clone()).expect(ROOM_CHECKED);
                 }
                 // Appends at the slot `support.len()`, keeping the
                 // vectors parallel.
-                self.instance
-                    .insert(xt.clone())
-                    .expect("projection of a source row");
+                self.instance.insert(xt.clone()).expect(ROOM_CHECKED);
                 self.support
                     .push(u64::try_from(n).expect("removed rows were folded in"));
                 xt
@@ -296,10 +346,9 @@ impl ViewMat {
     /// even when the view-side subtree is skipped — because the
     /// complement projects the base, not the parent. Netted by key, so
     /// a translation of this very view edits no entry at all.
-    pub(crate) fn fold_complement(&mut self, from: &AttrSet, added: &[Tuple], removed: &[Tuple]) {
+    pub(crate) fn fold_complement(&mut self, added: &[Tuple], removed: &[Tuple]) {
+        let keys = net(removed, added, &self.shared_pos, &self.y_pos);
         let ranks = &self.shared_ranks;
-        let project = |r: &Tuple| r.project(from, &self.y);
-        let keys = net(removed, added, project, |a, b| cmp_y(ranks, a, b));
         let find =
             |es: &[(Tuple, u64)], yt: &Tuple| es.binary_search_by(|(e, _)| cmp_y(ranks, e, yt));
         let mut fresh = Vec::new();
@@ -399,30 +448,53 @@ fn cmp_y(shared_ranks: &[usize], a: &Tuple, b: &Tuple) -> Ordering {
     a.cmp(b)
 }
 
-/// Net a delta by key: project every removed row (−1) and added row
-/// (+1), sort by `cmp`, and collapse each key to one signed count,
-/// dropping the keys that net to zero. The result is strictly sorted.
-fn net(
-    removed: &[Tuple],
-    added: &[Tuple],
-    project: impl Fn(&Tuple) -> Tuple,
-    cmp: impl Fn(&Tuple, &Tuple) -> Ordering,
-) -> Vec<(Tuple, i64)> {
-    let mut keys: Vec<(Tuple, i64)> = removed
-        .iter()
-        .map(|r| (project(r), -1))
-        .chain(added.iter().map(|r| (project(r), 1)))
-        .collect();
-    keys.sort_unstable_by(|a, b| cmp(&a.0, &b.0));
-    keys.dedup_by(|(k, n), (kept, total)| {
-        let same = k == kept;
-        if same {
-            *total += *n;
+/// The panic message of an insert the commit's up-front dictionary
+/// check (in [`ViewMat::apply`]) has already cleared.
+const ROOM_CHECKED: &str = "dictionary room checked before the first edit";
+
+/// Dense positions of `of` within a row over `within`.
+fn positions(of: AttrSet, within: AttrSet) -> Result<Vec<usize>> {
+    of.iter()
+        .map(|a| within.rank(a))
+        .collect::<Option<_>>()
+        .ok_or_else(|| relvu_relation::RelationError::NotASubset.into())
+}
+
+/// Compare two rows on the columns at `pos`, in order: the value order
+/// of their projections onto those columns.
+#[inline]
+fn cmp_at(pos: &[usize], a: &Tuple, b: &Tuple) -> Ordering {
+    for &p in pos {
+        match a.at(p).cmp(&b.at(p)) {
+            Ordering::Equal => continue,
+            other => return other,
         }
-        same
-    });
-    keys.retain(|&(_, n)| n != 0);
-    keys
+    }
+    Ordering::Equal
+}
+
+/// Net a delta by key, in place: sort references to the removed (−1)
+/// and added (+1) source rows by their `major` columns, then their `key`
+/// columns, and collapse each run of equal keys to one signed count.
+/// Only a key whose count is non-zero is projected onto `key`. The
+/// result is strictly sorted in that order: `major` empty gives the
+/// key tuples' value order (the instance's), `major` the `X∩Y` columns
+/// gives [`cmp_y`] (the complement's).
+fn net(removed: &[Tuple], added: &[Tuple], major: &[usize], key: &[usize]) -> Vec<(Tuple, i64)> {
+    let cmp = |a: &Tuple, b: &Tuple| cmp_at(major, a, b).then_with(|| cmp_at(key, a, b));
+    let mut rows: Vec<(&Tuple, i64)> = removed
+        .iter()
+        .map(|r| (r, -1))
+        .chain(added.iter().map(|r| (r, 1)))
+        .collect();
+    rows.sort_unstable_by(|a, b| cmp(a.0, b.0));
+    rows.chunk_by(|a, b| cmp(a.0, b.0) == Ordering::Equal)
+        .filter_map(|run| {
+            let n: i64 = run.iter().map(|&(_, n)| n).sum();
+            let row = run[0].0;
+            (n != 0).then(|| (Tuple::new(key.iter().map(|&p| row.at(p))), n))
+        })
+        .collect()
 }
 
 #[cfg(test)]

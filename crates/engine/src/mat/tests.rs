@@ -62,7 +62,7 @@ fn rows_moving_within_one_key_leave_the_view_side_alone() {
     // `π{E, D}` is the complement of `mgrs = π{D, M}`: same netting.
     let mut mgrs = mat(&[1, 2], &[0, 1]);
     let entries = mgrs.y_entries.clone();
-    mgrs.fold_complement(&attrs(&[0, 1, 2]), &added, &removed);
+    mgrs.fold_complement(&added, &removed);
     assert_eq!(mgrs.y_entries, entries);
 }
 
@@ -79,10 +79,255 @@ fn one_commit_empties_one_key_and_creates_another() {
     assert_eq!(m.support[slot], 2);
     // The complement side of `emp = π{E, D}` takes the same two edits.
     let mut emp = mat(&[0, 1], &[1, 2]);
-    emp.fold_complement(&attrs(&[0, 1, 2]), &added, &removed);
+    emp.fold_complement(&added, &removed);
     let counts: Vec<(Tuple, u64)> = vec![(tup![10, 101], 2), (tup![20, 200], 1)];
     assert_eq!(emp.y_entries, counts);
     let after = changed_base();
     m.debug_assert_consistent(&after);
     emp.debug_assert_consistent(&after);
+}
+
+// ---------------------------------------------------------------------
+// Differentials against the project-then-sort `net` and the
+// probe-then-edit `delta` these kernels replaced.
+// ---------------------------------------------------------------------
+
+use rand::prelude::*;
+use relvu_relation::{CmpOp, Value};
+
+/// The replaced `net`: project every row, sort the projections, collapse
+/// equal keys, drop the zeros.
+fn project_then_sort_net(
+    removed: &[Tuple],
+    added: &[Tuple],
+    project: impl Fn(&Tuple) -> Tuple,
+    cmp: impl Fn(&Tuple, &Tuple) -> Ordering,
+) -> Vec<(Tuple, i64)> {
+    let mut keys: Vec<(Tuple, i64)> = removed
+        .iter()
+        .map(|r| (project(r), -1))
+        .chain(added.iter().map(|r| (project(r), 1)))
+        .collect();
+    keys.sort_unstable_by(|a, b| cmp(&a.0, &b.0));
+    keys.dedup_by(|(k, n), (kept, total)| {
+        let same = k == kept;
+        if same {
+            *total += *n;
+        }
+        same
+    });
+    keys.retain(|&(_, n)| n != 0);
+    keys
+}
+
+/// The replaced `delta` and per-row edits: probe the base for each
+/// joined row, sort both lists, then remove and insert row by row.
+fn delta_then_edits(
+    m: &ViewMat,
+    base: &mut Relation,
+    tr: &Translation,
+) -> (Vec<Tuple>, Vec<Tuple>) {
+    let (mut added, mut removed) = match tr {
+        Translation::Identity => (Vec::new(), Vec::new()),
+        Translation::InsertJoin { t } => (
+            m.join_rows(t).filter(|b| !base.contains(b)).collect(),
+            Vec::new(),
+        ),
+        Translation::DeleteJoin { t } => (
+            Vec::new(),
+            m.join_rows(t).filter(|b| base.contains(b)).collect(),
+        ),
+        Translation::ReplaceJoin { t1, t2 } => {
+            let add: Vec<Tuple> = m.join_rows(t2).collect();
+            let removed = m
+                .join_rows(t1)
+                .filter(|b| base.contains(b) && !add.contains(b))
+                .collect();
+            (
+                add.into_iter().filter(|b| !base.contains(b)).collect(),
+                removed,
+            )
+        }
+    };
+    added.sort();
+    removed.sort();
+    for row in &removed {
+        base.remove(row);
+    }
+    for row in &added {
+        base.insert(row.clone()).unwrap();
+    }
+    (added, removed)
+}
+
+/// A random row over four attributes from a small value domain, so keys
+/// collide often.
+fn random_row(rng: &mut StdRng, arity: usize) -> Tuple {
+    Tuple::new((0..arity).map(|_| Value::int(rng.gen_range(0..3u64))))
+}
+
+/// A random non-empty subset of `0..n`.
+fn random_attrs(rng: &mut StdRng, n: usize) -> AttrSet {
+    loop {
+        let set: AttrSet = (0..n)
+            .filter(|_| rng.gen_bool(0.5))
+            .map(Attr::new)
+            .collect();
+        if !set.is_empty() {
+            return set;
+        }
+    }
+}
+
+#[test]
+fn in_place_net_equals_project_then_sort_net() {
+    let from = attrs(&[0, 1, 2, 3]);
+    let mut rng = StdRng::seed_from_u64(17);
+    for case in 0..2000 {
+        let rows = |rng: &mut StdRng| -> Vec<Tuple> {
+            let n = rng.gen_range(0..24usize);
+            (0..n).map(|_| random_row(rng, 4)).collect()
+        };
+        let (removed, added) = (rows(&mut rng), rows(&mut rng));
+        // Some rows on both sides, so their keys can net to zero.
+        let added: Vec<Tuple> = added
+            .into_iter()
+            .chain(removed.iter().take(3).cloned())
+            .collect();
+        let key = random_attrs(&mut rng, 4);
+        let shared: AttrSet = key.iter().filter(|_| rng.gen_bool(0.5)).collect();
+        let key_pos = positions(key, from).unwrap();
+        let shared_pos = positions(shared, from).unwrap();
+        let shared_ranks: Vec<usize> = shared.iter().map(|a| key.rank(a).unwrap()).collect();
+        let project = |r: &Tuple| r.project(&from, &key);
+        // The instance order: the key tuple's value order.
+        assert_eq!(
+            net(&removed, &added, &[], &key_pos),
+            project_then_sort_net(&removed, &added, project, Tuple::cmp),
+            "case {case}: instance order"
+        );
+        // The complement order: the shared columns first.
+        assert_eq!(
+            net(&removed, &added, &shared_pos, &key_pos),
+            project_then_sort_net(&removed, &added, project, |a, b| cmp_y(&shared_ranks, a, b)),
+            "case {case}: complement order"
+        );
+    }
+}
+
+#[test]
+fn apply_equals_delta_then_edits() {
+    let universe = attrs(&[0, 1, 2]);
+    let mut rng = StdRng::seed_from_u64(29);
+    let (mut overlapping, mut disjoint, mut selections, mut both_sides) = (0, 0, 0, 0);
+    for case in 0..600 {
+        // x ∪ y = U; X∩Y may be empty.
+        let x = random_attrs(&mut rng, 3);
+        let rest: AttrSet = universe.iter().filter(|a| !x.contains(*a)).collect();
+        let extra: AttrSet = x.iter().filter(|_| rng.gen_bool(0.5)).collect();
+        let y = if rest.is_empty() && extra.is_empty() {
+            x
+        } else {
+            rest | extra
+        };
+        let mut def = ViewDef::new("v".into(), x, y, Policy::Exact, None, false, 0);
+        if rng.gen_bool(0.3) {
+            let a = x.iter().next().unwrap();
+            def = def.with_pred(Pred::cmp(a, CmpOp::Lt, 2));
+            selections += 1;
+        }
+        if (x & y).is_empty() {
+            disjoint += 1;
+        } else {
+            overlapping += 1;
+        }
+        let n = rng.gen_range(0..20usize);
+        let mut base =
+            Relation::from_rows(universe, (0..n).map(|_| random_row(&mut rng, 3))).unwrap();
+        let mut oracle = base.clone();
+        for step in 0..6 {
+            let m = ViewMat::build(&base, None, &def, None).unwrap();
+            let view_tuple = |rng: &mut StdRng| match m.instance().rows() {
+                rows if !rows.is_empty() && rng.gen_bool(0.6) => {
+                    rows[rng.gen_range(0..rows.len())].clone()
+                }
+                _ => random_row(rng, x.len()),
+            };
+            let tr = match rng.gen_range(0..4u32) {
+                0 => Translation::InsertJoin {
+                    t: view_tuple(&mut rng),
+                },
+                1 => Translation::DeleteJoin {
+                    t: view_tuple(&mut rng),
+                },
+                2 => {
+                    // t₁ = t₂: every removed row is re-added.
+                    both_sides += 1;
+                    let t = view_tuple(&mut rng);
+                    Translation::ReplaceJoin {
+                        t1: t.clone(),
+                        t2: t,
+                    }
+                }
+                _ => Translation::ReplaceJoin {
+                    t1: view_tuple(&mut rng),
+                    t2: view_tuple(&mut rng),
+                },
+            };
+            let want = delta_then_edits(&m, &mut oracle, &tr);
+            let got = m.apply(&mut base, &tr, [&m]).unwrap();
+            assert_eq!(got, want, "case {case} step {step}: {tr:?}");
+            assert_eq!(
+                base.rows(),
+                oracle.rows(),
+                "case {case} step {step}: row order"
+            );
+        }
+    }
+    assert!(overlapping > 0 && disjoint > 0 && selections > 0 && both_sides > 0);
+}
+
+#[test]
+fn apply_refuses_a_full_dictionary_before_any_edit() {
+    let mut base = Relation::new(attrs(&[0, 1, 2]));
+    base._inflate_dict_id_base(u32::MAX - 3);
+    for row in [tup![1, 10, 100], tup![2, 20, 200]] {
+        base.insert(row).unwrap();
+    }
+    let def = ViewDef::new(
+        "v".into(),
+        attrs(&[1, 2]),
+        attrs(&[0, 1]),
+        Policy::Exact,
+        None,
+        false,
+        0,
+    );
+    let m = ViewMat::build(&base, None, &def, None).unwrap();
+    // Each column has 1 id left: a fresh manager for department 10's
+    // one row takes M's, ...
+    let fits = Translation::ReplaceJoin {
+        t1: tup![10, 100],
+        t2: tup![10, 101],
+    };
+    let mut probe = base.clone();
+    assert!(m.apply(&mut probe, &fits, [&m]).is_ok());
+    // ... and the next fresh manager is refused before any edit.
+    let m = ViewMat::build(&probe, None, &def, None).unwrap();
+    let rows = probe.rows().to_vec();
+    let full = Translation::ReplaceJoin {
+        t1: tup![10, 101],
+        t2: tup![10, 102],
+    };
+    assert!(matches!(
+        m.apply(&mut probe, &full, [&m]),
+        Err(crate::EngineError::Relation(
+            relvu_relation::RelationError::DictFull
+        ))
+    ));
+    assert_eq!(probe.rows(), &rows[..]);
+    // A deletion inserts nothing and needs no id.
+    let delete = Translation::DeleteJoin { t: tup![20, 200] };
+    assert!(m.apply(&mut probe, &delete, [&m]).is_ok());
+    assert_eq!(probe.len(), 1);
 }

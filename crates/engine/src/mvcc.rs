@@ -16,13 +16,28 @@
 //!   writer extends the chain in O(1); the first reader that actually
 //!   needs the rows materializes root+chain once per epoch (shared via
 //!   `OnceLock` with every other reader of that epoch), and the writer
-//!   re-roots the next version on that materialization so chains never
-//!   grow past [`MAX_CHAIN`]. A *quiet* relation (no pending deltas) is
-//!   shared structurally: repeated reads return the same `Arc`.
-//!   Crucially, materialization replays the exact delta sequence the
-//!   writer applied in-place, so a snapshot's row *order* — not just its
-//!   set content — matches the engine's, keeping serialized dumps
-//!   byte-identical to the locked path they replace.
+//!   re-roots the next version on that materialization. A *quiet*
+//!   relation (no pending deltas) is shared structurally: repeated reads
+//!   return the same `Arc`. Crucially, materialization replays the exact
+//!   delta sequence the writer applied in-place, so a snapshot's row
+//!   *order* — not just its set content — matches the engine's, keeping
+//!   serialized dumps byte-identical to the locked path they replace.
+//!
+//!   **Re-rooting from the writer.** When no reader materializes, the
+//!   chain would grow without bound. So at publish, once a relation's
+//!   pending chain holds as many delta rows as the relation has rows
+//!   (at least [`REROOT_FLOOR`]) or [`REROOT_NODES`] commits, the
+//!   writer re-roots it on a clone of its own copy of that relation —
+//!   the base, a view instance, or a σ_P split part — which equals the
+//!   chain's replay row for row (debug builds assert exactly that
+//!   first). The clone is O(|rel|), outside any replay, and comes after
+//!   at least max(|rel|, 64) delta rows or 512 commits. A reader's
+//!   worst-case materialization is one clone plus a replay of at most
+//!   that many rows and commits; each replayed row is a binary search
+//!   and a shift of the sorted index, the same edit the writer made.
+//!   Dropping a chain unlinks it iteratively, so its length never
+//!   touches the stack. Obs counter `engine.snap.reroots` counts the
+//!   re-roots.
 //! * [`LogState`] — the audit log as sealed immutable chunks plus a
 //!   cons-list tail of shared `Arc<LogEntry>`s, so the snapshot's log
 //!   view is an O(1) pointer copy. The log lives only in published
@@ -54,11 +69,15 @@ use crate::mat::ViewMat;
 use crate::view::ViewDef;
 use crate::{EngineError, Result};
 
-/// Maximum pending-delta chain length before the *writer* flattens a
-/// [`LazyRel`] eagerly. Bounds both snapshot memory and worst-case
-/// reader materialization at O(|rel| + MAX_CHAIN · |Δ|); amortized
-/// writer cost is O(|rel| / MAX_CHAIN) per commit.
-const MAX_CHAIN: u32 = 512;
+/// The fewest pending delta rows at which publish re-roots a
+/// [`LazyRel`] on the writer's copy, so a small relation is not cloned
+/// at every commit.
+pub(crate) const REROOT_FLOOR: usize = 64;
+
+/// The most commits a [`LazyRel`]'s pending chain holds: publish
+/// re-roots at this many nodes whatever their rows, so many small
+/// commits to a large relation cannot keep a chain of |rel| nodes alive.
+pub(crate) const REROOT_NODES: u32 = 512;
 
 /// Entries per sealed log chunk.
 const LOG_CHUNK: usize = 256;
@@ -76,11 +95,25 @@ struct DeltaNode {
     prev: Option<Arc<DeltaNode>>,
 }
 
+impl Drop for DeltaNode {
+    /// Unlinks the chain iteratively: the derived drop would recurse once
+    /// per node. Stops at the first node another version still shares.
+    fn drop(&mut self) {
+        let mut prev = self.prev.take();
+        while let Some(node) = prev {
+            prev = Arc::into_inner(node).and_then(|mut n| n.prev.take());
+        }
+    }
+}
+
 /// A persistent, structurally shared relation version.
 pub(crate) struct LazyRel {
     root: Arc<Relation>,
     pending: Option<Arc<DeltaNode>>,
+    /// Nodes (commits) in the `pending` chain.
     depth: u32,
+    /// Delta rows (deletes plus inserts) in the `pending` chain.
+    pending_rows: usize,
     /// Root+chain, materialized at most once per version and shared by
     /// every reader pinning it.
     cache: OnceLock<Arc<Relation>>,
@@ -93,13 +126,14 @@ impl LazyRel {
             root,
             pending: None,
             depth: 0,
+            pending_rows: 0,
             cache: OnceLock::new(),
         }
     }
 
     /// The rows of this version. O(1) when quiet or already
-    /// materialized; one O(|rel| + |chain|) replay otherwise, shared
-    /// with every other reader of the same version.
+    /// materialized; otherwise one clone of the root and replay of the
+    /// chain, shared with every other reader of the same version.
     pub(crate) fn get(&self) -> Arc<Relation> {
         match &self.pending {
             None => Arc::clone(&self.root),
@@ -133,24 +167,58 @@ impl LazyRel {
         if delta.is_empty() {
             return Arc::clone(self);
         }
-        let (root, prev, depth) = match self.cache.get() {
-            Some(mat) => (Arc::clone(mat), None, 0),
-            None => (Arc::clone(&self.root), self.pending.clone(), self.depth),
+        let (root, prev, depth, rows) = match self.cache.get() {
+            Some(mat) => (Arc::clone(mat), None, 0, 0),
+            None => (
+                Arc::clone(&self.root),
+                self.pending.clone(),
+                self.depth,
+                self.pending_rows,
+            ),
         };
-        let next = LazyRel {
+        Arc::new(LazyRel {
             root,
             pending: Some(Arc::new(DeltaNode {
                 delta: Arc::clone(delta),
                 prev,
             })),
             depth: depth + 1,
+            pending_rows: rows + delta.len(),
             cache: OnceLock::new(),
-        };
-        if next.depth >= MAX_CHAIN {
-            Arc::new(LazyRel::ready(Arc::new(next.materialize())))
-        } else {
-            Arc::new(next)
+        })
+    }
+
+    /// Writer-side, at publish: this version re-rooted on a clone of
+    /// `writer` — the writer's own copy of the relation, which must hold
+    /// this version's rows in this version's order — once the pending
+    /// chain holds as many delta rows as the relation has rows (at least
+    /// [`REROOT_FLOOR`]) or [`REROOT_NODES`] commits; otherwise `self`.
+    /// Debug builds first
+    /// check the copy against the chain's replay (uncached: `get` would
+    /// make the next advance re-root on the replay instead).
+    pub(crate) fn rerooted(self: &Arc<Self>, writer: &Relation, what: &str) -> Arc<LazyRel> {
+        debug_assert_eq!(
+            self.materialize().rows(),
+            writer.rows(),
+            "{what}: the published chain's replay and the writer's rows differ"
+        );
+        if self.pending_rows < writer.len().max(REROOT_FLOOR) && self.depth < REROOT_NODES {
+            return Arc::clone(self);
         }
+        relvu_obs::counter!("engine.snap.reroots").inc();
+        Arc::new(LazyRel::ready(Arc::new(writer.clone())))
+    }
+
+    /// Delta rows waiting in this version's chain.
+    #[cfg(test)]
+    pub(crate) fn pending_rows(&self) -> usize {
+        self.pending_rows
+    }
+
+    /// Commits waiting in this version's chain.
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> u32 {
+        self.depth
     }
 }
 
@@ -353,7 +421,9 @@ pub(crate) struct SnapState {
     pub(crate) stats: Arc<HashMap<String, ViewStats>>,
     pub(crate) log: LogState,
     pub(crate) base: Arc<LazyRel>,
-    pub(crate) insts: HashMap<String, ViewSnap>,
+    /// Each view's published state, shared between epochs until a
+    /// publish changes one, so publishing a rejection copies nothing.
+    pub(crate) insts: Arc<HashMap<String, ViewSnap>>,
 }
 
 impl SnapState {
@@ -635,15 +705,124 @@ mod tests {
         assert!(v0.get().contains(&tup![1, 2]));
     }
 
+    /// Publish re-roots each relation on the writer's copy once its
+    /// chain holds as many delta rows as the relation has rows (at
+    /// least `REROOT_FLOOR`), even when no reader ever materializes.
     #[test]
     fn lazy_rel_chain_is_capped() {
-        let root = Arc::new(rel(&[]));
-        let mut v = Arc::new(LazyRel::ready(root));
-        for i in 0..(MAX_CHAIN as u64 * 2 + 7) {
-            v = v.advance(&ViewDelta::whole(i, vec![], vec![tup![i, i]], None));
-            assert!(v.depth < MAX_CHAIN, "chain stays below the cap");
+        use crate::{Database, Policy};
+        use relvu_deps::FdSet;
+        use relvu_relation::{CmpOp, Pred};
+        const DEPTS: u64 = 16;
+        let schema = Schema::new(["E", "D", "M"]).unwrap();
+        let fds = FdSet::parse(&schema, "E -> D; D -> M").unwrap();
+        let base = Relation::from_rows(
+            schema.universe(),
+            (0..64u64).map(|e| tup![e, e % DEPTS, e % DEPTS]),
+        )
+        .unwrap();
+        let db = Database::new(schema.clone(), fds, base).unwrap();
+        let dm = schema.set(["D", "M"]).unwrap();
+        db.create_view("mgrs", dm, None, Policy::Exact).unwrap();
+        let d = schema.attr("D").unwrap();
+        let low = Pred::cmp(d, CmpOp::Lt, DEPTS / 2);
+        db.create_selection_view("low", dm, None, low).unwrap();
+        let reroots = relvu_obs::counter!("engine.snap.reroots");
+        let before = reroots.get();
+        let within = |rel: &LazyRel, len: usize| {
+            rel.pending_rows() <= len.max(REROOT_FLOOR) && rel.depth() < REROOT_NODES
+        };
+        // Each manager change moves a department's 4 base rows to a
+        // fresh manager: 8 base delta rows, 2 `mgrs` delta rows.
+        for i in 0..2000u64 {
+            let dept = i % DEPTS;
+            let (old, new) = (i / DEPTS * DEPTS + dept, (i / DEPTS + 1) * DEPTS + dept);
+            let (t1, t2) = (tup![dept, old], tup![dept, new]);
+            let via = if dept < DEPTS / 2 { "low" } else { "mgrs" };
+            db.replace_via(via, t1, t2).unwrap();
+            let state = db.snapshot().state;
+            assert!(
+                within(&state.base, state.base.materialize().len()),
+                "base at {i}"
+            );
+            for (name, vs) in state.insts.iter() {
+                let parts = vs.split.iter().flat_map(|(m, r)| [m, r]);
+                for rel in std::iter::once(&vs.inst).chain(parts) {
+                    assert!(within(rel, rel.materialize().len()), "`{name}` at {i}");
+                }
+            }
         }
-        assert_eq!(v.get().len(), MAX_CHAIN as usize * 2 + 7);
+        let state = db.snapshot().state;
+        let inner = db.inner.read();
+        assert_eq!(state.base.get().rows(), inner.base.rows());
+        for (name, vs) in state.insts.iter() {
+            let mat = &inner.mats[name];
+            assert_eq!(vs.inst.get().rows(), mat.instance().rows(), "`{name}`");
+            if let (Some((pm, pr)), Some((m, r))) = (&vs.split, mat.split()) {
+                assert_eq!(pm.get().rows(), m.rows(), "`{name}` σ_P");
+                assert_eq!(pr.get().rows(), r.rows(), "`{name}` σ_¬P");
+            }
+        }
+        if relvu_obs::enabled() {
+            assert!(reroots.get() > before, "publish re-rooted");
+        }
+    }
+
+    /// Single-row inserts never bring a chain's rows up to the growing
+    /// relation's size, so publish re-roots on the commit count.
+    #[test]
+    fn lazy_rel_chain_is_capped_by_commits() {
+        use crate::{Database, Policy};
+        use relvu_deps::FdSet;
+        const ROWS: u64 = 16;
+        let schema = Schema::new(["E", "D", "M"]).unwrap();
+        let fds = FdSet::parse(&schema, "E -> D; D -> M").unwrap();
+        let base = Relation::from_rows(schema.universe(), (0..ROWS).map(|e| tup![e, e % 8, e % 8]))
+            .unwrap();
+        let db = Database::new(schema.clone(), fds, base).unwrap();
+        db.create_view("emp", schema.set(["E", "D"]).unwrap(), None, Policy::Exact)
+            .unwrap();
+        let reroots = relvu_obs::counter!("engine.snap.reroots");
+        let before = reroots.get();
+        for e in ROWS..ROWS + REROOT_NODES as u64 + 100 {
+            db.insert_via("emp", tup![e, e % 8]).unwrap();
+            let state = db.snapshot().state;
+            assert!(state.base.depth() < REROOT_NODES, "base at {e}");
+            assert!(
+                state.insts["emp"].inst.depth() < REROOT_NODES,
+                "`emp` at {e}"
+            );
+        }
+        let state = db.snapshot().state;
+        let inner = db.inner.read();
+        assert_eq!(state.base.get().rows(), inner.base.rows());
+        assert_eq!(
+            state.insts["emp"].inst.get().rows(),
+            inner.mats["emp"].instance().rows()
+        );
+        if relvu_obs::enabled() {
+            assert!(reroots.get() > before, "publish re-rooted");
+        }
+    }
+
+    /// Dropping a chain far deeper than the stack could recurse through
+    /// unlinks it iteratively, and stops at a node a live version shares.
+    #[test]
+    fn lazy_rel_long_chain_drops_without_recursion() {
+        const NODES: u64 = 200_000;
+        let mut v = Arc::new(LazyRel::ready(Arc::new(rel(&[]))));
+        let mut kept = None;
+        for i in 0..NODES {
+            v = v.advance(&ViewDelta::whole(i, vec![], vec![tup![i, i]], None));
+            if i == 999 {
+                kept = Some(Arc::clone(&v));
+            }
+        }
+        assert_eq!(v.depth(), NODES as u32);
+        drop(v);
+        let kept = kept.unwrap();
+        assert_eq!(kept.depth(), 1000);
+        assert_eq!(kept.get().len(), 1000);
     }
 
     #[test]

@@ -99,6 +99,13 @@ impl Col {
         self.vals.len()
     }
 
+    /// How many more distinct values this column can intern before
+    /// [`Col::intern`] reports [`RelationError::DictFull`].
+    #[inline]
+    pub(crate) fn room(&self) -> u64 {
+        u64::from(u32::MAX) - (u64::from(self.id_base) + self.vals.len() as u64)
+    }
+
     /// Test hook: pretend `by` ids were already handed out, so the
     /// [`RelationError::DictFull`] guard can be reached without 2³²
     /// insertions. Only callable on a column that has interned nothing.

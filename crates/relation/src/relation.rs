@@ -10,7 +10,7 @@
 use std::cmp::Ordering;
 
 use crate::columnar::Col;
-use crate::{Attr, AttrSet, RelationError, Result, Tuple, Value};
+use crate::{Attr, AttrSet, RelationError, Result, Tuple, Value, MAX_ATTRS};
 
 /// A relation instance over an attribute set.
 ///
@@ -39,11 +39,12 @@ pub struct Relation {
     /// Rows currently containing at least one labeled null, maintained
     /// on insert/remove so `has_nulls` is O(1).
     null_rows: usize,
-    /// Reusable id-key buffer for `insert`/`remove`, so the warm write
-    /// path allocates nothing (the old tuple→index map cloned the whole
-    /// tuple per insert; see the allocation regression test).
-    probe_scratch: Vec<u32>,
 }
+
+/// An id key resolved on the stack, so probes, inserts and removals
+/// allocate nothing (the old tuple→index map cloned the whole tuple per
+/// insert; see the allocation regression test).
+type IdKey = [u32; MAX_ATTRS];
 
 impl Relation {
     /// An empty relation over `attrs`.
@@ -54,7 +55,6 @@ impl Relation {
             cols: (0..attrs.len()).map(|_| Col::default()).collect(),
             order: Vec::new(),
             null_rows: 0,
-            probe_scratch: Vec::new(),
         }
     }
 
@@ -108,21 +108,24 @@ impl Relation {
         Ordering::Equal
     }
 
-    /// Resolve `t` to its interned id key, if every value is known to
-    /// the dictionaries. A `None` means `t` cannot be a member.
-    fn probe_key(&self, t: &Tuple) -> Option<Vec<u32>> {
-        debug_assert_eq!(t.arity(), self.cols.len());
-        self.cols
-            .iter()
-            .zip(t.values())
-            .map(|(c, v)| c.id_of(v))
-            .collect()
-    }
-
     /// Binary-search `order` for a probe key.
     fn search_probe(&self, probe: &[u32]) -> std::result::Result<usize, usize> {
         self.order
             .binary_search_by(|&slot| self.cmp_slot_probe(slot, probe))
+    }
+
+    /// The position in `order` of `t`, if present: its id key is
+    /// resolved into a stack buffer, and a value unknown to a dictionary
+    /// means `t` cannot be a member.
+    fn search_tuple(&self, t: &Tuple) -> Option<usize> {
+        if t.arity() != self.attrs.len() {
+            return None;
+        }
+        let mut key: IdKey = [0; MAX_ATTRS];
+        for ((c, v), id) in self.cols.iter().zip(t.values()).zip(&mut key) {
+            *id = c.id_of(v)?;
+        }
+        self.search_probe(&key[..self.cols.len()]).ok()
     }
 
     /// Position in `order` of an existing row slot.
@@ -206,46 +209,32 @@ impl Relation {
                 got: t.arity(),
             });
         }
-        // Intern the key (no-op for seen values) into the reusable
-        // buffer; a fresh value in any column means the row cannot
-        // already be present.
-        let mut probe = std::mem::take(&mut self.probe_scratch);
-        probe.clear();
+        // Intern the key (no-op for seen values); a fresh value in any
+        // column means the row cannot already be present.
+        let mut key: IdKey = [0; MAX_ATTRS];
         let mut fresh_value = false;
-        let mut dict_err = None;
-        for (c, v) in self.cols.iter_mut().zip(t.values()) {
+        for ((c, v), id) in self.cols.iter_mut().zip(t.values()).zip(&mut key) {
             let before = c.dict_len();
-            match c.intern(v) {
-                Ok(id) => probe.push(id),
-                Err(e) => {
-                    dict_err = Some(e);
-                    break;
-                }
-            }
+            *id = c.intern(v)?;
             fresh_value |= c.dict_len() != before;
         }
-        let result = if let Some(e) = dict_err {
-            Err(e)
-        } else {
-            match self.search_probe(&probe) {
-                Ok(_) => {
-                    debug_assert!(!fresh_value, "a row with a fresh value cannot be present");
-                    Ok(false)
-                }
-                Err(pos) => {
-                    let slot = self.rows.len() as u32;
-                    self.null_rows += usize::from(t.has_null());
-                    for (c, &id) in self.cols.iter_mut().zip(&probe) {
-                        c.ids.push(id);
-                    }
-                    self.rows.push(t);
-                    self.order.insert(pos, slot);
-                    Ok(true)
-                }
+        let key = &key[..self.cols.len()];
+        match self.search_probe(key) {
+            Ok(_) => {
+                debug_assert!(!fresh_value, "a row with a fresh value cannot be present");
+                Ok(false)
             }
-        };
-        self.probe_scratch = probe;
-        result
+            Err(pos) => {
+                let slot = self.rows.len() as u32;
+                self.null_rows += usize::from(t.has_null());
+                for (c, &id) in self.cols.iter_mut().zip(key) {
+                    c.ids.push(id);
+                }
+                self.rows.push(t);
+                self.order.insert(pos, slot);
+                Ok(true)
+            }
+        }
     }
 
     /// Remove a tuple. Returns `true` if it was present.
@@ -254,70 +243,38 @@ impl Relation {
     /// order after a removal differs from pure insertion order (it stays
     /// deterministic for a given operation sequence).
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        if t.arity() != self.attrs.len() {
+        let Some(pos) = self.search_tuple(t) else {
             return false;
+        };
+        let slot = self.order[pos];
+        let last = (self.rows.len() - 1) as u32;
+        if slot != last {
+            // The last row moves into `slot`; repoint its index entry
+            // before storage changes (keys are distinct, so the search
+            // is exact).
+            let last_pos = self.search_slot(last);
+            self.order[last_pos] = slot;
         }
-        let mut probe = std::mem::take(&mut self.probe_scratch);
-        probe.clear();
-        let mut known = true;
-        for (c, v) in self.cols.iter().zip(t.values()) {
-            match c.id_of(v) {
-                Some(id) => probe.push(id),
-                None => {
-                    known = false;
-                    break;
-                }
-            }
+        self.order.remove(pos);
+        self.null_rows -= usize::from(t.has_null());
+        self.rows.swap_remove(slot as usize);
+        for c in &mut self.cols {
+            c.ids.swap_remove(slot as usize);
         }
-        let removed = known
-            && match self.search_probe(&probe) {
-                Err(_) => false,
-                Ok(pos) => {
-                    let slot = self.order[pos];
-                    let last = (self.rows.len() - 1) as u32;
-                    if slot != last {
-                        // The last row moves into `slot`; repoint its
-                        // index entry before storage changes (keys are
-                        // distinct, so the search is exact).
-                        let last_pos = self.search_slot(last);
-                        self.order[last_pos] = slot;
-                    }
-                    self.order.remove(pos);
-                    self.null_rows -= usize::from(t.has_null());
-                    self.rows.swap_remove(slot as usize);
-                    for c in &mut self.cols {
-                        c.ids.swap_remove(slot as usize);
-                    }
-                    true
-                }
-            };
-        self.probe_scratch = probe;
-        removed
+        true
     }
 
     /// The storage slot (index into [`rows`]) of `t`, if present.
     ///
     /// [`rows`]: Relation::rows
     pub fn slot_of(&self, t: &Tuple) -> Option<usize> {
-        if t.arity() != self.attrs.len() {
-            return None;
-        }
-        let probe = self.probe_key(t)?;
-        self.search_probe(&probe)
-            .ok()
-            .map(|pos| self.order[pos] as usize)
+        self.search_tuple(t).map(|pos| self.order[pos] as usize)
     }
 
     /// Membership test: id-key resolution plus one binary search.
     #[inline]
     pub fn contains(&self, t: &Tuple) -> bool {
-        if t.arity() != self.attrs.len() {
-            return false;
-        }
-        match self.probe_key(t) {
-            Some(probe) => self.search_probe(&probe).is_ok(),
-            None => false,
-        }
+        self.search_tuple(t).is_some()
     }
 
     /// Does any row contain a labeled null? O(1): the count is
@@ -414,6 +371,13 @@ impl Relation {
     pub fn dict_len(&self, a: Attr) -> usize {
         let rank = self.attrs.rank(a).expect("attribute in relation");
         self.cols[rank].dict_len()
+    }
+
+    /// Can `rows` more rows be inserted without a column dictionary
+    /// running out of ids? Conservative: every column must have an id
+    /// left for each row, whether or not its value is already interned.
+    pub fn has_dict_room(&self, rows: usize) -> bool {
+        self.cols.iter().all(|c| c.room() >= rows as u64)
     }
 
     /// Row slots (== indices into [`rows`]) whose `on`-columns agree
@@ -783,6 +747,17 @@ mod tests {
         assert!(!r.insert(tup![1]).unwrap());
         assert!(r.remove(&tup![1]));
         r.debug_validate();
+    }
+
+    #[test]
+    fn dict_room_needs_an_id_per_row() {
+        let mut r = Relation::new(set(&[0, 1]));
+        r._inflate_dict_id_base(u32::MAX - 3);
+        r.insert(tup![1, 1]).unwrap();
+        // Two ids left per column.
+        assert!(r.has_dict_room(2));
+        assert!(!r.has_dict_room(3));
+        assert!(r.has_dict_room(0));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! **cloned every inserted tuple** into it, so each insert cost at least
 //! one `Vec<Value>` allocation (plus map growth) even when the tuple was
 //! a duplicate. The columnar store interns values once per distinct
-//! value and routes inserts/removes through a reusable id buffer
-//! (`probe_scratch`), so the warm write path allocates nothing.
+//! value and resolves each insert's and removal's id key into a stack
+//! buffer, so the warm write path allocates nothing.
 //!
 //! This file deliberately contains a single `#[test]`: the counting
 //! allocator is process-global, and a second test running in parallel
@@ -57,7 +57,7 @@ fn warm_insert_remove_allocates_nothing() {
     let make = |i: u64| -> Tuple { relvu_relation::tup![i, i * 2, i % 17] };
 
     // Warm phase: populate, then churn once so every Vec (rows, per-column
-    // ids, sorted order, probe scratch) has settled capacity and every
+    // ids, sorted order) has settled capacity and every
     // value is already interned in its column dictionary.
     let mut r = Relation::new(attrs);
     for i in 0..N {

@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use relvu::deps::FdSet;
 use relvu::engine::{Database, EngineError, Policy, SubscribeOptions, Subscription, UpdateOp};
 use relvu::prelude::*;
-use relvu::relation::{tup, CmpOp, Pred, Value};
+use relvu::relation::{tup, CmpOp, Pred, RelationError, Value};
 use relvu::workload::fixtures;
 
 // ── Bug 1: atomic selection-view registration ───────────────────────────
@@ -722,4 +722,50 @@ fn replace_by_tuple_already_in_view_names_the_cause() {
     let snap = db.snapshot();
     assert_eq!(snap.dump(), before);
     assert_eq!(snap.seq(), 0);
+}
+
+// ── Bug 9: a full column dictionary mid-commit ──────────────────────────
+
+/// A value that needs a fresh dictionary id when its column's `u32` id
+/// space is used up used to panic in the middle of `Database::commit`,
+/// after the removals had run; the write guard then reset the engine.
+/// The commit now checks dictionary room for every relation it inserts
+/// into before its first edit and returns `DictFull`, leaving the
+/// published state as it was.
+#[test]
+fn full_dictionary_refuses_the_commit_before_any_edit() {
+    let schema = Schema::new(["E", "D", "M"]).unwrap();
+    let fds = FdSet::parse(&schema, "E -> D; D -> M").unwrap();
+    let mut base = Relation::new(schema.universe());
+    base._inflate_dict_id_base(u32::MAX - 8);
+    // Department 0 has one employee, department 1 three.
+    for e in 0..4u64 {
+        let d = u64::from(e > 0);
+        base.insert(tup![e, d, 100 + d]).unwrap();
+    }
+    let db = Database::new(schema.clone(), fds, base).unwrap();
+    db.create_view("mgrs", schema.set(["D", "M"]).unwrap(), None, Policy::Exact)
+        .unwrap();
+    db.create_view("emp", schema.set(["E", "D"]).unwrap(), None, Policy::Exact)
+        .unwrap();
+    // Column M has 6 ids left, and each change of department 0's
+    // manager to a fresh one moves its one row and takes one id.
+    let mut manager = 100;
+    for fresh in 200..206u64 {
+        db.replace_via("mgrs", tup![0, manager], tup![0, fresh])
+            .unwrap();
+        manager = fresh;
+    }
+    let before = db.snapshot();
+    let err = db
+        .replace_via("mgrs", tup![0, manager], tup![0, 206])
+        .unwrap_err();
+    assert_eq!(err, EngineError::Relation(RelationError::DictFull));
+    let after = db.snapshot();
+    assert_eq!(after.seq(), before.seq());
+    assert_eq!(after.dump(), before.dump());
+    // The engine stays usable: a deletion inserts nothing and needs no
+    // id.
+    db.delete_via("emp", tup![3, 1]).unwrap();
+    assert_eq!(db.snapshot().seq(), before.seq() + 1);
 }
