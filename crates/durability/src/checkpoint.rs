@@ -654,8 +654,9 @@ mod tests {
         for n in names {
             let t = Tuple::new([f.dict.sym(n), f.dict.sym("toys")]);
             db.insert_via("xy", t).unwrap();
-            let now = db.snapshot().seq();
-            let commits = db.base_delta_range(tip.0, now).unwrap();
+            let snap = db.snapshot();
+            let now = snap.seq();
+            let commits = snap.base_deltas_since(tip.0).unwrap();
             let crc = write_delta_checkpoint(vfs, now, &commits, tip, retain).unwrap();
             tip = (now, crc);
         }
@@ -670,8 +671,9 @@ mod tests {
         // Mix in a removal so swap-remove ordering is exercised.
         let t = Tuple::new([f.dict.sym("dan"), f.dict.sym("toys")]);
         db.delete_via("xy", t).unwrap();
-        let now = db.snapshot().seq();
-        let commits = db.base_delta_range(tip_seq, now).unwrap();
+        let snap = db.snapshot();
+        let now = snap.seq();
+        let commits = snap.base_deltas_since(tip_seq).unwrap();
         let tip = (
             tip_seq,
             read_validated(&vfs, &delta_checkpoint_name(tip_seq))

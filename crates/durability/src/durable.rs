@@ -202,7 +202,7 @@ impl<V: Vfs + Clone> Shared<V> {
         chain.tip = (seq, crc, 0);
         chain.last_write = Instant::now();
         chain.wal_bytes_at = wal.bytes_appended();
-        self.db.prune_dirty_below(seq);
+        self.db.prune_history_below(seq);
         Ok(seq)
     }
 
@@ -251,12 +251,12 @@ impl<V: Vfs + Clone> Shared<V> {
             return Ok(target);
         }
         let (tip_seq, tip_crc, tip_deltas) = chain.tip;
-        // Chain a delta while the engine still holds the per-commit
-        // deltas since the tip and the chain is not too long; otherwise
-        // (or when the dirty ring was pruned/evicted) write a full
-        // snapshot and start a fresh chain.
+        // Chain a delta while the pinned snapshot's history still holds
+        // the commits since the tip and the chain is not too long;
+        // otherwise (or when the history was pruned or evicted past the
+        // tip) write a full snapshot and start a fresh chain.
         let commits = if self.opts.max_delta_chain > 0 && tip_deltas < self.opts.max_delta_chain {
-            self.db.base_delta_range(tip_seq, target)
+            snap.base_deltas_since(tip_seq)
         } else {
             None
         };
@@ -278,7 +278,7 @@ impl<V: Vfs + Clone> Shared<V> {
             Ok(tip) => {
                 chain.tip = tip;
                 chain.last_write = Instant::now();
-                self.db.prune_dirty_below(tip.0);
+                self.db.prune_history_below(tip.0);
                 Ok(tip.0)
             }
             Err(e) => {

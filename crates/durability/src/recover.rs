@@ -375,20 +375,22 @@ pub fn check_invariants(snap: &EngineSnapshot) -> Result<(), DurabilityError> {
             }
         }
     }
-    let log = snap.log();
-    for pair in log.windows(2) {
-        if pair[1].seq != pair[0].seq + 1 {
-            return Err(violated(format!(
-                "log sequence jumps from {} to {}",
-                pair[0].seq, pair[1].seq
-            )));
+    let mut last: Option<u64> = None;
+    for entry in snap.log_entries() {
+        if let Some(prev) = last {
+            if entry.seq != prev + 1 {
+                return Err(violated(format!(
+                    "log sequence jumps from {prev} to {}",
+                    entry.seq
+                )));
+            }
         }
+        last = Some(entry.seq);
     }
-    if let Some(last) = log.last() {
-        if last.seq != snap.seq() {
+    if let Some(last) = last {
+        if last != snap.seq() {
             return Err(violated(format!(
-                "log ends at seq {} but the database is at seq {}",
-                last.seq,
+                "log ends at seq {last} but the database is at seq {}",
                 snap.seq()
             )));
         }
@@ -440,9 +442,7 @@ mod tests {
                 t: vt(&dict, "ada", "toys"),
             },
         ] {
-            let before = db.snapshot().log().len();
-            db.apply_op("xy", op).unwrap();
-            let entry = db.snapshot().log()[before..].last().unwrap().clone();
+            let entry = db.apply_op("xy", op).unwrap();
             wal.append(&entry).unwrap();
         }
         let live = db.snapshot();
@@ -488,13 +488,11 @@ mod tests {
         ];
         let mut it = ops.into_iter();
         for op in it.by_ref().take(2) {
-            db.apply_op("xy", op).unwrap();
-            wal.append(db.snapshot().log().last().unwrap()).unwrap();
+            wal.append(&db.apply_op("xy", op).unwrap()).unwrap();
         }
         let seq_b = write_checkpoint(vfs, &db).unwrap();
         for op in it {
-            db.apply_op("xy", op).unwrap();
-            wal.append(db.snapshot().log().last().unwrap()).unwrap();
+            wal.append(&db.apply_op("xy", op).unwrap()).unwrap();
         }
         (db.snapshot().dump(), seq_a, seq_b)
     }

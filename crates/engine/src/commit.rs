@@ -8,16 +8,18 @@
 //! of copying them:
 //!
 //! * the publish queue (the staged commits, applied at the next
-//!   snapshot publish or dropped by an abort) and the commit ring
-//!   ([`crate::dirty`], serving incremental checkpoints and subscription
-//!   catch-up) hold the `Arc<Commit>`;
+//!   snapshot publish or dropped by an abort) and the published
+//!   snapshots' commit history (`mvcc::History`, serving the audit
+//!   log, incremental checkpoints and subscription catch-up) hold the
+//!   `Arc<Commit>`;
 //! * the `LazyRel` delta chains of published snapshots and CDC events
 //!   hold the one relation's `Arc<ViewDelta>` they read, so a retained
 //!   event or chain pins that relation's rows and nothing else.
 //!
-//! The audit log's unsealed tail, the returned [`crate::UpdateReport`]
-//! and the WAL's group-commit queue share the `Arc<LogEntry>`, so the
-//! log (which lives for the whole history) never pins a delta.
+//! The returned [`crate::UpdateReport`] and the WAL's group-commit
+//! queue share the `Arc<LogEntry>`. The history is bounded: checkpoints
+//! prune it and it holds at most 65,536 commits, so the deltas it pins
+//! are bounded too.
 //!
 //! A [`ViewDelta`] is the only way a consumer reads part of a commit:
 //! the base's or one view's whole delta, or — for a selection view — its

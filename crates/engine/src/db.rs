@@ -16,10 +16,9 @@ use relvu_deps::{closure, FdSet};
 use relvu_relation::{AttrSet, Pred, Relation, Schema, Tuple};
 
 use crate::commit::{Commit, ViewDelta};
-use crate::dirty::DirtyRing;
 use crate::log::{LogEntry, UpdateOp, UpdateReport};
 use crate::mat::ViewMat;
-use crate::mvcc::{EngineSnapshot, LazyRel, LogState, SnapCell, SnapState, ViewSnap};
+use crate::mvcc::{EngineSnapshot, History, LazyRel, SnapCell, SnapState, ViewSnap};
 use crate::subscribe::{
     event_for, make_subscriber, SubscribeFrom, SubscribeOptions, Subscription, SubscriptionHub,
 };
@@ -55,17 +54,14 @@ pub(crate) struct Inner {
     /// Accepted counts move at publish.
     pub(crate) stats: HashMap<String, ViewStats>,
     /// The most recently published snapshot. Σ, the view definitions,
-    /// the DAG, the log, the sequence number and the epoch are read from
-    /// here; the next publish extends its delta chains.
+    /// the DAG, the history, the sequence number and the epoch are read
+    /// from here; the next publish extends its delta chains.
     pub(crate) cur: Arc<SnapState>,
     /// Staged commits, in seq order. `apply_op` publishes its one commit
     /// at once; the batch paths stage one entry per commit and publish
     /// at batch end, so readers never observe a state an abort could
     /// retract. Empty whenever the write lock is free.
     pub(crate) pending: Vec<Arc<Commit>>,
-    /// Recent published commits, for incremental checkpoints and
-    /// subscription catch-up.
-    pub(crate) dirty: DirtyRing,
 }
 
 /// The engine write lock, as every mutator holds it. If the holder
@@ -217,7 +213,7 @@ impl Database {
             views: Arc::default(),
             dag: Arc::default(),
             stats: Arc::default(),
-            log: LogState::default(),
+            history: History::default(),
             base: Arc::new(LazyRel::ready(Arc::new(base.clone()))),
             insts: Arc::default(),
         });
@@ -230,7 +226,6 @@ impl Database {
                 stats: HashMap::new(),
                 cur,
                 pending: Vec::new(),
-                dirty: DirtyRing::new(),
             }),
         })
     }
@@ -252,11 +247,11 @@ impl Database {
     }
 
     /// Publish the staged commits (and any stats movement) as the next
-    /// epoch: each commit's entry joins the log and the commit ring, its
-    /// view's accepted count moves, and its subscribers get their
-    /// events. O(|Δ|): unchanged relations are shared structurally with
-    /// the previous snapshot, changed ones get an O(1) delta-chain
-    /// extension referencing the commit's shared delta.
+    /// epoch: each commit joins the history, its view's accepted count
+    /// moves, and its subscribers get their events. O(|Δ|): unchanged
+    /// relations are shared structurally with the previous snapshot,
+    /// changed ones get an O(1) delta-chain extension referencing the
+    /// commit's shared delta.
     pub(crate) fn publish(&self, inner: &mut Inner) {
         let _t = relvu_obs::histogram!("engine.snap.publish_ns").timer();
         let mut next = inner.cur.successor();
@@ -267,12 +262,11 @@ impl Database {
             // snapshot readers. A batch publishes all its staged commits
             // at once, so its events land atomically too.
             self.hub.dispatch(commit);
-            inner.dirty.record(commit);
             let view = commit.entry.view.clone();
             inner.stats.entry(view).or_default().accepted += 1;
             relvu_obs::counter!("engine.accepted").inc();
             next.seq = commit.seq();
-            next.log.push(Arc::clone(&commit.entry));
+            next.history.push(Arc::clone(commit));
             next.base = next.base.advance(&commit.base);
             for (name, delta) in commit.views.iter() {
                 let Some(vs) = Arc::make_mut(&mut next.insts).get_mut(name) else {
@@ -745,30 +739,25 @@ impl Database {
     /// crash. Calling `resume_at(checkpoint_seq)` before replay makes the
     /// engine hand out matching numbers. Only forward jumps are allowed,
     /// so the log stays strictly monotone — and only over an *empty*
-    /// log: jumping past entries already held would tear a hole in the
-    /// contiguous log and mislabel every later range read.
+    /// history: jumping past commits already held would tear a hole in
+    /// the contiguous history and mislabel every later range read.
     ///
     /// # Errors
     /// [`EngineError::SeqRegression`] if `seq` is below the current
     /// sequence number; [`EngineError::SeqJumpOverLog`] if `seq` is
-    /// above it while the audit log is non-empty.
+    /// above it while the history holds a commit.
     pub fn resume_at(&self, seq: u64) -> Result<()> {
         let mut inner = self.write();
         let mut next = inner.cur.successor();
-        // The log's first entry will be seq+1; record where this
-        // incarnation's history starts so range reads below it report
-        // the gap instead of serving mislabeled entries.
         Self::move_seq(&mut next, seq)?;
-        // Commits below the resumed counter predate this incarnation;
-        // coverage for incremental checkpoints starts here.
-        inner.dirty.prune_below(seq);
         self.install(&mut inner, next);
         Ok(())
     }
 
-    /// Move `state`'s sequence counter forward to `seq` over an empty
-    /// log, re-basing the log there — the shared check of `resume_at`
-    /// and `apply_checkpoint_deltas`.
+    /// Move `state`'s sequence counter to `seq` (never backward, and
+    /// forward only over an empty history) and start the history after
+    /// `seq`, so reads below it report a gap: the shared check of
+    /// `resume_at` and `apply_checkpoint_deltas`.
     fn move_seq(state: &mut SnapState, seq: u64) -> Result<()> {
         if seq < state.seq {
             return Err(EngineError::SeqRegression {
@@ -776,15 +765,13 @@ impl Database {
                 requested: seq,
             });
         }
-        if seq > state.seq {
-            if !state.log.is_empty() {
-                return Err(EngineError::SeqJumpOverLog {
-                    current: state.seq,
-                    requested: seq,
-                });
-            }
-            state.log.set_origin(seq);
+        if seq > state.seq && !state.history.is_empty() {
+            return Err(EngineError::SeqJumpOverLog {
+                current: state.seq,
+                requested: seq,
+            });
         }
+        state.history.prune_below(seq);
         state.seq = seq;
         Ok(())
     }
@@ -978,9 +965,9 @@ impl Database {
         }
         #[cfg(not(debug_assertions))]
         let _ = (x, y);
-        // The one record of this update: the log, the report and (in a
-        // durable store) the WAL queue share its entry; the publish
-        // queue and the commit ring share the whole commit.
+        // The one record of this update: the report and (in a durable
+        // store) the WAL queue share its entry; the publish queue and
+        // the published history share the whole commit.
         let entry = Arc::new(LogEntry {
             seq,
             view: name.to_string(),
@@ -1095,11 +1082,12 @@ impl Database {
                         current,
                     });
                 }
+                let history = &inner.cur.history;
                 let gap = EngineError::SubscriptionGap {
                     requested: s,
-                    first_available: inner.dirty.floor(),
+                    first_available: history.floor(),
                 };
-                let commits = inner.dirty.range(s, current).ok_or(gap)?;
+                let commits = history.since(s).ok_or(gap)?;
                 // The same event construction as the live fan-out.
                 (
                     s,
@@ -1113,23 +1101,19 @@ impl Database {
         Ok(Subscription::new(sub, origin_seq, origin_rows))
     }
 
-    /// The commits in `(from_seq, to_seq]` that changed the base,
-    /// oldest first — the dirty set an incremental checkpoint
-    /// serializes ([`Commit::removed`] / [`Commit::added`]). Shared,
-    /// not copied: the ring holds the same allocations. Returns `None`
-    /// when the engine no longer covers `from_seq` (the ring evicted it,
-    /// or the engine was loaded/resumed past it); the caller must then
-    /// fall back to a full serialization.
-    pub fn base_delta_range(&self, from_seq: u64, to_seq: u64) -> Option<Vec<Arc<Commit>>> {
-        let inner = self.inner.read();
-        let commits = inner.dirty.range(from_seq, to_seq)?.cloned().collect();
-        Some(commits)
-    }
-
-    /// Drop dirty-set entries at or below `seq` — called after a
-    /// checkpoint at `seq` makes them redundant.
-    pub fn prune_dirty_below(&self, seq: u64) {
-        self.write().dirty.prune_below(seq);
+    /// Drop the history's commits at or below `seq` (at most the
+    /// current seq), publishing an epoch whose history starts after
+    /// them: called after a checkpoint at `seq` makes them redundant.
+    /// Snapshots pinned earlier keep what they hold.
+    pub fn prune_history_below(&self, seq: u64) {
+        let mut inner = self.write();
+        let seq = seq.min(inner.cur.seq);
+        if seq <= inner.cur.history.floor() {
+            return;
+        }
+        let mut next = inner.cur.successor();
+        next.history.prune_below(seq);
+        self.install(&mut inner, next);
     }
 
     /// Replay checkpoint-delta commits, each `(seq, removed, added)`, on
@@ -1157,8 +1141,8 @@ impl Database {
         let mut inner = self.write();
         let mut next = inner.cur.successor();
         let mut prev = next.seq;
-        // Same origin bookkeeping as `resume_at`: the replayed history
-        // lives in the checkpoint chain, not this log.
+        // The replayed commits live in the checkpoint chain, not the
+        // history: it starts after `final_seq`, as after `resume_at`.
         Self::move_seq(&mut next, final_seq)?;
         let replay = || -> Result<()> {
             for (seq, removed, added) in commits {
@@ -1194,7 +1178,6 @@ impl Database {
             Self::reset_to_published(&mut inner);
             return Err(e);
         }
-        inner.dirty.prune_below(final_seq);
         // The published instances are those of the base before the
         // replay.
         next.insts = Arc::default();

@@ -91,11 +91,11 @@ pub enum EngineError {
         requested: u64,
     },
     /// A forward sequence jump (`resume_at` / checkpoint-delta replay
-    /// past the current seq) was requested while the audit log already
-    /// holds entries: honoring it would tear a hole in the contiguous
-    /// log and mislabel every later entry. Jumps are only valid on an
-    /// empty log (the recovery path, where the pre-jump history lives in
-    /// the checkpoint/WAL instead).
+    /// past the current seq) was requested while the commit history
+    /// (the audit log) holds a commit: honoring it would tear a hole in
+    /// the contiguous history and mislabel every later entry. Jumps are
+    /// only valid on an empty history (the recovery path, where the
+    /// pre-jump history lives in the checkpoint/WAL instead).
     SeqJumpOverLog {
         /// The engine's current sequence number.
         current: u64,
@@ -104,8 +104,8 @@ pub enum EngineError {
     },
     /// A subscriber asked to resume its delta stream from a sequence
     /// number the engine no longer (or never) holds deltas for — the
-    /// dirty ring was pruned by a checkpoint, evicted on overflow, or
-    /// the engine was resumed past it. The missed range is
+    /// commit history was pruned by a checkpoint, evicted on overflow,
+    /// or the engine was resumed past it. The missed range is
     /// `requested..first_available`; the subscriber must re-origin from
     /// a snapshot (or another delta source) instead of assuming nothing
     /// happened.

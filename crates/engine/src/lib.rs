@@ -27,7 +27,6 @@ mod batch;
 mod commit;
 mod dag;
 mod db;
-mod dirty;
 mod error;
 mod log;
 mod mat;

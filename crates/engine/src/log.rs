@@ -28,9 +28,9 @@ pub enum UpdateOp {
 }
 
 /// A gap at the front of a requested log range: the caller asked for
-/// entries below the oldest sequence number the log still holds (the
-/// log was started after a recovery/`resume_at`, or history below the
-/// resume point was never in this incarnation). The entries in
+/// entries below the oldest sequence number the log still holds (a
+/// checkpoint pruned them, the 65,536-commit cap evicted them, or they
+/// predate a recovery/`resume_at`). The entries in
 /// `first_available..` are served; everything in
 /// `requested_from..first_available` is *reported missing* rather than
 /// silently skipped — a catch-up consumer must treat this as "replay
@@ -65,7 +65,8 @@ impl LogRange {
 }
 
 /// What an applied update did: its audit-log entry, shared with the
-/// log itself (and, in a durable store, with the WAL's commit queue).
+/// commit history (and, in a durable store, with the WAL's commit
+/// queue).
 pub type UpdateReport = Arc<LogEntry>;
 
 /// One successfully applied view update.

@@ -2,10 +2,11 @@
 //!
 //! [`Database::metrics`] combines a point-in-time [`relvu_obs::Snapshot`]
 //! of the process-wide registry (closure-cache hit rates, check latency
-//! histograms, batch stage timings, lock hold times, commit-ring
+//! histograms, batch stage timings, lock hold times, commit-history
 //! evictions) with the engine's own per-view accept/reject counters and
-//! its commit-ring floor, and renders the whole thing in Prometheus text
-//! exposition format for scraping or the REPL's `\metrics` command.
+//! its commit history's floor and length, and renders the whole thing in
+//! Prometheus text exposition format for scraping or the REPL's
+//! `\metrics` command.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -25,18 +26,21 @@ pub struct EngineMetrics {
     /// Per-view accepted/rejected counts, keyed by view name, with
     /// rejections broken down by [`relvu_core::RejectReason::code`].
     pub views: BTreeMap<String, ViewStats>,
-    /// The commit ring's floor: commits at or below it are no longer
-    /// held, so incremental checkpoints and subscription catch-up can
-    /// start no earlier. It rises at each checkpoint and, when the ring
-    /// overflows, at each eviction (counted by `engine.ring.evicted`).
+    /// The commit history's floor: commits at or below it are no longer
+    /// held, so the audit log, incremental checkpoints and subscription
+    /// catch-up can start no earlier. It rises at each checkpoint and,
+    /// once the history holds 65,536 commits, at each eviction (counted
+    /// by `engine.ring.evicted`).
     pub ring_floor: u64,
+    /// The number of commits the history holds, `seq - ring_floor`.
+    pub history_len: u64,
 }
 
 impl EngineMetrics {
     /// Render in Prometheus text exposition format: the registry metrics
     /// first (via [`relvu_obs::Snapshot::render_prometheus`]), then the
-    /// `relvu_ring_floor` gauge, one `relvu_view_accepted_total{view="..."}`
-    /// line per view and one
+    /// `relvu_ring_floor` and `relvu_history_commits` gauges, one
+    /// `relvu_view_accepted_total{view="..."}` line per view and one
     /// `relvu_view_rejected_total{view="...",reason="..."}` line per
     /// (view, reason code) pair.
     #[must_use]
@@ -44,6 +48,8 @@ impl EngineMetrics {
         let mut out = self.obs.render_prometheus();
         out.push_str("# TYPE relvu_ring_floor gauge\n");
         let _ = writeln!(out, "relvu_ring_floor {}", self.ring_floor);
+        out.push_str("# TYPE relvu_history_commits gauge\n");
+        let _ = writeln!(out, "relvu_history_commits {}", self.history_len);
         if !self.views.is_empty() {
             out.push_str("# TYPE relvu_view_accepted_total counter\n");
             for (name, stats) in &self.views {
@@ -86,11 +92,10 @@ fn escape_label(s: &str) -> String {
 impl Database {
     /// Snapshot every metric the engine keeps: the process-wide
     /// [`relvu_obs`] registry plus this database's per-view stats and
-    /// commit-ring floor.
+    /// commit history's floor and length.
     ///
-    /// Cheap enough to call between updates; the per-view counters come
-    /// from the published snapshot, and the ring floor costs one brief
-    /// shared lock.
+    /// Cheap enough to call between updates: everything but the registry
+    /// is read from one pinned snapshot, without the engine lock.
     #[must_use]
     pub fn metrics(&self) -> EngineMetrics {
         let snap = self.snapshot();
@@ -99,10 +104,12 @@ impl Database {
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
+        let history = &snap.state.history;
         EngineMetrics {
             obs: relvu_obs::snapshot(),
             views,
-            ring_floor: self.inner.read().dirty.floor(),
+            ring_floor: history.floor(),
+            history_len: history.len(),
         }
     }
 }
@@ -127,13 +134,20 @@ mod tests {
             let t = relvu_relation::Tuple::new([f.dict.sym(e), f.dict.sym("toys")]);
             db.insert_via("staff", t).unwrap();
         }
-        assert_eq!(db.metrics().ring_floor, 0);
-        db.prune_dirty_below(2);
-        assert_eq!(db.metrics().ring_floor, 2);
-        assert!(db
-            .metrics()
-            .render_prometheus()
-            .contains("relvu_ring_floor 2\n"));
+        let m = db.metrics();
+        assert_eq!((m.ring_floor, m.history_len), (0, 2));
+        db.prune_history_below(2);
+        let m = db.metrics();
+        assert_eq!((m.ring_floor, m.history_len), (2, 0));
+        let text = m.render_prometheus();
+        assert!(text.contains("relvu_ring_floor 2\n"));
+        assert!(text.contains("relvu_history_commits 0\n"));
+        // A commit after the prune is held again.
+        let t = relvu_relation::Tuple::new([f.dict.sym("fay"), f.dict.sym("toys")]);
+        db.insert_via("staff", t).unwrap();
+        let m = db.metrics();
+        assert_eq!((m.ring_floor, m.history_len), (2, 1));
+        assert!(m.render_prometheus().contains("relvu_history_commits 1\n"));
     }
 
     #[test]
@@ -152,9 +166,11 @@ mod tests {
             obs: relvu_obs::snapshot(),
             views,
             ring_floor: 7,
+            history_len: 3,
         };
         let text = m.render_prometheus();
         assert!(text.contains("relvu_ring_floor 7\n"));
+        assert!(text.contains("relvu_history_commits 3\n"));
         assert!(text.contains("relvu_view_accepted_total{view=\"staff\"} 3"));
         assert!(text.contains(
             "relvu_view_rejected_total{view=\"staff\",reason=\"intersection_not_in_view\"} 2"

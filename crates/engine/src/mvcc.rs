@@ -5,7 +5,7 @@
 //! [`EngineSnapshot`] through a [`SnapCell`], and every query answers
 //! from the most recently published snapshot without ever touching the
 //! engine lock. A pinned snapshot is internally consistent by
-//! construction: its base, every view instance, the log tail, Σ and the
+//! construction: its base, every view instance, the history, Σ and the
 //! sequence number all come from the same commit.
 //!
 //! Three pieces make publishing O(|Δ|) instead of O(|base|):
@@ -38,11 +38,14 @@
 //!   Dropping a chain unlinks it iteratively, so its length never
 //!   touches the stack. Obs counter `engine.snap.reroots` counts the
 //!   re-roots.
-//! * [`LogState`] — the audit log as sealed immutable chunks plus a
-//!   cons-list tail of shared `Arc<LogEntry>`s, so the snapshot's log
-//!   view is an O(1) pointer copy. The log lives only in published
-//!   snapshots: a commit's entry joins it at publish, so an aborted
-//!   transaction's entries never reach it.
+//! * [`History`] — the published commits in `(floor, seq]`, empty
+//!   ones included, as sealed immutable chunks plus a cons-list tail of
+//!   shared `Arc<Commit>`s, so the snapshot's copy is an O(1) pointer
+//!   copy. It is the engine's one history: the audit log, incremental
+//!   checkpoints and subscription catch-up all read it, by arithmetic
+//!   on seq. A commit joins it at publish, so an aborted transaction's
+//!   commits never reach it. Checkpoint prunes raise its floor, and past
+//!   [`HISTORY_CAP`] commits the oldest is evicted.
 //! * [`SnapCell`] — the hand-rolled `arc-swap` analog. The workspace
 //!   forbids `unsafe`, so instead of a raw atomic pointer the cell keeps
 //!   a small fixed set of cache-line-padded shards, each a
@@ -61,7 +64,7 @@ use parking_lot::RwLock;
 use relvu_deps::FdSet;
 use relvu_relation::{Relation, Schema};
 
-use crate::commit::ViewDelta;
+use crate::commit::{Commit, ViewDelta};
 use crate::dag::ViewDag;
 use crate::db::ViewStats;
 use crate::log::{LogEntry, LogGap, LogRange};
@@ -79,8 +82,13 @@ pub(crate) const REROOT_FLOOR: usize = 64;
 /// commits to a large relation cannot keep a chain of |rel| nodes alive.
 pub(crate) const REROOT_NODES: u32 = 512;
 
-/// Entries per sealed log chunk.
-const LOG_CHUNK: usize = 256;
+/// Commits per sealed [`History`] chunk.
+const HISTORY_CHUNK: usize = 256;
+
+/// The most commits a [`History`] serves: past it the oldest is evicted.
+/// Checkpoints prune the history long before that in a store that
+/// checkpoints.
+pub(crate) const HISTORY_CAP: u64 = 1 << 16;
 
 /// Shards in a [`SnapCell`].
 const SHARDS: usize = 8;
@@ -223,155 +231,163 @@ impl LazyRel {
 }
 
 // ---------------------------------------------------------------------
-// LogState: sealed chunks + cons-list tail
+// History: the bounded commit list, sealed chunks + cons-list tail
 // ---------------------------------------------------------------------
 
-struct LogNode {
-    entry: Arc<LogEntry>,
-    prev: Option<Arc<LogNode>>,
+struct HistNode {
+    commit: Arc<Commit>,
+    prev: Option<Arc<HistNode>>,
 }
 
-/// The audit log as a persistent structure: cloning is O(1) in the
-/// number of entries (two `Arc` copies), so every published snapshot
-/// carries the whole log for free. The unsealed tail holds each entry's shared
-/// `Arc<LogEntry>` — never the commit around it, so history does not
-/// pin deltas.
-#[derive(Clone)]
-pub(crate) struct LogState {
-    /// Sealed immutable chunks of exactly [`LOG_CHUNK`] entries each.
-    chunks: Arc<Vec<Arc<Vec<LogEntry>>>>,
-    /// Unsealed entries, newest-first.
-    tail: Option<Arc<LogNode>>,
+/// The published commits in `(floor, seq]`, empty (identity) commits
+/// included, so sequence numbers are contiguous and every lookup is
+/// arithmetic on seq. Cloning is O(1) (two `Arc` copies), so every
+/// snapshot carries its history for free. It is the engine's only
+/// history: the audit log, incremental checkpoints and subscription
+/// catch-up all read it.
+///
+/// A prune (at a checkpoint, or when a recovery resumes the counter)
+/// or an eviction at [`HISTORY_CAP`] raises the floor; whole sealed
+/// chunks at or below the floor are then dropped, so fewer than one
+/// chunk of commits at or below the floor stay allocated, never served.
+#[derive(Clone, Default)]
+pub(crate) struct History {
+    /// Sealed immutable chunks of exactly [`HISTORY_CHUNK`] commits
+    /// each, oldest first.
+    chunks: Arc<Vec<Arc<[Arc<Commit>]>>>,
+    /// Unsealed commits, newest-first.
+    tail: Option<Arc<HistNode>>,
     tail_len: usize,
-    /// The sequence number *before* this log's first entry: the held
-    /// entries are exactly `origin+1 ..= origin+len`. A fresh log has
-    /// origin 0; a log started by `resume_at(seq)`/recovery has
-    /// origin `seq`, and requests below `origin+1` report a
-    /// [`LogGap`] instead of silently starting at the first held entry.
-    origin: u64,
-    len: usize,
+    /// The seq before the first commit held: `chunks[0][0]` (or the
+    /// tail's oldest) has seq `start + 1`.
+    start: u64,
+    /// The exclusive lower bound of what is served: commits in
+    /// `(floor, end]`. `start <= floor <= end`.
+    floor: u64,
 }
 
-impl Default for LogState {
-    fn default() -> Self {
-        LogState {
-            chunks: Arc::new(Vec::new()),
-            tail: None,
-            tail_len: 0,
-            origin: 0,
-            len: 0,
-        }
+impl History {
+    /// The seq of the newest commit held (the floor when none is).
+    fn end(&self) -> u64 {
+        self.start + (self.chunks.len() * HISTORY_CHUNK + self.tail_len) as u64
     }
-}
 
-impl LogState {
+    /// The exclusive lower bound of what this history serves: every
+    /// commit in `(floor, end]` is held, and a range from below it
+    /// reports a gap.
+    pub(crate) fn floor(&self) -> u64 {
+        self.floor
+    }
+
+    /// The number of commits served, `end - floor`.
+    pub(crate) fn len(&self) -> u64 {
+        self.end() - self.floor
+    }
+
     pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// The oldest sequence number this log can serve (`origin + 1`).
-    /// Meaningful even when empty: the next pushed entry must carry it.
-    pub(crate) fn first_available(&self) -> u64 {
-        self.origin + 1
-    }
-
-    /// Re-base an **empty** log at `origin`, so the next entry carries
-    /// `origin + 1` — the recovery/`resume_at` hook that makes requests
-    /// for pre-incarnation history a reported [`LogGap`] rather than a
-    /// silent mislabeling of later entries.
-    pub(crate) fn set_origin(&mut self, origin: u64) {
-        debug_assert_eq!(self.len, 0, "origin moves only on an empty log");
-        self.origin = origin;
-    }
-
-    pub(crate) fn push(&mut self, entry: Arc<LogEntry>) {
+    /// Append the next commit; its seq must be `end + 1`. At
+    /// [`HISTORY_CAP`] the oldest served commit is evicted first (the
+    /// floor moves past it, and `engine.ring.evicted` counts it).
+    pub(crate) fn push(&mut self, commit: Arc<Commit>) {
         debug_assert_eq!(
-            entry.seq,
-            self.origin + self.len as u64 + 1,
-            "the log is contiguous: push seq must extend origin+len"
+            commit.seq(),
+            self.end() + 1,
+            "the history is contiguous: a pushed seq extends its end"
         );
-        self.tail = Some(Arc::new(LogNode {
-            entry,
+        if self.len() >= HISTORY_CAP {
+            relvu_obs::counter!("engine.ring.evicted").inc();
+            self.prune_below(self.floor + 1);
+        }
+        self.tail = Some(Arc::new(HistNode {
+            commit,
             prev: self.tail.take(),
         }));
         self.tail_len += 1;
-        self.len += 1;
-        if self.tail_len == LOG_CHUNK {
-            // Sealing copies the entries into one compact chunk and lets
-            // the shared originals go. Those were allocated mid-commit,
-            // among the commit's short-lived temporaries; kept for the
-            // whole history they fragment the heap (a 20 s two-writer
-            // group-commit run peaked 16% higher in resident memory).
-            let mut sealed = Vec::with_capacity(LOG_CHUNK);
-            let mut cur = self.tail.as_deref();
-            while let Some(n) = cur {
-                sealed.push((*n.entry).clone());
-                cur = n.prev.as_deref();
-            }
-            sealed.reverse();
+        if self.tail_len == HISTORY_CHUNK {
             let mut chunks = (*self.chunks).clone();
-            chunks.push(Arc::new(sealed));
+            chunks.push(self.tail_refs().into_iter().cloned().collect());
             self.chunks = Arc::new(chunks);
             self.tail = None;
             self.tail_len = 0;
         }
     }
 
-    /// Entries with `seq >= from_seq`, at most `limit`, in sequence
-    /// order, plus an explicit [`LogGap`] when `from_seq` reaches below
-    /// the oldest entry this log holds. The log is contiguous in `seq`,
-    /// so this is arithmetic plus an O(limit) copy, never a scan.
-    ///
-    /// `from_seq` 0 and 1 both mean "from the start of history"
-    /// (sequence numbers start at 1), so a fresh log reports no gap for
-    /// either. A request entirely *past* the end is empty but gapless —
-    /// those entries do not exist yet, as opposed to having been lost.
-    pub(crate) fn range(&self, from_seq: u64, limit: usize) -> LogRange {
-        let first = self.first_available();
+    /// Raise the floor to `seq` and drop the whole sealed chunks that
+    /// fall at or below it. Ranges from `seq` itself
+    /// stay served: a checkpoint or subscriber that has folded *through*
+    /// `seq` needs only what comes after it. Past the end (a forward
+    /// jump over an empty history) the history re-bases there.
+    pub(crate) fn prune_below(&mut self, seq: u64) {
+        if seq <= self.floor {
+            return;
+        }
+        if seq >= self.end() {
+            *self = History {
+                start: seq,
+                floor: seq,
+                ..History::default()
+            };
+            return;
+        }
+        self.floor = seq;
+        let dead = ((seq - self.start) as usize / HISTORY_CHUNK).min(self.chunks.len());
+        if dead > 0 {
+            self.chunks = Arc::new(self.chunks[dead..].to_vec());
+            self.start += (dead * HISTORY_CHUNK) as u64;
+        }
+    }
+
+    /// The unsealed commits, oldest first.
+    fn tail_refs(&self) -> Vec<&Arc<Commit>> {
+        let mut out = Vec::with_capacity(self.tail_len);
+        let mut cur = self.tail.as_deref();
+        while let Some(n) = cur {
+            out.push(&n.commit);
+            cur = n.prev.as_deref();
+        }
+        out.reverse();
+        out
+    }
+
+    /// The commits in `(from_seq, end]`, oldest first, or `None` when
+    /// `from_seq` is below the floor. A `from_seq` at or past the end
+    /// yields nothing.
+    pub(crate) fn since(&self, from_seq: u64) -> Option<impl Iterator<Item = &Arc<Commit>>> {
+        if from_seq < self.floor {
+            return None;
+        }
+        // Commits to skip: first in the sealed chunks, then in the tail.
+        let sealed = self.chunks.len() * HISTORY_CHUNK;
+        let skip = (from_seq - self.start).min(self.end() - self.start) as usize;
+        let in_chunks = skip.min(sealed);
+        let tail = self.tail_refs();
+        Some(
+            self.chunks[in_chunks / HISTORY_CHUNK..]
+                .iter()
+                .flat_map(|c| c.iter())
+                .skip(in_chunks % HISTORY_CHUNK)
+                .chain(tail.into_iter().skip(skip - in_chunks)),
+        )
+    }
+
+    /// Log entries with `seq >= from_seq`, at most `limit`, with a
+    /// [`LogGap`] when `from_seq` reaches below `floor + 1`. `from_seq`
+    /// 0 and 1 both mean "from the start of history"; a request past
+    /// the end is empty but gapless.
+    pub(crate) fn log_range(&self, from_seq: u64, limit: usize) -> LogRange {
+        let first = self.floor + 1;
         let gap = (from_seq.max(1) < first).then_some(LogGap {
             requested_from: from_seq,
             first_available: first,
         });
-        if self.len == 0 {
-            return LogRange {
-                gap,
-                entries: Vec::new(),
-            };
+        let entries = self.since(from_seq.max(first) - 1).into_iter().flatten();
+        LogRange {
+            gap,
+            entries: entries.take(limit).map(|c| (*c.entry).clone()).collect(),
         }
-        // Index of the first served entry: a below-origin request
-        // clamps to 0, which is correct *because* the clamp is now
-        // reported through `gap` instead of being silent.
-        let start = from_seq.saturating_sub(first).min(self.len as u64) as usize;
-        let end = start.saturating_add(limit).min(self.len);
-        if start >= end {
-            return LogRange {
-                gap,
-                entries: Vec::new(),
-            };
-        }
-        let mut out = Vec::with_capacity(end - start);
-        let sealed = self.len - self.tail_len;
-        let mut i = start;
-        while i < end.min(sealed) {
-            let chunk = &self.chunks[i / LOG_CHUNK];
-            let off = i % LOG_CHUNK;
-            let take = (end.min(sealed) - i).min(LOG_CHUNK - off);
-            out.extend_from_slice(&chunk[off..off + take]);
-            i += take;
-        }
-        if end > sealed {
-            let mut tail: Vec<&LogEntry> = Vec::with_capacity(self.tail_len);
-            let mut cur = self.tail.as_deref();
-            while let Some(n) = cur {
-                tail.push(&n.entry);
-                cur = n.prev.as_deref();
-            }
-            tail.reverse();
-            for e in &tail[start.max(sealed) - sealed..end - sealed] {
-                out.push((**e).clone());
-            }
-        }
-        LogRange { gap, entries: out }
     }
 }
 
@@ -407,7 +423,7 @@ impl ViewSnap {
 
 /// The immutable state one publish makes visible — and the engine's
 /// only committed state: the writer reads Σ, the views, the DAG, the
-/// log and the sequence number from the last published one.
+/// history and the sequence number from the last published one.
 #[derive(Clone)]
 pub(crate) struct SnapState {
     pub(crate) epoch: u64,
@@ -419,7 +435,9 @@ pub(crate) struct SnapState {
     /// topological order every traversal walks.
     pub(crate) dag: Arc<ViewDag>,
     pub(crate) stats: Arc<HashMap<String, ViewStats>>,
-    pub(crate) log: LogState,
+    /// The published commits in `(floor, seq]`: the audit log,
+    /// incremental checkpoints and subscription catch-up read them.
+    pub(crate) history: History,
     pub(crate) base: Arc<LazyRel>,
     /// Each view's published state, shared between epochs until a
     /// publish changes one, so publishing a rejection copies nothing.
@@ -455,7 +473,7 @@ pub struct EngineSnapshot {
 impl EngineSnapshot {
     /// The publish counter of this snapshot. Strictly increasing across
     /// publishes; unlike [`EngineSnapshot::seq`] it also advances on
-    /// DDL, Σ replacement and rejected updates.
+    /// DDL, Σ replacement, rejected updates and history prunes.
     pub fn epoch(&self) -> u64 {
         self.state.epoch
     }
@@ -588,19 +606,45 @@ impl EngineSnapshot {
         &self.state.stats
     }
 
-    /// The whole audit log *held by this snapshot* — after a recovery or
-    /// `resume_at`, entries before the resume point are not in it (use
-    /// [`EngineSnapshot::log_range`] to have that reported as a gap).
+    /// The audit log held by this snapshot: one entry per commit in
+    /// `(floor, seq]`, in sequence order. The floor rises at each
+    /// checkpoint prune ([`crate::Database::prune_history_below`]), at a
+    /// recovery or `resume_at`, and by one per commit past 65,536 held
+    /// (the oldest is evicted). Use [`EngineSnapshot::log_range`] to
+    /// have a request below the floor reported as a gap.
     pub fn log(&self) -> Vec<LogEntry> {
-        self.log_range(0, usize::MAX).entries
+        self.log_entries().cloned().collect()
+    }
+
+    /// The entries of [`EngineSnapshot::log`], by reference.
+    pub fn log_entries(&self) -> impl Iterator<Item = &LogEntry> {
+        let history = &self.state.history;
+        history
+            .since(history.floor())
+            .into_iter()
+            .flatten()
+            .map(|c| &*c.entry)
     }
 
     /// Log entries with `seq >= from_seq`, at most `limit`, as of this
-    /// snapshot — with an explicit [`LogGap`] when `from_seq` reaches
-    /// below the oldest entry the log still holds, so a tailing consumer
-    /// can never mistake a truncated front for "nothing happened".
+    /// snapshot, with an explicit [`LogGap`] when `from_seq` reaches
+    /// below `floor + 1`, so a tailing consumer can never mistake a
+    /// truncated front for "nothing happened". The history serves at
+    /// most the 65,536 newest commits, and none at or below the last
+    /// checkpoint prune (see [`EngineSnapshot::log`]).
     pub fn log_range(&self, from_seq: u64, limit: usize) -> LogRange {
-        self.state.log.range(from_seq, limit)
+        self.state.history.log_range(from_seq, limit)
+    }
+
+    /// The commits in `(from_seq, seq]` that changed the base, oldest
+    /// first: what an incremental checkpoint from `from_seq` serializes
+    /// ([`Commit::removed`] / [`Commit::added`]). Shared, not copied.
+    /// `None` when `from_seq` is below the history's floor (pruned,
+    /// evicted, or before a recovery's resume point); the caller then
+    /// falls back to a full serialization.
+    pub fn base_deltas_since(&self, from_seq: u64) -> Option<Vec<Arc<Commit>>> {
+        let commits = self.state.history.since(from_seq)?;
+        Some(commits.filter(|c| !c.is_empty()).cloned().collect())
     }
 
     /// The view definitions in topological (registration) order — what
@@ -825,135 +869,226 @@ mod tests {
         assert_eq!(kept.get().len(), 1000);
     }
 
-    #[test]
-    fn log_state_ranges_match_vec_semantics() {
-        use crate::log::UpdateOp;
-        use relvu_core::Translation;
-        let entry = |seq: u64| LogEntry {
+    // History: the (from, to] convention shared by the audit log,
+    // incremental checkpoints and subscription catch-up.
+
+    fn commit(seq: u64) -> Arc<Commit> {
+        crate::commit::test_commit(
             seq,
-            view: "v".into(),
-            op: UpdateOp::Insert { t: tup![seq] },
-            translation: Translation::Identity,
-            rows_before: 0,
-            rows_after: 0,
-        };
-        let mut log = LogState::default();
-        let empty = log.range(0, usize::MAX);
+            vec![tup![seq, 1]],
+            vec![],
+            vec![("v", vec![tup![seq]], vec![])],
+        )
+    }
+
+    /// A history holding the commits `(origin, origin + len]`.
+    fn history(origin: u64, len: u64) -> History {
+        let mut h = History::default();
+        h.prune_below(origin);
+        for seq in origin + 1..=origin + len {
+            h.push(commit(seq));
+        }
+        h
+    }
+
+    fn seqs(h: &History, from: u64) -> Option<Vec<u64>> {
+        h.since(from).map(|r| r.map(|c| c.seq()).collect())
+    }
+
+    #[test]
+    fn history_ranges_are_exclusive_at_the_start() {
+        let h = history(0, 5);
+        assert_eq!(seqs(&h, 2), Some(vec![3, 4, 5]));
+        // Full range from the floor.
+        assert_eq!(seqs(&h, 0).unwrap().len(), 5);
+        // At or past the end: nothing yet, and no gap.
+        assert_eq!(seqs(&h, 5), Some(vec![]));
+        assert_eq!(seqs(&h, 9), Some(vec![]));
+        // The view deltas ride along in the same commits.
+        assert_eq!(h.since(2).unwrap().next().unwrap().views.len(), 1);
+    }
+
+    #[test]
+    fn empty_commits_are_held() {
+        let mut h = History::default();
+        h.push(crate::commit::test_commit(1, vec![], vec![], vec![]));
+        assert_eq!(seqs(&h, 0), Some(vec![1]), "seqs stay contiguous");
+        assert_eq!(h.len(), 1);
+    }
+
+    #[test]
+    fn prune_below_advances_floor() {
+        let mut h = history(0, 4);
+        h.prune_below(2);
+        assert!(h.since(1).is_none(), "below the floor");
+        assert_eq!(seqs(&h, 2), Some(vec![3, 4]));
+        assert_eq!((h.floor(), h.len()), (2, 2));
+        // The log reports the pruned front as a gap at floor + 1.
+        let below = h.log_range(2, usize::MAX);
+        assert_eq!(
+            below.gap,
+            Some(LogGap {
+                requested_from: 2,
+                first_available: 3
+            })
+        );
+        assert!(h.log_range(3, usize::MAX).is_complete());
+        // A prune at or below the floor changes nothing.
+        h.prune_below(1);
+        assert_eq!(h.floor(), 2);
+    }
+
+    /// The shared-boundary contract: after a checkpoint prunes at `T`, a
+    /// subscriber that folded through `T` resumes gaplessly, and one at
+    /// `T-1` is told (not silently shorted) that coverage is gone. Both
+    /// consumers use the same `(from, to]` convention, so the boundary
+    /// commit can never be both pruned and still needed.
+    #[test]
+    fn checkpoint_prune_and_subscriber_resume_agree_at_the_boundary() {
+        let mut h = history(0, 6);
+        let t = 3;
+        h.prune_below(t); // the checkpointer's prune at its pinned seq
+        assert_eq!(
+            seqs(&h, t),
+            Some(vec![4, 5, 6]),
+            "the boundary commit T is the subscriber's state, not its need"
+        );
+        assert!(
+            h.since(t - 1).is_none(),
+            "resume at T-1 needs the pruned commit T and must be refused"
+        );
+    }
+
+    #[test]
+    fn eviction_advances_floor_and_drops_whole_chunks() {
+        let evicted = relvu_obs::counter!("engine.ring.evicted");
+        let before = evicted.get();
+        let mut h = history(0, HISTORY_CAP + 10);
+        assert!(h.since(5).is_none(), "oldest commits evicted");
+        assert_eq!(h.floor(), 10, "the floor is the last evicted seq");
+        assert_eq!(h.len(), HISTORY_CAP);
+        assert_eq!(h.since(10).unwrap().count() as u64, HISTORY_CAP);
+        assert_eq!(h.start, 0, "no whole chunk is below the floor yet");
+        for seq in HISTORY_CAP + 11..=HISTORY_CAP + 300 {
+            h.push(commit(seq));
+        }
+        assert_eq!((h.floor(), h.start), (300, HISTORY_CHUNK as u64));
+        if relvu_obs::enabled() {
+            // Other tests in this process may evict too; the counter is
+            // process-wide, so it moved by at least this history's 300.
+            assert!(evicted.get() - before >= 300, "every eviction is counted");
+        }
+    }
+
+    #[test]
+    fn history_log_ranges_match_vec_semantics() {
+        let empty = History::default().log_range(0, usize::MAX);
         assert!(empty.entries.is_empty() && empty.gap.is_none());
         // Cross several chunk seals, starting at a recovery-style offset.
         let first = 40u64;
-        log.set_origin(first - 1);
-        let n = (LOG_CHUNK * 3 + 17) as u64;
-        for seq in first..first + n {
-            log.push(Arc::new(entry(seq)));
-        }
-        let reference: Vec<LogEntry> = (first..first + n).map(entry).collect();
+        let n = (HISTORY_CHUNK * 3 + 17) as u64;
+        let mut h = history(first - 1, n);
+        let reference: Vec<LogEntry> = (first..first + n)
+            .map(|s| (*commit(s).entry).clone())
+            .collect();
         let slice = |from_seq: u64, limit: usize| {
-            let Some(f) = reference.first().map(|e| e.seq) else {
-                return Vec::new();
-            };
-            let start = from_seq.saturating_sub(f).min(reference.len() as u64) as usize;
-            let end = start.saturating_add(limit).min(reference.len());
+            let start = from_seq.saturating_sub(first).min(n) as usize;
+            let end = start.saturating_add(limit).min(n as usize);
             reference[start..end].to_vec()
         };
+        let chunk = HISTORY_CHUNK as u64;
         for (from, limit) in [
             (0, usize::MAX),
             (1, usize::MAX),
             (first, 1),
-            (first + 10, LOG_CHUNK),
-            (first + LOG_CHUNK as u64 - 1, 3),
+            (first + 10, HISTORY_CHUNK),
+            (first + chunk - 1, 3),
             (first + n - 5, 100),
             (first + n, 1),
             (first + n + 10, 7),
             (first + 3, 0),
         ] {
-            let got = log.range(from, limit);
+            let got = h.log_range(from, limit);
             assert_eq!(got.entries, slice(from, limit), "({from},{limit})");
             // The front gap is reported exactly when the request starts
             // below the oldest held entry (0 and 1 both mean "start of
-            // history"; history below `first` was never in this log).
+            // history"; history below `first` was never held).
             assert_eq!(got.gap.is_some(), from.max(1) < first, "({from},{limit})");
             if let Some(gap) = got.gap {
                 assert_eq!((gap.requested_from, gap.first_available), (from, first));
             }
         }
-        assert_eq!(log.len, n as usize);
-        // Snapshot clones are independent of later pushes.
-        let pinned = log.clone();
-        log.push(Arc::new(entry(first + n)));
-        assert_eq!(pinned.len, n as usize);
-        assert_eq!(log.len, n as usize + 1);
-        assert_eq!(pinned.range(0, usize::MAX).entries, reference);
+        assert_eq!(h.len(), n);
+        // Snapshot clones are independent of later pushes and prunes.
+        let pinned = h.clone();
+        h.push(commit(first + n));
+        h.prune_below(first + chunk * 2);
+        assert_eq!(pinned.len(), n);
+        assert_eq!(h.len(), n - chunk * 2);
+        assert_eq!(pinned.log_range(0, usize::MAX).entries, reference);
     }
 
     proptest::proptest! {
-        /// Log-tail sweep: `LogState::range` agrees with an independent
-        /// Vec oracle (`filter(seq >= from).take(limit)`) for arbitrary
-        /// origins, lengths and queries. The deterministic seam queries
+        /// History sweep: `History::log_range` and `History::since` agree
+        /// with an independent Vec oracle for arbitrary origins, lengths,
+        /// prune points and queries. The deterministic seam queries
         /// appended to every case pin the chunk-boundary behavior the
         /// sealed-chunk/tail-walk split could get wrong: a range ending
         /// exactly at a seal point, starting just past one, `limit == 0`,
-        /// `from == last + 1`, and lengths at exact `LOG_CHUNK`
+        /// `from == last + 1`, and lengths at exact `HISTORY_CHUNK`
         /// multiples.
         #[test]
         fn log_range_matches_vec_oracle(
             origin in 0u64..500,
-            len in 0usize..(LOG_CHUNK * 3 + 5),
+            len in 0usize..(HISTORY_CHUNK * 3 + 5),
+            cut in 0usize..(HISTORY_CHUNK * 3 + 5),
             queries in proptest::collection::vec(
-                (0u64..1500, 0usize..(LOG_CHUNK * 3 + 10)),
+                (0u64..1500, 0usize..(HISTORY_CHUNK * 3 + 10)),
                 1..16,
             ),
         ) {
-            use crate::log::UpdateOp;
             use proptest::prop_assert_eq;
-            use relvu_core::Translation;
-            let entry = |seq: u64| LogEntry {
-                seq,
-                view: "v".into(),
-                op: UpdateOp::Insert { t: tup![seq] },
-                translation: Translation::Identity,
-                rows_before: 0,
-                rows_after: 0,
-            };
-            let first = origin + 1;
+            let mut h = history(origin, len as u64);
+            // A checkpoint prune somewhere inside the held range.
+            let floor = origin + (cut % (len + 1)) as u64;
+            h.prune_below(floor);
+            let first = floor + 1;
             let reference: Vec<LogEntry> =
-                (0..len as u64).map(|i| entry(first + i)).collect();
-            let mut log = LogState::default();
-            log.set_origin(origin);
-            for e in &reference {
-                log.push(Arc::new(e.clone()));
-            }
-            let chunk = LOG_CHUNK as u64;
+                (first..=origin + len as u64).map(|s| (*commit(s).entry).clone()).collect();
+            let chunk = HISTORY_CHUNK as u64;
             let last = origin + len as u64;
             let mut queries = queries;
             queries.extend([
                 (first.saturating_sub(1), 3),        // just below history
                 (first + chunk - 1, 3),              // ends at a seal point
                 (first + chunk, 2),                  // starts just past one
-                (first + chunk, LOG_CHUNK),          // exactly one chunk
+                (first + chunk, HISTORY_CHUNK),      // exactly one chunk
                 (first, 0),                          // limit == 0
                 (last + 1, 5),                       // from == last + 1
                 (0, usize::MAX),                     // everything
             ]);
             for (from, limit) in queries {
-                let got = log.range(from, limit);
+                let got = h.log_range(from, limit);
                 let want: Vec<LogEntry> = reference
                     .iter()
                     .filter(|e| e.seq >= from)
                     .take(limit)
                     .cloned()
                     .collect();
-                prop_assert_eq!(&got.entries, &want, "range({}, {})", from, limit);
+                prop_assert_eq!(&got.entries, &want, "log_range({}, {})", from, limit);
                 prop_assert_eq!(
                     got.gap.is_some(),
                     from.max(1) < first,
-                    "gap presence for range({}, {})",
+                    "gap presence for log_range({}, {})",
                     from,
                     limit
                 );
                 if let Some(g) = got.gap {
                     prop_assert_eq!((g.requested_from, g.first_available), (from, first));
                 }
+                let since: Option<Vec<u64>> = (from >= floor)
+                    .then(|| reference.iter().map(|e| e.seq).filter(|&s| s > from).collect());
+                prop_assert_eq!(seqs(&h, from), since, "since({})", from);
             }
         }
     }

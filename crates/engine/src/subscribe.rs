@@ -26,10 +26,10 @@
 //! # Catch-up and cut-over
 //!
 //! Subscribing with [`SubscribeFrom::Seq`]`(s)` replays the per-commit
-//! deltas of `(s, now]` from the engine's dirty ring into the queue and
+//! deltas of `(s, now]` from the engine's commit history into the queue and
 //! registers for live tailing *in one step under the engine write lock*,
 //! so the cut-over is atomic: no commit can land between catch-up and
-//! live registration. When the ring no longer covers `s`, subscription
+//! live registration. When the history no longer covers `s`, subscription
 //! fails with an explicit [`crate::EngineError::SubscriptionGap`] —
 //! the gap is reported, never silently skipped. Subscribing with
 //! [`SubscribeFrom::Snapshot`] pins the current instance as the origin

@@ -1,7 +1,7 @@
 //! Allocation test for the commit → publish → dispatch path.
 //!
 //! Every accepted update is built once as a shared `Arc<Commit>`; the
-//! snapshot publish, the commit ring and each CDC event share its
+//! snapshot publish, the commit history and each CDC event share its
 //! per-relation deltas instead of copying their tuple vectors.
 //! Subscribers should therefore cost a constant handful of allocations
 //! per commit, however many base rows the commit moved.

@@ -614,11 +614,11 @@ fn failed_checkpoint_delta_replay_leaves_the_engine_unchanged() {
     assert_eq!(snap.base().len(), before.base().len() + 1);
 }
 
-// ── Aborted transactions: log, commit ring and CDC ──────────────────────
+// ── Aborted transactions: log, commit history and CDC ───────────────────
 
 /// A transactional batch whose two accepted updates are followed by a
 /// rejection must leave no trace but the rejection: no subscriber event
-/// from the prefix, and the log, the commit ring and a catch-up
+/// from the prefix, and the log, the commit history and a catch-up
 /// subscription all equal those of a twin that never ran the batch.
 #[test]
 fn aborted_batch_leaves_log_ring_and_streams_like_a_twin() {
@@ -635,7 +635,8 @@ fn aborted_batch_leaves_log_ring_and_streams_like_a_twin() {
     let (db, twin) = (make(), make());
     let drain = |sub: &Subscription| std::iter::from_fn(|| sub.try_recv()).collect::<Vec<_>>();
     let ring = |db: &Database| -> Vec<(u64, Vec<Tuple>, Vec<Tuple>)> {
-        db.base_delta_range(0, u64::MAX)
+        db.snapshot()
+            .base_deltas_since(0)
             .unwrap()
             .iter()
             .map(|c| (c.seq(), c.removed().to_vec(), c.added().to_vec()))
@@ -667,8 +668,8 @@ fn aborted_batch_leaves_log_ring_and_streams_like_a_twin() {
     assert_eq!(snap.log(), twin_snap.log());
     assert_eq!(ring(&db), ring(&twin));
     assert_eq!(
-        db.base_delta_range(0, last).map(|c| c.len()),
-        twin.base_delta_range(0, last).map(|c| c.len())
+        snap.base_deltas_since(0).map(|c| c.len()),
+        twin_snap.base_deltas_since(0).map(|c| c.len())
     );
     assert_eq!(catch_up(&db), catch_up(&twin));
 
@@ -768,4 +769,115 @@ fn full_dictionary_refuses_the_commit_before_any_edit() {
     // id.
     db.delete_via("emp", tup![3, 1]).unwrap();
     assert_eq!(db.snapshot().seq(), before.seq() + 1);
+}
+
+// ── One history floor: the log, CDC catch-up and checkpoints agree ──────
+
+/// At history floor `t`, the audit log, a resuming subscriber and an
+/// incremental checkpoint agree on what is held: everything after `t`,
+/// and nothing at or below it.
+fn assert_one_floor(db: &Database, t: u64) {
+    let snap = db.snapshot();
+    let above = snap.log_range(t + 1, usize::MAX);
+    assert!(above.is_complete(), "log from {}", t + 1);
+    let seqs: Vec<u64> = above.entries.iter().map(|e| e.seq).collect();
+    assert_eq!(seqs, (t + 1..=snap.seq()).collect::<Vec<_>>());
+    assert_eq!(
+        snap.log_range(t, usize::MAX).gap,
+        Some(relvu::engine::LogGap {
+            requested_from: t,
+            first_available: t + 1
+        })
+    );
+    assert!(db.subscribe_base(SubscribeOptions::from_seq(t)).is_ok());
+    assert!(matches!(
+        db.subscribe_base(SubscribeOptions::from_seq(t - 1)),
+        Err(EngineError::SubscriptionGap { requested, first_available })
+            if requested == t - 1 && first_available == t
+    ));
+    assert!(snap.base_deltas_since(t).is_some());
+    assert!(snap.base_deltas_since(t - 1).is_none());
+}
+
+/// A checkpoint prune at `T`: the three consumers share its floor, and
+/// an identity insert after it is held in the log but streams no event
+/// and writes no delta-checkpoint line.
+#[test]
+fn checkpoint_prune_sets_one_floor_for_log_cdc_and_checkpoints() {
+    use relvu::durability::{delta_checkpoint_name, write_delta_checkpoint, MemVfs};
+    let f = fixtures::edm();
+    let db = Database::new(f.schema.clone(), f.fds.clone(), f.base.clone()).unwrap();
+    db.create_view("staff", f.x, Some(f.y), Policy::Exact)
+        .unwrap();
+    let t = |e: &str| Tuple::new([f.dict.sym(e), f.dict.sym("toys")]);
+    for e in ["dan", "eve", "fay"] {
+        db.insert_via("staff", t(e)).unwrap();
+    }
+    let floor = 2;
+    db.prune_history_below(floor);
+    // An identity insert (the tuple is already in the view), then a
+    // real one.
+    let identity = db.insert_via("staff", t("dan")).unwrap().seq;
+    db.insert_via("staff", t("gus")).unwrap();
+    assert_one_floor(&db, floor);
+
+    let snap = db.snapshot();
+    assert!(
+        snap.log().iter().any(|e| e.seq == identity),
+        "held in the log"
+    );
+    let sub = db
+        .subscribe("staff", SubscribeOptions::from_seq(floor))
+        .unwrap();
+    let events: Vec<u64> = std::iter::from_fn(|| sub.try_recv())
+        .map(|ev| match ev {
+            relvu::engine::SubEvent::Delta(d) => d.seq,
+            other => panic!("unexpected event {other:?}"),
+        })
+        .collect();
+    assert_eq!(events, vec![3, 5], "no event for the identity commit");
+    let commits = snap.base_deltas_since(floor).unwrap();
+    let vfs = MemVfs::new();
+    write_delta_checkpoint(&vfs, snap.seq(), &commits, (floor, 0), 4).unwrap();
+    let body = String::from_utf8(vfs.read(&delta_checkpoint_name(snap.seq())).unwrap()).unwrap();
+    let lines: Vec<&str> = body.lines().filter(|l| l.starts_with("commit ")).collect();
+    assert_eq!(
+        lines,
+        ["commit 3", "commit 5"],
+        "no line for the identity commit"
+    );
+}
+
+/// A capacity eviction: past 65,536 commits the oldest are evicted, and
+/// the three consumers share the raised floor.
+#[test]
+fn capacity_eviction_sets_one_floor_for_log_cdc_and_checkpoints() {
+    const CAP: u64 = 1 << 16;
+    let f = fixtures::edm();
+    let db = Database::new(f.schema.clone(), f.fds.clone(), f.base.clone()).unwrap();
+    db.create_view("staff", f.x, Some(f.y), Policy::Exact)
+        .unwrap();
+    let t = |e: &str| Tuple::new([f.dict.sym(e), f.dict.sym("toys")]);
+    let extra = 10;
+    // Real commits on both sides of the floor, then identity inserts
+    // (cheap in debug builds) up to the cap.
+    for i in 0..CAP + extra {
+        let op = match i {
+            i if i < 2 * extra && i % 2 == 0 => UpdateOp::Insert { t: t("dan") },
+            i if i < 2 * extra => UpdateOp::Delete { t: t("dan") },
+            _ => UpdateOp::Insert { t: t("ada") },
+        };
+        db.apply_op("staff", op).unwrap();
+    }
+    let snap = db.snapshot();
+    assert_eq!(snap.seq(), CAP + extra);
+    assert_eq!(snap.log().len() as u64, CAP);
+    assert_one_floor(&db, extra);
+    let held: Vec<u64> = snap
+        .base_deltas_since(extra)
+        .unwrap()
+        .iter()
+        .map(|c| c.seq())
+        .collect();
+    assert_eq!(held, (extra + 1..=2 * extra).collect::<Vec<_>>());
 }

@@ -449,7 +449,7 @@ fn resume_errors_are_explicit() {
             current: 3
         })
     ));
-    db.prune_dirty_below(2); // what a checkpoint at seq 2 does
+    db.prune_history_below(2); // what a checkpoint at seq 2 does
     assert!(matches!(
         db.subscribe("staff", SubscribeOptions::from_seq(1)),
         Err(EngineError::SubscriptionGap {
@@ -458,7 +458,7 @@ fn resume_errors_are_explicit() {
         })
     ));
     // The boundary itself is still covered — the same `(from, to]`
-    // convention the checkpointer prunes by (the dirty-ring contract).
+    // convention the checkpointer prunes by (the history contract).
     let sub = db
         .subscribe("staff", SubscribeOptions::from_seq(2))
         .unwrap();
