@@ -29,11 +29,31 @@
 //! format emits rows in relation iteration order, and `Relation::remove`
 //! is a swap-remove, so net set-deltas would not round-trip).
 //!
+//! **When a delta is written.** Because deltas are not netted, a chain
+//! of commits that rewrite the same rows can record far more bytes than
+//! a full snapshot of the state they lead to — a constant-complement
+//! replace rewrites every base row joined to the complement tuple. The
+//! incremental path therefore encodes each delta body against a byte
+//! budget, the length of the chain's full root file: if the body
+//! reaches it, the delta is dropped unwritten and a full snapshot of
+//! the same pinned epoch starts a new chain instead. The choice is made
+//! per file, so it never adds bytes: a full is written only when the
+//! delta would be at least the root's size, and the full is at most the
+//! root plus that delta. A full is also written when the chain holds
+//! [`crate::WalOptions::max_delta_chain`] deltas, when the engine's
+//! commit history no longer reaches back to the tip, and on every DDL
+//! change or explicit `checkpoint()`.
+//!
+//! Writers build each file — header and body — in one buffer: the
+//! header's trailing `crc` field is a placeholder until the body after
+//! it has been hashed.
+//!
 //! Writing always goes temp → sync → rename, so a crash at any point
 //! leaves either the old checkpoint set or the old set plus one complete
 //! new file — never a half-written `ckpt-*.db`.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use relvu_engine::{Commit, Database, EngineSnapshot};
@@ -124,6 +144,8 @@ pub(crate) struct CkptHeader {
     pub(crate) crc: u64,
     /// `(seq, crc)` of the parent checkpoint — `None` for a full one.
     pub(crate) parent: Option<(u64, u64)>,
+    /// Byte length of the whole file, header line included.
+    pub(crate) len: u64,
 }
 
 /// Parse a checkpoint file's header line and return it with the body.
@@ -147,12 +169,14 @@ fn parse_header<'a>(name: &str, text: &'a str) -> Result<(CkptHeader, &'a str), 
             seq: parse_seq(seq)?,
             crc: parse_crc(crc)?,
             parent: None,
+            len: text.len() as u64,
         },
         ["relvu-ckpt-delta", "v1", "seq", seq, "parent", parent, "parentcrc", pcrc, "crc", crc] => {
             CkptHeader {
                 seq: parse_seq(seq)?,
                 crc: parse_crc(crc)?,
                 parent: Some((parse_seq(parent)?, parse_crc(pcrc)?)),
+                len: text.len() as u64,
             }
         }
         _ => return Err(corrupt(format!("unrecognized header `{header}`"))),
@@ -198,6 +222,39 @@ fn commit_file<V: Vfs>(vfs: &V, name: &str, bytes: &[u8]) -> Result<(), Durabili
     Ok(())
 }
 
+/// The tip of a checkpoint chain: what the next incremental checkpoint
+/// builds on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ChainTip {
+    /// The sequence number the tip covers.
+    pub(crate) seq: u64,
+    /// The tip file's body crc — the `parentcrc` a further delta must
+    /// name.
+    pub(crate) crc: u64,
+    /// How many deltas the chain carries past its full root.
+    pub(crate) deltas: usize,
+    /// Byte length of the chain's full root file: the budget of every
+    /// delta body chained onto it (see [`write_delta_within`]).
+    pub(crate) root_len: u64,
+}
+
+/// The 16 hex digits a header's trailing `crc` field holds until the
+/// body after it has been hashed.
+const CRC_PLACEHOLDER: &str = "0000000000000000";
+
+/// Hash the body of a checkpoint file built in `buf` — everything from
+/// `body_at`, just past the header line — and write its crc over the
+/// header's trailing [`CRC_PLACEHOLDER`]. Returns the file bytes and the
+/// crc.
+fn seal(buf: String, body_at: usize) -> (Vec<u8>, u64) {
+    let mut bytes = buf.into_bytes();
+    let crc = fnv1a(FNV_OFFSET, &bytes[body_at..]);
+    let mut slot = &mut bytes[body_at - 1 - CRC_PLACEHOLDER.len()..body_at - 1];
+    std::io::Write::write_fmt(&mut slot, format_args!("{crc:016x}"))
+        .expect("16 hex digits fill the placeholder");
+    (bytes, crc)
+}
+
 /// Serialize `db` and write it as a full checkpoint with the default
 /// retention. Returns the sequence number the checkpoint covers.
 ///
@@ -222,16 +279,32 @@ pub fn write_full_checkpoint<V: Vfs>(
     snap: &EngineSnapshot,
     retain: usize,
 ) -> Result<(u64, u64), DurabilityError> {
+    write_full(vfs, snap, retain).map(|tip| (tip.seq, tip.crc))
+}
+
+/// [`write_full_checkpoint`], returning the new chain's tip: no deltas
+/// yet, and the file's length as the budget for the deltas to come. The
+/// header and the dump are built in one buffer.
+pub(crate) fn write_full<V: Vfs>(
+    vfs: &V,
+    snap: &EngineSnapshot,
+    retain: usize,
+) -> Result<ChainTip, DurabilityError> {
     let _timer = relvu_obs::histogram!("durability.checkpoint_ns").timer();
-    let (body, seq) = (snap.dump(), snap.seq());
-    let crc = body_crc(&body);
-    let header = format!("relvu-ckpt v1 seq {seq} crc {crc:016x}\n");
-    let mut bytes = header.into_bytes();
-    bytes.extend_from_slice(body.as_bytes());
+    let seq = snap.seq();
+    let mut buf = format!("relvu-ckpt v1 seq {seq} crc {CRC_PLACEHOLDER}\n");
+    let body_at = buf.len();
+    snap.dump_into(&mut buf);
+    let (bytes, crc) = seal(buf, body_at);
     commit_file(vfs, &checkpoint_name(seq), &bytes)?;
     relvu_obs::counter!("durability.checkpoints").inc();
     prune(vfs, retain)?;
-    Ok((seq, crc))
+    Ok(ChainTip {
+        seq,
+        crc,
+        deltas: 0,
+        root_len: bytes.len() as u64,
+    })
 }
 
 fn push_tuple_line(out: &mut String, tag: &str, t: &Tuple) -> Result<(), DurabilityError> {
@@ -239,6 +312,36 @@ fn push_tuple_line(out: &mut String, tag: &str, t: &Tuple) -> Result<(), Durabil
     push_tuple(out, t)?;
     out.push('\n');
     Ok(())
+}
+
+/// Append the delta body of `commits` to `out`, giving up once the body
+/// reaches `budget` bytes. Returns whether the whole body, `end` line
+/// included, stayed under the budget. The check runs before each
+/// commit, so a body given up on overshoots the budget by at most one
+/// commit's lines.
+///
+/// # Errors
+/// [`DurabilityError::Encode`] on a row holding a labeled null.
+fn encode_delta_body(
+    out: &mut String,
+    commits: &[Arc<Commit>],
+    budget: usize,
+) -> Result<bool, DurabilityError> {
+    let start = out.len();
+    for c in commits {
+        if out.len() - start >= budget {
+            return Ok(false);
+        }
+        let _ = writeln!(out, "commit {}", c.seq());
+        for t in c.removed() {
+            push_tuple_line(out, "del", t)?;
+        }
+        for t in c.added() {
+            push_tuple_line(out, "add", t)?;
+        }
+    }
+    out.push_str("end\n");
+    Ok(out.len() - start < budget)
 }
 
 /// Write an incremental checkpoint at `seq` holding the base deltas of
@@ -256,30 +359,43 @@ pub fn write_delta_checkpoint<V: Vfs>(
     parent: (u64, u64),
     retain: usize,
 ) -> Result<u64, DurabilityError> {
+    write_delta_within(vfs, seq, commits, parent, retain, u64::MAX)
+        .map(|crc| crc.expect("an unbounded budget always fits"))
+}
+
+/// [`write_delta_checkpoint`] against a byte budget: if the delta body
+/// reaches `budget` bytes, nothing is written and `Ok(None)` is
+/// returned — the caller writes a full snapshot instead, which is then
+/// no larger than the root plus the delta. With the chain root's length
+/// as the budget, a delta is written only while it is smaller than the
+/// state it describes. The header and body are built in one buffer.
+///
+/// # Errors
+/// As [`write_delta_checkpoint`].
+pub(crate) fn write_delta_within<V: Vfs>(
+    vfs: &V,
+    seq: u64,
+    commits: &[Arc<Commit>],
+    parent: (u64, u64),
+    retain: usize,
+    budget: u64,
+) -> Result<Option<u64>, DurabilityError> {
     let _timer = relvu_obs::histogram!("durability.checkpoint_ns").timer();
-    let mut body = String::new();
-    for c in commits {
-        body.push_str(&format!("commit {}\n", c.seq()));
-        for t in c.removed() {
-            push_tuple_line(&mut body, "del", t)?;
-        }
-        for t in c.added() {
-            push_tuple_line(&mut body, "add", t)?;
-        }
-    }
-    body.push_str("end\n");
-    let crc = body_crc(&body);
-    let header = format!(
-        "relvu-ckpt-delta v1 seq {seq} parent {} parentcrc {:016x} crc {crc:016x}\n",
+    let mut buf = format!(
+        "relvu-ckpt-delta v1 seq {seq} parent {} parentcrc {:016x} crc {CRC_PLACEHOLDER}\n",
         parent.0, parent.1
     );
-    let mut bytes = header.into_bytes();
-    bytes.extend_from_slice(body.as_bytes());
+    let body_at = buf.len();
+    let budget = usize::try_from(budget).unwrap_or(usize::MAX);
+    if !encode_delta_body(&mut buf, commits, budget)? {
+        return Ok(None);
+    }
+    let (bytes, crc) = seal(buf, body_at);
     commit_file(vfs, &delta_checkpoint_name(seq), &bytes)?;
     relvu_obs::counter!("durability.checkpoints").inc();
     relvu_obs::histogram!("durability.ckpt.delta_bytes").record(bytes.len() as u64);
     prune(vfs, retain)?;
-    Ok(crc)
+    Ok(Some(crc))
 }
 
 /// One delta-checkpoint commit: `(seq, removed, added)`.
@@ -334,14 +450,10 @@ pub(crate) struct LoadedChain {
     pub(crate) base: String,
     /// Every file loaded, base first.
     pub(crate) chain: Vec<String>,
-    /// The sequence number of the chain tip (= the restore point).
-    pub(crate) seq: u64,
-    /// The tip file's body crc — the `parentcrc` a further delta must
-    /// name.
-    pub(crate) crc: u64,
-    /// How many deltas the chain carries past its base.
-    pub(crate) deltas: usize,
-    /// The reconstructed database, resumed at `seq`.
+    /// The chain tip (its seq is the restore point), with the base
+    /// file's length.
+    pub(crate) tip: ChainTip,
+    /// The reconstructed database, resumed at the tip's seq.
     pub(crate) db: Database,
 }
 
@@ -426,9 +538,12 @@ pub(crate) fn load_chain<V: Vfs>(vfs: &V, name: &str) -> Result<LoadedChain, Dur
     Ok(LoadedChain {
         base: links[0].0.clone(),
         chain: links.iter().map(|(n, _, _)| n.clone()).collect(),
-        seq: tip.1.seq,
-        crc: tip.1.crc,
-        deltas: links.len() - 1,
+        tip: ChainTip {
+            seq: tip.1.seq,
+            crc: tip.1.crc,
+            deltas: links.len() - 1,
+            root_len: base_header.len,
+        },
         db,
     })
 }
@@ -683,8 +798,8 @@ mod tests {
         );
         write_delta_checkpoint(&vfs, now, &commits, tip, 4).unwrap();
         let loaded = load_chain(&vfs, &delta_checkpoint_name(now)).unwrap();
-        assert_eq!(loaded.seq, now);
-        assert_eq!(loaded.deltas, 4);
+        assert_eq!(loaded.tip.seq, now);
+        assert_eq!(loaded.tip.deltas, 4);
         assert_eq!(
             loaded.db.snapshot().dump(),
             db.snapshot().dump(),
@@ -707,7 +822,7 @@ mod tests {
             Err(DurabilityError::CorruptCheckpoint { detail, .. }) => {
                 assert!(detail.contains("broken chain"), "got: {detail}");
             }
-            other => panic!("expected broken chain, got {:?}", other.map(|c| c.seq)),
+            other => panic!("expected broken chain, got {:?}", other.map(|c| c.tip.seq)),
         }
     }
 

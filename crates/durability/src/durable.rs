@@ -36,13 +36,15 @@
 //! full snapshot (schema changes are not WAL records, so they must be
 //! in a checkpoint before they are acknowledged).
 //! [`DurableDatabase::checkpoint_incremental`] writes only what changed
-//! since the last checkpoint — a *delta* chained onto it — and never
-//! takes the stage lock: it pins an MVCC snapshot, makes the WAL
-//! durably cover it, and serializes off-lock, so commits keep flowing
-//! while it writes. [`DurableDatabase::start_background_checkpointer`]
-//! runs that incremental path on a thread, triggered by WAL growth or
-//! checkpoint age, bounding replay work at the next restart without
-//! stalling the commit path.
+//! since the last checkpoint — a *delta* chained onto it, while the
+//! delta stays smaller than the chain's full root, else a full snapshot
+//! that starts a new chain — and never takes the stage lock: it pins an
+//! MVCC snapshot, makes the WAL durably cover it, and serializes
+//! off-lock, so commits keep flowing while it writes.
+//! [`DurableDatabase::start_background_checkpointer`] runs that
+//! incremental path on a thread, triggered by WAL growth or checkpoint
+//! age, bounding replay work at the next restart without stalling the
+//! commit path.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -58,7 +60,7 @@ use relvu_engine::{
 };
 use relvu_relation::{AttrSet, Pred};
 
-use crate::checkpoint;
+use crate::checkpoint::{self, ChainTip};
 use crate::error::DurabilityError;
 use crate::group::GroupCommit;
 use crate::recover::{check_invariants, recover_with, RecoveryReport};
@@ -112,9 +114,11 @@ impl Default for BgCheckpoint {
 /// The running checkpoint chain: what the next incremental checkpoint
 /// builds on, and the state its triggers compare against.
 struct CkptChain {
-    /// Tip of the durable chain: `(seq, body crc, deltas past the full
-    /// root)`. The crc is the `parentcrc` the next delta must name.
-    tip: (u64, u64, usize),
+    /// Tip of the durable chain, with the length of its full root — the
+    /// byte budget of the next delta. Reset at every full write (create,
+    /// DDL, [`DurableDatabase::checkpoint`], chain cap, budget) and
+    /// loaded by recovery from the recovered root file.
+    tip: ChainTip,
     /// When the tip was written (or loaded, after recovery).
     last_write: Instant,
     /// `Wal::bytes_appended` when the tip was written — WAL growth since
@@ -194,16 +198,12 @@ impl<V: Vfs + Clone> Shared<V> {
         chain: &mut CkptChain,
         wal: &mut Wal<V>,
     ) -> Result<u64, DurabilityError> {
-        let (seq, crc) = checkpoint::write_full_checkpoint(
-            &self.vfs,
-            &self.db.snapshot(),
-            self.opts.retain_checkpoints,
-        )?;
-        chain.tip = (seq, crc, 0);
+        chain.tip =
+            checkpoint::write_full(&self.vfs, &self.db.snapshot(), self.opts.retain_checkpoints)?;
         chain.last_write = Instant::now();
         chain.wal_bytes_at = wal.bytes_appended();
-        self.db.prune_history_below(seq);
-        Ok(seq)
+        self.db.prune_history_below(chain.tip.seq);
+        Ok(chain.tip.seq)
     }
 
     /// The incremental checkpoint path — shared by
@@ -245,41 +245,52 @@ impl<V: Vfs + Clone> Shared<V> {
             drop(wal);
             std::thread::yield_now();
         }
-        if target == chain.tip.0 {
+        let tip = chain.tip;
+        if target == tip.seq {
             // Nothing new to cover; refresh the age trigger only.
             chain.last_write = Instant::now();
             return Ok(target);
         }
-        let (tip_seq, tip_crc, tip_deltas) = chain.tip;
         // Chain a delta while the pinned snapshot's history still holds
-        // the commits since the tip and the chain is not too long;
-        // otherwise (or when the history was pruned or evicted past the
-        // tip) write a full snapshot and start a fresh chain.
-        let commits = if self.opts.max_delta_chain > 0 && tip_deltas < self.opts.max_delta_chain {
-            snap.base_deltas_since(tip_seq)
+        // the commits since the tip, the chain is not too long, and the
+        // delta body stays under the root's length; otherwise (or when
+        // the history was pruned or evicted past the tip) write a full
+        // snapshot of the same pinned epoch and start a fresh chain.
+        let retain = self.opts.retain_checkpoints;
+        let commits = if self.opts.max_delta_chain > 0 && tip.deltas < self.opts.max_delta_chain {
+            snap.base_deltas_since(tip.seq)
         } else {
             None
         };
         let wrote = match commits {
-            Some(commits) => checkpoint::write_delta_checkpoint(
+            Some(commits) => match checkpoint::write_delta_within(
                 &self.vfs,
                 target,
                 &commits,
-                (tip_seq, tip_crc),
-                self.opts.retain_checkpoints,
-            )
-            .map(|crc| (target, crc, tip_deltas + 1)),
-            None => {
-                checkpoint::write_full_checkpoint(&self.vfs, &snap, self.opts.retain_checkpoints)
-                    .map(|(seq, crc)| (seq, crc, 0))
-            }
+                (tip.seq, tip.crc),
+                retain,
+                tip.root_len,
+            ) {
+                Ok(Some(crc)) => Ok(ChainTip {
+                    seq: target,
+                    crc,
+                    deltas: tip.deltas + 1,
+                    root_len: tip.root_len,
+                }),
+                Ok(None) => {
+                    relvu_obs::counter!("durability.ckpt.full_by_size").inc();
+                    checkpoint::write_full(&self.vfs, &snap, retain)
+                }
+                Err(e) => Err(e),
+            },
+            None => checkpoint::write_full(&self.vfs, &snap, retain),
         };
         match wrote {
             Ok(tip) => {
                 chain.tip = tip;
                 chain.last_write = Instant::now();
-                self.db.prune_history_below(tip.0);
-                Ok(tip.0)
+                self.db.prune_history_below(tip.seq);
+                Ok(tip.seq)
             }
             Err(e) => {
                 self.wal.lock().poison();
@@ -305,9 +316,8 @@ impl<V: Vfs + Clone> DurableDatabase<V> {
         if has_ckpt || has_wal {
             return Err(DurabilityError::AlreadyInitialized);
         }
-        let (seq, crc) =
-            checkpoint::write_full_checkpoint(&vfs, &db.snapshot(), opts.retain_checkpoints)?;
-        let wal = Wal::new(vfs.clone(), opts, seq + 1, None);
+        let tip = checkpoint::write_full(&vfs, &db.snapshot(), opts.retain_checkpoints)?;
+        let wal = Wal::new(vfs.clone(), opts, tip.seq + 1, None);
         Ok(DurableDatabase {
             shared: Arc::new(Shared {
                 db,
@@ -315,7 +325,7 @@ impl<V: Vfs + Clone> DurableDatabase<V> {
                 group: GroupCommit::new(),
                 wal: Mutex::new(wal),
                 ckpt: Mutex::new(CkptChain {
-                    tip: (seq, crc, 0),
+                    tip,
                     last_write: Instant::now(),
                     wal_bytes_at: 0,
                 }),
@@ -466,10 +476,12 @@ impl<V: Vfs + Clone> DurableDatabase<V> {
     }
 
     /// Write an **incremental** checkpoint: a delta file holding only
-    /// the base-row changes since the last checkpoint, chained onto it
-    /// (or a full snapshot when the chain hit
-    /// [`WalOptions::max_delta_chain`], or the engine no longer holds
-    /// the per-commit deltas). Unlike [`Self::checkpoint`] this never
+    /// the base-row changes since the last checkpoint, chained onto it.
+    /// A full snapshot of the same epoch starts a new chain instead when
+    /// the delta body would reach the byte length of the chain's full
+    /// root (counted by `durability.ckpt.full_by_size`), when the chain
+    /// hit [`WalOptions::max_delta_chain`], or when the engine no longer
+    /// holds the per-commit deltas. Unlike [`Self::checkpoint`] this never
     /// takes the stage lock: commits keep flowing while the delta
     /// serializes from a pinned snapshot. Returns the sequence number
     /// the chain tip now covers.
@@ -765,7 +777,7 @@ impl<V: Vfs + Clone> DurableDatabase<V> {
     /// the full root)` — diagnostics for the REPL and tests.
     pub fn checkpoint_chain(&self) -> (u64, usize) {
         let chain = self.shared.ckpt.lock();
-        (chain.tip.0, chain.tip.2)
+        (chain.tip.seq, chain.tip.deltas)
     }
 
     /// A **read-only** handle over the wrapped engine: pin a
@@ -1186,6 +1198,187 @@ mod tests {
             DurableDatabase::recover(vfs.crash_image(), WalOptions::default()).unwrap();
         assert_eq!(report.records_replayed, 1);
         assert_eq!(rec.reader().last_seq(), 1);
+    }
+
+    /// `E → D → M` over 16 departments of 4 employees each, with the
+    /// manager view `mgrs = π{D, M}` (auto complement `{E, D}`): each
+    /// manager change rewrites its department's 4 base rows, so a few
+    /// dozen changes make a delta outgrow the 64-row full snapshot.
+    fn mgrs_store() -> (DurableDatabase<MemVfs>, MemVfs) {
+        use relvu_relation::{tup, Relation, Schema};
+        let schema = Schema::new(["E", "D", "M"]).unwrap();
+        let fds = FdSet::parse(&schema, "E -> D; D -> M").unwrap();
+        let base = Relation::from_rows(
+            schema.universe(),
+            (0..64u64).map(|e| tup![e, e % 16, 1000 + e % 16]),
+        )
+        .unwrap();
+        let mgrs = schema.set(["D", "M"]).unwrap();
+        let db = Database::new(schema, fds, base).unwrap();
+        db.create_view("mgrs", mgrs, None, Policy::Exact).unwrap();
+        let vfs = MemVfs::new();
+        let ddb = DurableDatabase::create(vfs.clone(), db, WalOptions::default()).unwrap();
+        (ddb, vfs)
+    }
+
+    /// Give department `i % 16` the new manager `2000 + i`; `managers`
+    /// holds each department's current one.
+    fn change_manager(ddb: &DurableDatabase<MemVfs>, managers: &mut [u64], i: u64) {
+        use relvu_relation::tup;
+        let d = i % 16;
+        let (old, new) = (managers[d as usize], 2000 + i);
+        ddb.apply(
+            "mgrs",
+            UpdateOp::Replace {
+                t1: tup![d, old],
+                t2: tup![d, new],
+            },
+        )
+        .unwrap();
+        managers[d as usize] = new;
+    }
+
+    fn initial_managers() -> Vec<u64> {
+        (0..16).map(|d| 1000 + d).collect()
+    }
+
+    fn root_len(ddb: &DurableDatabase<MemVfs>) -> u64 {
+        ddb.shared.ckpt.lock().tip.root_len
+    }
+
+    fn full_by_size() -> u64 {
+        relvu_obs::counter!("durability.ckpt.full_by_size").get()
+    }
+
+    #[test]
+    fn delta_reaching_the_root_size_writes_a_full_checkpoint() {
+        let (ddb, vfs) = mgrs_store();
+        let root = checkpoint::checkpoint_name(0);
+        assert_eq!(root_len(&ddb), vfs.read(&root).unwrap().len() as u64);
+        let mut managers = initial_managers();
+        for i in 0..32 {
+            change_manager(&ddb, &mut managers, i);
+        }
+        // The delta an unbounded writer would produce reaches the root's
+        // size (measured on a separate store).
+        let snap = ddb.reader().snapshot();
+        let side = MemVfs::new();
+        let commits = snap.base_deltas_since(0).unwrap();
+        checkpoint::write_delta_checkpoint(&side, 32, &commits, (0, 0), 2).unwrap();
+        let delta = side.read(&checkpoint::delta_checkpoint_name(32)).unwrap();
+        let body = delta.len() - delta.iter().position(|&b| b == b'\n').unwrap() - 1;
+        assert!(body as u64 >= root_len(&ddb), "{body} B body");
+
+        let before = full_by_size();
+        assert_eq!(ddb.checkpoint_incremental().unwrap(), 32);
+        assert_eq!(ddb.checkpoint_chain(), (32, 0), "the chain restarts");
+        let files = vfs.list().unwrap();
+        assert!(files.contains(&checkpoint::checkpoint_name(32)));
+        assert!(!files.contains(&checkpoint::delta_checkpoint_name(32)));
+        let full = vfs.read(&checkpoint::checkpoint_name(32)).unwrap();
+        assert_eq!(root_len(&ddb), full.len() as u64, "the new root's size");
+        if relvu_obs::enabled() {
+            assert!(full_by_size() > before, "the budget's choice is counted");
+        }
+        let (rec, report) =
+            DurableDatabase::recover(vfs.crash_image(), WalOptions::default()).unwrap();
+        assert_eq!(report.checkpoint_chain, [checkpoint::checkpoint_name(32)]);
+        assert_eq!(report.records_replayed, 0);
+        assert_eq!(rec.reader().dump(), ddb.reader().dump());
+        assert_eq!(rec.reader().last_seq(), 32);
+    }
+
+    #[test]
+    fn delta_under_the_root_size_still_chains() {
+        let (ddb, vfs) = mgrs_store();
+        let mut managers = initial_managers();
+        change_manager(&ddb, &mut managers, 0);
+        assert_eq!(ddb.checkpoint_incremental().unwrap(), 1);
+        assert_eq!(ddb.checkpoint_chain(), (1, 1));
+        let delta = vfs.read(&checkpoint::delta_checkpoint_name(1)).unwrap();
+        assert!((delta.len() as u64) < root_len(&ddb));
+        let (rec, _) = DurableDatabase::recover(vfs.crash_image(), WalOptions::default()).unwrap();
+        assert_eq!(rec.reader().dump(), ddb.reader().dump());
+    }
+
+    #[test]
+    fn recovered_handle_budgets_like_the_live_one() {
+        let (live, vfs) = mgrs_store();
+        let mut live_mgrs = initial_managers();
+        for i in 0..2 {
+            change_manager(&live, &mut live_mgrs, i);
+        }
+        live.checkpoint_incremental().unwrap();
+        assert_eq!(live.checkpoint_chain(), (2, 1));
+        // Recovered from a chain with a delta: the budget comes from the
+        // root file, not the tip.
+        let (rec, _) = DurableDatabase::recover(vfs.crash_image(), WalOptions::default()).unwrap();
+        assert_eq!(rec.shared.ckpt.lock().tip, live.shared.ckpt.lock().tip);
+        let mut rec_mgrs = live_mgrs.clone();
+        // Steps of 1, 3, 40, 2, 1, 40 and 5 changes: small deltas chain,
+        // large ones restart the chain, on both handles alike.
+        let mut i = 2;
+        let (mut live_choices, mut rec_choices) = (Vec::new(), Vec::new());
+        for step in [1, 3, 40, 2, 1, 40, 5] {
+            for _ in 0..step {
+                change_manager(&live, &mut live_mgrs, i);
+                change_manager(&rec, &mut rec_mgrs, i);
+                i += 1;
+            }
+            live.checkpoint_incremental().unwrap();
+            rec.checkpoint_incremental().unwrap();
+            live_choices.push((live.checkpoint_chain(), root_len(&live)));
+            rec_choices.push((rec.checkpoint_chain(), root_len(&rec)));
+        }
+        assert_eq!(live_choices, rec_choices);
+        let deltas: Vec<usize> = live_choices.iter().map(|((_, d), _)| *d).collect();
+        assert_eq!(deltas, [2, 3, 0, 1, 2, 0, 1], "{live_choices:?}");
+        assert_eq!(rec.reader().dump(), live.reader().dump());
+    }
+
+    #[test]
+    fn crash_during_a_budget_chosen_full_leaves_the_old_chain_recoverable() {
+        // Run the same workload once per crash point: every mutating
+        // storage op of the full write (temp create, sync, rename, prune)
+        // in turn, until the checkpoint completes.
+        let mut crashes = 0;
+        for k in 0.. {
+            let (ddb, vfs) = mgrs_store();
+            let mut managers = initial_managers();
+            for i in 0..2 {
+                change_manager(&ddb, &mut managers, i);
+            }
+            ddb.checkpoint_incremental().unwrap();
+            for i in 2..34 {
+                change_manager(&ddb, &mut managers, i);
+            }
+            vfs.set_plan(FaultPlan::crash_after(vfs.write_ops() + k));
+            let res = ddb.checkpoint_incremental();
+            // The budget gave up on the delta before any storage op, so
+            // every op the crash can hit belongs to the full.
+            let image = vfs.crash_image();
+            assert!(!image
+                .list()
+                .unwrap()
+                .contains(&checkpoint::delta_checkpoint_name(34)));
+            let (rec, report) = DurableDatabase::recover(image, WalOptions::default()).unwrap();
+            assert_eq!(rec.reader().dump(), ddb.reader().dump(), "crash point {k}");
+            assert_eq!(rec.reader().last_seq(), 34);
+            if res.is_ok() {
+                assert_eq!(ddb.checkpoint_chain(), (34, 0));
+                assert_eq!(report.checkpoint_chain, [checkpoint::checkpoint_name(34)]);
+                break;
+            }
+            crashes += 1;
+            assert!(ddb.wal_status().poisoned);
+            if report.checkpoint_seq == 2 {
+                // The full never landed: the old chain is the restore
+                // point and the WAL covers the rest.
+                assert_eq!(report.checkpoint_chain.len(), 2);
+                assert_eq!(report.records_replayed, 32);
+            }
+        }
+        assert!(crashes >= 3, "temp create, sync and rename each crashed");
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //! token codec: delta-checkpoint bodies write and read their rows with
 //! them too.
 
+use std::fmt::Write as _;
+
 use relvu_core::Translation;
 use relvu_engine::{LogEntry, UpdateOp};
 use relvu_relation::{Tuple, Value};
@@ -62,8 +64,7 @@ pub(crate) fn push_tuple(out: &mut String, t: &Tuple) -> Result<(), DurabilityEr
     for v in t.values() {
         match v {
             Value::Const(c) => {
-                out.push(' ');
-                out.push_str(&c.to_string());
+                let _ = write!(out, " {c}");
             }
             Value::Null(_) => {
                 return Err(err("labeled null in a committed update tuple"));

@@ -19,7 +19,7 @@ use relvu_deps::check::satisfies_fds;
 use relvu_engine::{BatchOptions, BatchRequest, Database, EngineSnapshot};
 use relvu_relation::ops;
 
-use crate::checkpoint::{self, LoadedChain};
+use crate::checkpoint::{self, ChainTip, LoadedChain};
 use crate::error::DurabilityError;
 use crate::vfs::Vfs;
 use crate::wal::{self, ScannedRecord, SyncPolicy, TornKind, TornTail, WalOptions};
@@ -76,9 +76,9 @@ pub(crate) struct Recovered {
     pub report: RecoveryReport,
     /// Where an appender resumes: last WAL segment and its valid length.
     pub wal_resume: Option<(String, u64)>,
-    /// The restore point's chain tip `(seq, crc, chained deltas)` —
-    /// the next incremental checkpoint builds on this.
-    pub chain_tip: (u64, u64, usize),
+    /// The restore point's chain tip — the next incremental checkpoint
+    /// builds on this, against the recovered root's length.
+    pub chain_tip: ChainTip,
 }
 
 /// Run full recovery against a store with default replay options.
@@ -172,7 +172,7 @@ pub(crate) fn recover_with<V: Vfs>(
     let tail: Vec<&ScannedRecord> = scan
         .records
         .iter()
-        .filter(|r| r.entry.seq > chain.seq)
+        .filter(|r| r.entry.seq > chain.tip.seq)
         .collect();
     if let Some(first) = tail.first() {
         let expected = db.snapshot().seq() + 1;
@@ -258,7 +258,7 @@ pub(crate) fn recover_with<V: Vfs>(
                 .last()
                 .cloned()
                 .unwrap_or_else(|| chain.base.clone()),
-            checkpoint_seq: chain.seq,
+            checkpoint_seq: chain.tip.seq,
             checkpoint_chain: chain.chain,
             skipped_checkpoints: skipped,
             records_replayed: replayed,
@@ -270,7 +270,7 @@ pub(crate) fn recover_with<V: Vfs>(
             last_seq,
         },
         wal_resume: scan.last_segment,
-        chain_tip: (chain.seq, chain.crc, chain.deltas),
+        chain_tip: chain.tip,
     })
 }
 

@@ -47,6 +47,10 @@ pub struct WalOptions {
     /// How many incremental deltas may chain onto one full checkpoint
     /// before the next checkpoint is forced full. `0` disables
     /// incremental checkpoints entirely (every checkpoint is full).
+    /// Independently of this cap, an incremental checkpoint whose delta
+    /// body would reach the byte length of its chain's full root is
+    /// written as a full snapshot instead (see
+    /// [`crate::DurableDatabase::checkpoint_incremental`]).
     pub max_delta_chain: usize,
     /// Threads for parallel WAL replay during recovery. `0` means use
     /// the machine's available parallelism; `1` forces the sequential

@@ -1085,7 +1085,7 @@ impl Database {
                 let history = &inner.cur.history;
                 let gap = EngineError::SubscriptionGap {
                     requested: s,
-                    first_available: history.floor(),
+                    oldest_resume: history.floor(),
                 };
                 let commits = history.since(s).ok_or(gap)?;
                 // The same event construction as the live fan-out.

@@ -105,15 +105,19 @@ pub enum EngineError {
     /// A subscriber asked to resume its delta stream from a sequence
     /// number the engine no longer (or never) holds deltas for — the
     /// commit history was pruned by a checkpoint, evicted on overflow,
-    /// or the engine was resumed past it. The missed range is
-    /// `requested..first_available`; the subscriber must re-origin from
-    /// a snapshot (or another delta source) instead of assuming nothing
-    /// happened.
+    /// or the engine was resumed past it. The commits in
+    /// `(requested, oldest_resume]` are gone; the subscriber must
+    /// re-origin from a snapshot (or another delta source) instead of
+    /// assuming nothing happened.
     SubscriptionGap {
         /// The sequence number the subscriber asked to resume from.
         requested: u64,
-        /// The oldest resume point the engine can serve gaplessly.
-        first_available: u64,
+        /// The oldest resume point the engine can serve gaplessly: the
+        /// history floor. A resume *from* it replays every commit after
+        /// it; the commit at this seq itself is no longer held (unlike
+        /// `LogGap::first_available`, the first entry still served,
+        /// which is one above it).
+        oldest_resume: u64,
     },
     /// A subscriber asked to resume from a sequence number *ahead* of
     /// the engine — its claimed fold state cannot exist yet.
@@ -184,11 +188,12 @@ impl fmt::Display for EngineError {
             ),
             EngineError::SubscriptionGap {
                 requested,
-                first_available,
+                oldest_resume,
             } => write!(
                 f,
-                "cannot resume a subscription at seq {requested}: deltas before seq \
-                 {first_available} are no longer held (re-origin from a snapshot)"
+                "cannot resume a subscription at seq {requested}: deltas up to and including \
+                 seq {oldest_resume} are no longer held; the oldest resume point is seq \
+                 {oldest_resume} (re-origin from a snapshot)"
             ),
             EngineError::SubscriptionAhead { requested, current } => write!(
                 f,

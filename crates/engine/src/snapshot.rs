@@ -47,6 +47,8 @@
 //! in a legal base instance, so the format has no representation for
 //! them.
 
+use std::fmt::Write as _;
+
 use relvu_relation::{CmpOp, Pred, Relation, Tuple, Value};
 
 use crate::{Database, EngineError, EngineSnapshot, Policy, Result};
@@ -97,6 +99,16 @@ impl EngineSnapshot {
     /// matching [`EngineSnapshot::seq`] off the same pin without a
     /// window for a commit in between.
     pub fn dump(&self) -> String {
+        let mut out = String::new();
+        self.dump_into(&mut out);
+        out
+    }
+
+    /// [`EngineSnapshot::dump`], appended to `out` — a checkpoint writer
+    /// builds its header and this body in one buffer. Writes through
+    /// [`std::fmt::Write`], so no value is formatted into a string of
+    /// its own.
+    pub fn dump_into(&self, out: &mut String) {
         let (schema, fds, base, views) = Database::export_parts(self);
         // Only a parented view needs the v2 `from` section; flat
         // databases keep emitting v1 so their dumps stay byte-stable
@@ -106,7 +118,10 @@ impl EngineSnapshot {
         } else {
             "relvu-dump v1\n"
         };
-        let mut out = String::from(version);
+        // Rows dominate the text; a hint sized for ids of up to seven
+        // digits saves most of the regrowth copies.
+        out.reserve(base.len() * (4 + 8 * schema.arity()));
+        out.push_str(version);
         out.push_str("schema");
         for a in schema.attrs() {
             out.push(' ');
@@ -114,13 +129,15 @@ impl EngineSnapshot {
         }
         out.push('\n');
         for fd in &fds {
-            out.push_str(&format!("fd {}\n", fd.show(&schema)));
+            let _ = writeln!(out, "fd {}", fd.show(&schema));
         }
         for row in base.iter() {
             out.push_str("row");
             for v in row.values() {
                 match v {
-                    Value::Const(c) => out.push_str(&format!(" {c}")),
+                    Value::Const(c) => {
+                        let _ = write!(out, " {c}");
+                    }
                     Value::Null(_) => unreachable!("legal bases are concrete"),
                 }
             }
@@ -135,9 +152,9 @@ impl EngineSnapshot {
                 "view"
             };
             let auto = if def.auto_complement() { " auto" } else { "" };
-            out.push_str(&format!("{kind} {} {}{auto}", def.name(), def.policy()));
+            let _ = write!(out, "{kind} {} {}{auto}", def.name(), def.policy());
             if let Some(parent) = def.parent() {
-                out.push_str(&format!(" from {parent}"));
+                let _ = write!(out, " from {parent}");
             }
             out.push_str(" x");
             for a in def.x().iter() {
@@ -152,18 +169,18 @@ impl EngineSnapshot {
             if let Some(pred) = def.own_pred() {
                 out.push_str(" pred");
                 for atom in pred.atoms() {
-                    out.push_str(&format!(
+                    let _ = write!(
+                        out,
                         " {} {} {}",
                         schema.name(atom.attr),
                         cmp_token(atom.op),
                         atom.value
-                    ));
+                    );
                 }
             }
             out.push('\n');
         }
         out.push_str("end\n");
-        out
     }
 }
 

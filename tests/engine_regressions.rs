@@ -792,8 +792,8 @@ fn assert_one_floor(db: &Database, t: u64) {
     assert!(db.subscribe_base(SubscribeOptions::from_seq(t)).is_ok());
     assert!(matches!(
         db.subscribe_base(SubscribeOptions::from_seq(t - 1)),
-        Err(EngineError::SubscriptionGap { requested, first_available })
-            if requested == t - 1 && first_available == t
+        Err(EngineError::SubscriptionGap { requested, oldest_resume })
+            if requested == t - 1 && oldest_resume == t
     ));
     assert!(snap.base_deltas_since(t).is_some());
     assert!(snap.base_deltas_since(t - 1).is_none());

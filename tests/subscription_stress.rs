@@ -454,7 +454,7 @@ fn resume_errors_are_explicit() {
         db.subscribe("staff", SubscribeOptions::from_seq(1)),
         Err(EngineError::SubscriptionGap {
             requested: 1,
-            first_available: 2
+            oldest_resume: 2
         })
     ));
     // The boundary itself is still covered — the same `(from, to]`
