@@ -82,6 +82,16 @@ impl ViewCtx {
         None
     }
 
+    /// Does some FD of Σ map `X` into `Y − X`: an atomized `Z → A` with
+    /// `Z ⊆ X` and `A ∈ Y − X`? Only such an FD lets the chase of the
+    /// filled `V` equate new symbols; without one, condition (c) skips its
+    /// pre-chase (see `insert::condition_c`). `O(|Σ|)`, no allocation: an
+    /// FD with `Z ⊆ X` is trivial on no attribute of `Y − X`.
+    pub fn maps_x_into_rest(&self, fds: &FdSet) -> bool {
+        fds.iter()
+            .any(|fd| fd.lhs().is_subset(&self.x) && !fd.rhs().is_disjoint(&self.y_minus_x))
+    }
+
     /// The labeled null filling row `row` of `V` at attribute `a ∈ Y − X`.
     /// Deterministic, so the same cell is addressable before and after the
     /// chase: id = `row · |Y−X| + rank(a)`.

@@ -22,6 +22,16 @@
 //! closure, see `condition_c`); [`translate_insert_naive`] rebuilds
 //! `R(V, t, r, f)` from scratch each time (the ablation baseline for
 //! experiment E1).
+//!
+//! When no FD `Z → A` of Σ has `Z ⊆ X` and `A ∈ Y − X`, `condition_c`
+//! skips the shortcut's chase and does not fill `V` at all: the new
+//! symbols are pairwise distinct, so only FDs embedded in `X` can fire,
+//! and those either find `V` invalid (checked on its id columns) or
+//! equate nothing. The filled `V` is then built only if a pair needs the
+//! full chase or a counterexample. Verdicts, reject reasons and
+//! counterexamples are those of the chased path. Condition (b) rejects
+//! every insert under such a Σ (see `replace.rs`), so in practice the
+//! rule serves Theorem 9's case-2 replaces.
 
 use relvu_chase::{ChaseState, ConstConflict};
 use relvu_deps::FdSet;
@@ -150,6 +160,21 @@ pub fn translate_insert_naive(
 /// comes from a full chase and the verdicts are those of the
 /// clone-per-pair loop.
 ///
+/// **The skip rule.** When no FD `Z → A` of Σ has `Z ⊆ X` and
+/// `A ∈ Y − X` (decided from Σ, `X` and `Y` alone), the pre-chase is not
+/// run, and the filled `V` is not even built until a pair needs it. The
+/// rule is exact: the new symbols are pairwise distinct, so two rows of
+/// the filled `V` agree on a `Y − X` column only if they are one row, and
+/// an FD can fire only when `Z ⊆ X`. Then `A ∈ X`, where both cells hold
+/// constants of `V`: the chase either fails on a violation of an FD
+/// embedded in `X` — which [`satisfies_embedded`] finds on the interned
+/// id columns, keeping the [`CoreError::InvalidViewInstance`] contract —
+/// or makes no equation at all. So the chased base is the filled `V`
+/// itself, "`r` and `μ` are equated on a `Y − X` cell" means `r = μ`,
+/// and the tableau is built only for a pair the closure cannot settle or
+/// for a counterexample. Debug builds chase the filled `V` anyway and
+/// assert that it makes no equation.
+///
 /// # Errors
 /// [`CoreError::InvalidViewInstance`] if chasing the filled `V` already
 /// equates two of its distinct constants.
@@ -161,12 +186,29 @@ pub(crate) fn condition_c(
     mu: usize,
     skip: Option<usize>,
 ) -> Result<Option<RejectReason>> {
-    let filled = ctx.fill(v);
-    let mut base = ChaseState::new(&filled);
-    if crate::common::run_chase(&mut base, fds).is_err() {
-        return Err(CoreError::InvalidViewInstance);
-    }
     let atomized = fds.atomized();
+    let mut base = if ctx.maps_x_into_rest(fds) {
+        let mut st = ChaseState::new(&ctx.fill(v));
+        if crate::common::run_chase(&mut st, fds).is_err() {
+            return Err(CoreError::InvalidViewInstance);
+        }
+        Base::Chased(st)
+    } else {
+        relvu_obs::counter!("core.chase.prechase_skipped").inc();
+        let valid = satisfies_embedded(ctx.x, &atomized, v);
+        #[cfg(debug_assertions)]
+        {
+            let out = ChaseState::new(&ctx.fill(v)).run(fds);
+            debug_assert!(
+                if valid { out == Ok(0) } else { out.is_err() },
+                "skipped pre-chase: the filled V's chase gave {out:?}, V valid: {valid}"
+            );
+        }
+        if !valid {
+            return Err(CoreError::InvalidViewInstance);
+        }
+        Base::Filled(None)
+    };
     for (fd_index, fd) in atomized.iter().enumerate() {
         let z = fd.lhs();
         let a = fd.rhs().first().expect("atomized");
@@ -183,23 +225,23 @@ pub(crate) fn condition_c(
                 a,
             };
             let counterexample = if z_in_rest.is_empty() {
-                if ctx.y_minus_x.contains(a)
-                    && base.equated(ctx.null_of(row, a), ctx.null_of(mu, a))
-                {
+                if ctx.y_minus_x.contains(a) && base.equated(ctx, row, mu, a) {
                     continue; // success: the violation is contradictory
                 }
                 // The base chase is consistent and nothing forces the
                 // equality: counterexample.
-                base.materialize()
+                base.state(ctx, v).materialize()
             } else if pair.settles(ctx, &atomized, v, &mut base) {
                 relvu_obs::counter!("core.chase.pairs_settled").inc();
                 debug_assert!(
-                    pair.chase(ctx, fds, &base, ChaseState::run).is_none(),
+                    pair.chase(ctx, fds, base.state(ctx, v), ChaseState::run)
+                        .is_none(),
                     "pair closure settled {pair:?}, the full chase does not"
                 );
                 continue;
             } else {
-                match pair.chase(ctx, fds, &base, crate::common::run_chase) {
+                let st = base.state(ctx, v);
+                match pair.chase(ctx, fds, st, crate::common::run_chase) {
                     None => continue,
                     Some(mut st) => st.materialize(),
                 }
@@ -212,6 +254,66 @@ pub(crate) fn condition_c(
         }
     }
     Ok(None)
+}
+
+/// The chased filled `V` that condition (c)'s pairs start from.
+enum Base {
+    /// Pre-chased: the chase may have equated new symbols.
+    Chased(ChaseState),
+    /// The pre-chase was skipped (see [`condition_c`]'s skip rule): the
+    /// filled `V` is its own chase, built on first use.
+    Filled(Option<ChaseState>),
+}
+
+impl Base {
+    /// Are `r[b]` and `μ[b]` equated, for `b ∈ Y − X`?
+    fn equated(&mut self, ctx: &ViewCtx, row: usize, mu: usize, b: Attr) -> bool {
+        match self {
+            Base::Chased(st) => st.equated(ctx.null_of(row, b), ctx.null_of(mu, b)),
+            // Distinct cells hold distinct new symbols.
+            Base::Filled(_) => row == mu,
+        }
+    }
+
+    /// The chase state itself, building the filled `V` if it was skipped.
+    fn state(&mut self, ctx: &ViewCtx, v: &Relation) -> &mut ChaseState {
+        match self {
+            Base::Chased(st) => st,
+            Base::Filled(st) => st.get_or_insert_with(|| ChaseState::new(&ctx.fill(v))),
+        }
+    }
+}
+
+/// Does `V` satisfy every FD of `atomized` embedded in `X`? Checked on
+/// `V`'s interned id columns: rows sorted by their `Z` ids must agree on
+/// `A` within each run.
+fn satisfies_embedded(x: AttrSet, atomized: &FdSet, v: &Relation) -> bool {
+    let mut idx: Vec<u32> = Vec::new();
+    for fd in atomized.iter() {
+        let (z, a) = (fd.lhs(), fd.rhs().first().expect("atomized"));
+        if !z.is_subset(&x) || !x.contains(a) {
+            continue;
+        }
+        let z_cols: Vec<&[u32]> = z.iter().map(|b| v.col_ids(b)).collect();
+        let a_col = v.col_ids(a);
+        let same_z = |p: u32, q: u32| z_cols.iter().all(|c| c[p as usize] == c[q as usize]);
+        idx.clear();
+        idx.extend(0..v.len() as u32);
+        idx.sort_unstable_by(|&p, &q| {
+            z_cols
+                .iter()
+                .map(|c| c[p as usize].cmp(&c[q as usize]))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        if idx
+            .windows(2)
+            .any(|w| same_z(w[0], w[1]) && a_col[w[0] as usize] != a_col[w[1] as usize])
+        {
+            return false;
+        }
+    }
+    true
 }
 
 /// One hypothesis pair of condition (c): witness row `r` of `V`, the `μ`
@@ -231,7 +333,8 @@ impl Pair {
     ///
     /// It closes under Σ the set of columns on which `r` and `μ` are known
     /// equal: the `X` columns where they hold the same constant, the
-    /// `Y − X` cells `base` has equated, and the hypothesis cells. Deriving
+    /// `Y − X` cells `base` has equated (none but a row's own when the
+    /// pre-chase was skipped), and the hypothesis cells. Deriving
     /// an `X` column (where the two hold distinct constants, or it would
     /// have been a seed) means the chase equates two distinct constants;
     /// deriving `A ∈ Y − X` means it equates `r[A]` with `μ[A]`. Either is
@@ -244,13 +347,7 @@ impl Pair {
     /// Cells of `Y − X` never hold a constant (the chase only merges
     /// cells of one column, and these columns start all-null), so the
     /// constants compared are exactly `V`'s.
-    fn settles(
-        &self,
-        ctx: &ViewCtx,
-        atomized: &FdSet,
-        v: &Relation,
-        base: &mut ChaseState,
-    ) -> bool {
+    fn settles(&self, ctx: &ViewCtx, atomized: &FdSet, v: &Relation, base: &mut Base) -> bool {
         let (r, mu) = (&v.rows()[self.row], &v.rows()[self.mu]);
         let mut eq = self.z_in_rest;
         for ((b, rv), mv) in ctx.x.iter().zip(r.values()).zip(mu.values()) {
@@ -259,7 +356,7 @@ impl Pair {
             }
         }
         for b in ctx.y_minus_x.iter() {
-            if base.equated(ctx.null_of(self.row, b), ctx.null_of(self.mu, b)) {
+            if base.equated(ctx, self.row, self.mu, b) {
                 eq.insert(b);
             }
         }

@@ -9,6 +9,14 @@
 //!   case 2);
 //! * (c) `Chase_Σ[R(V, t₂, r, f)]` succeeds for every `f ∈ Σ` and every
 //!   `r ∈ V`, `r ≠ t₁`.
+//!
+//! Case 2 is where condition (c)'s skipped pre-chase fires (see
+//! `insert::condition_c`). When `Y − X ≠ ∅` and no FD of Σ maps `X`
+//! into `Y − X`, the closure `(X∩Y)⁺` never leaves `X`, so `Σ ⊭ X∩Y → Y`
+//! and condition (b) already rejects every insert and every case-1
+//! replace. A case-2 replace has no condition (b): a manager change on
+//! `mgrs = π{D, M}` with complement `{E, D}` under `E → D, D → M` is one,
+//! and its condition (c) runs without filling or chasing `V`.
 
 use relvu_deps::FdSet;
 use relvu_relation::{AttrSet, Relation, Schema, Tuple};

@@ -500,6 +500,15 @@ pub fn scan<V: Vfs>(vfs: &V) -> Result<WalScan, DurabilityError> {
                     });
                 }
             }
+            // The writer always hands out a successor, so no record
+            // holds the last seq; one that does came from elsewhere.
+            let Some(next_seq) = seq.checked_add(1) else {
+                return Err(DurabilityError::CorruptRecord {
+                    segment: name.clone(),
+                    offset: offset as u64,
+                    detail: format!("record seq {seq} leaves no successor"),
+                });
+            };
             let entry = record::decode_payload(seq, &buf[payload]).map_err(|detail| {
                 DurabilityError::CorruptRecord {
                     segment: name.clone(),
@@ -512,7 +521,7 @@ pub fn scan<V: Vfs>(vfs: &V) -> Result<WalScan, DurabilityError> {
                 segment: name.clone(),
                 offset: offset as u64,
             });
-            expected_seq = Some(seq + 1);
+            expected_seq = Some(next_seq);
             first_in_segment = false;
             offset = end;
         }

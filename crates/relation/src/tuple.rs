@@ -17,7 +17,7 @@ impl Tuple {
     /// Build a tuple from values in ascending attribute order of its set.
     pub fn new<I: IntoIterator<Item = Value>>(vals: I) -> Self {
         Tuple {
-            vals: vals.into_iter().collect(),
+            vals: boxed(vals.into_iter()),
         }
     }
 
@@ -97,7 +97,7 @@ impl Tuple {
             "projection target must be a subset of the tuple's attributes"
         );
         Tuple {
-            vals: to.iter().map(|a| self.get(from, a)).collect(),
+            vals: boxed(to.iter().map(|a| self.get(from, a))),
         }
     }
 
@@ -119,16 +119,13 @@ impl Tuple {
     pub fn joined(&self, from: &AttrSet, other: &Tuple, other_from: &AttrSet) -> Tuple {
         let target = from.union(other_from);
         Tuple {
-            vals: target
-                .iter()
-                .map(|a| {
-                    if from.contains(a) {
-                        self.get(from, a)
-                    } else {
-                        other.get(other_from, a)
-                    }
-                })
-                .collect(),
+            vals: boxed(target.iter().map(|a| {
+                if from.contains(a) {
+                    self.get(from, a)
+                } else {
+                    other.get(other_from, a)
+                }
+            })),
         }
     }
 
@@ -146,6 +143,17 @@ impl Tuple {
     pub fn has_null(&self) -> bool {
         self.vals.iter().any(|v| v.is_null())
     }
+}
+
+/// Collect values into a boxed slice with one allocation when the
+/// iterator's lower size bound is its length. `Vec::from_iter` over an
+/// iterator that is not `TrustedLen` (an [`AttrSet`] walk is not)
+/// reserves at least four slots, so `into_boxed_slice` would then shrink
+/// the buffer with a second allocation.
+fn boxed(vals: impl Iterator<Item = Value>) -> Box<[Value]> {
+    let mut out = Vec::with_capacity(vals.size_hint().0);
+    out.extend(vals);
+    out.into_boxed_slice()
 }
 
 impl FromIterator<Value> for Tuple {

@@ -10,14 +10,31 @@
 //! and a `ChaseCounterexample`'s FD index, row and relation — and the
 //! insert verdict must also agree with `translate_insert_naive`.
 //!
-//! The case count follows `PROPTEST_CASES`.
+//! One case in four is drawn for the skipped pre-chase instead: no FD
+//! maps `X` into `Y − X`, Σ has an FD embedded in `X` that `V` mostly
+//! satisfies, and `t` shares `t₁`'s `X ∩ Y`, so the replace is a
+//! Theorem 9 case-2 replace that reaches condition (c) without chasing
+//! the filled `V`.
+//!
+//! The case count follows `PROPTEST_CASES`. The tests of this binary
+//! take one lock, so that `generator_reaches_every_outcome` can read the
+//! process-global obs counters around each call.
+
+use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use relvu::chase::ChaseState;
 use relvu::core::{translate_insert_naive, CoreError};
+use relvu::deps::check::satisfies_fds;
 use relvu::deps::closure;
 use relvu::prelude::*;
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// One generated case: geometry, Σ, the view instance and the tuples.
 #[derive(Debug)]
@@ -55,18 +72,17 @@ fn with_shared(x: AttrSet, shared: AttrSet, t: &Tuple, from: &Tuple) -> Tuple {
     .expect("covers x")
 }
 
-fn gen_case(seed: u64) -> Case {
-    let mut rng = StdRng::seed_from_u64(seed);
+/// A schema of 4–6 attributes and views `X`, `Y` covering it: one
+/// attribute is in `X` only, another in `Y` only, and each of the rest
+/// lands in `X` only, `Y` only, or both.
+fn geometry(rng: &mut StdRng) -> (Schema, AttrSet, AttrSet) {
     let n = rng.gen_range(4..7usize);
     let names: Vec<String> = (0..n).map(|i| format!("A{i}")).collect();
     let schema = Schema::new(names.iter().map(String::as_str)).unwrap();
-    let u = schema.universe();
-    // X and Y cover U; one attribute is in X only, another in Y only,
-    // and each of the rest lands in X only, Y only, or both.
     let only_x = rng.gen_range(0..n);
     let only_y = (only_x + rng.gen_range(1..n)) % n;
     let (mut x, mut y) = (AttrSet::new(), AttrSet::new());
-    for (i, a) in u.iter().enumerate() {
+    for (i, a) in schema.universe().iter().enumerate() {
         let side = match i {
             _ if i == only_x => 0,
             _ if i == only_y => 1,
@@ -79,6 +95,28 @@ fn gen_case(seed: u64) -> Case {
             y.insert(a);
         }
     }
+    (schema, x, y)
+}
+
+/// Is `seed` drawn for the skipped pre-chase? Decided from the seed
+/// alone, so the other cases draw what they always drew.
+fn skips_prechase(seed: u64) -> bool {
+    seed % 4 == 3
+}
+
+/// Does some FD of `fds` map `X` into `Y − X`?
+fn maps_x_into_rest(fds: &FdSet, x: AttrSet, y_minus_x: AttrSet) -> bool {
+    fds.iter()
+        .any(|fd| fd.lhs().is_subset(&x) && !fd.rhs().is_disjoint(&y_minus_x))
+}
+
+fn gen_case(seed: u64) -> Case {
+    if skips_prechase(seed) {
+        return gen_skip_case(seed);
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (schema, x, y) = geometry(&mut rng);
+    let u = schema.universe();
     let y_minus_x = y - x;
     let shared = x & y;
     let mut fds = Vec::new();
@@ -97,12 +135,12 @@ fn gen_case(seed: u64) -> Case {
                 .nth(rng.gen_range(0..y_minus_x.len()))
                 .unwrap(),
         );
-        let rhs = u.iter().nth(rng.gen_range(0..n)).unwrap();
+        let rhs = u.iter().nth(rng.gen_range(0..u.len())).unwrap();
         fds.push(Fd::from_sets(lhs, AttrSet::singleton(rhs)));
     }
     for _ in 0..rng.gen_range(0..3) {
         let lhs = random_subset(&mut rng, u);
-        let rhs = u.iter().nth(rng.gen_range(0..n)).unwrap();
+        let rhs = u.iter().nth(rng.gen_range(0..u.len())).unwrap();
         fds.push(Fd::from_sets(lhs, AttrSet::singleton(rhs)));
     }
     let fds = FdSet::new(fds);
@@ -123,6 +161,68 @@ fn gen_case(seed: u64) -> Case {
         v,
         t,
         t1,
+    }
+}
+
+/// A case with no FD from `X` into `Y − X` and a case-2 replace: FDs whose left-hand sides cross `Y − X`,
+/// arbitrary FDs turned away from `Y − X` when their left-hand side lies
+/// in `X`, and one FD embedded in `X`; `V` built to satisfy the FDs
+/// embedded in `X` (four times in five); `t` carrying `t₁`'s `X ∩ Y`.
+fn gen_skip_case(seed: u64) -> Case {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (schema, x, y) = geometry(&mut rng);
+    let u = schema.universe();
+    let y_minus_x = y - x;
+    let shared = x & y;
+    let pick = |rng: &mut StdRng, of: AttrSet| of.iter().nth(rng.gen_range(0..of.len())).unwrap();
+    let mut fds = Vec::new();
+    for _ in 0..rng.gen_range(1..5) {
+        let mut lhs = random_subset(&mut rng, u);
+        lhs.insert(pick(&mut rng, y_minus_x));
+        fds.push(Fd::from_sets(lhs, AttrSet::singleton(pick(&mut rng, u))));
+    }
+    for _ in 0..rng.gen_range(0..3) {
+        let lhs = random_subset(&mut rng, u);
+        let mut rhs = pick(&mut rng, u);
+        if lhs.is_subset(&x) && y_minus_x.contains(rhs) {
+            rhs = pick(&mut rng, x);
+        }
+        fds.push(Fd::from_sets(lhs, AttrSet::singleton(rhs)));
+    }
+    let embedded = Fd::from_sets(
+        random_subset(&mut rng, x),
+        AttrSet::singleton(pick(&mut rng, x)),
+    );
+    fds.push(embedded);
+    let fds = FdSet::new(fds);
+    assert!(!maps_x_into_rest(&fds, x, y_minus_x));
+    let in_x = FdSet::new(
+        fds.iter()
+            .filter(|fd| fd.lhs().is_subset(&x) && fd.rhs().is_subset(&x))
+            .cloned()
+            .collect::<Vec<_>>(),
+    );
+    let domain = rng.gen_range(2..5u64);
+    let legal = rng.gen_bool(0.8);
+    let mut v = Relation::new(x);
+    for _ in 0..rng.gen_range(2..10usize) {
+        let row = random_tuple(&mut rng, x, domain);
+        let mut grown = v.clone();
+        grown.insert(row).unwrap();
+        if !legal || satisfies_fds(&grown, &in_x) {
+            v = grown;
+        }
+    }
+    let t1 = v.rows()[rng.gen_range(0..v.len())].clone();
+    let t = with_shared(x, shared, &random_tuple(&mut rng, x, domain + 2), &t1);
+    Case {
+        schema,
+        fds,
+        x,
+        y,
+        v,
+        t,
+        t1: Some(t1),
     }
 }
 
@@ -303,6 +403,7 @@ const BATCH: u64 = 8;
 proptest! {
     #[test]
     fn insert_matches_clone_per_pair_oracle(seed in 0u64..u64::MAX / BATCH) {
+        let _serial = serial();
         for c in (0..BATCH).map(|k| gen_case(seed * BATCH + k)) {
             let got = translate_insert(&c.schema, &c.fds, c.x, c.y, &c.v, &c.t);
             prop_assert_eq!(&got, &oracle_insert(&c), "{:?}", c);
@@ -318,6 +419,7 @@ proptest! {
 
     #[test]
     fn replace_matches_clone_per_pair_oracle(seed in 0u64..u64::MAX / BATCH) {
+        let _serial = serial();
         for c in (0..BATCH).map(|k| gen_case(seed * BATCH + k)) {
             let Some(t1) = &c.t1 else { continue };
             let got = translate_replace(&c.schema, &c.fds, c.x, c.y, &c.v, t1, &c.t);
@@ -326,12 +428,24 @@ proptest! {
     }
 }
 
+/// `(chase runs, skipped pre-chases, settled pairs)` so far.
+fn counts() -> (u64, u64, u64) {
+    (
+        relvu::obs::counter("core.chase.runs").get(),
+        relvu::obs::counter("core.chase.prechase_skipped").get(),
+        relvu::obs::counter("core.chase.pairs_settled").get(),
+    )
+}
+
 /// The generator must reach the interesting outcomes: accepted updates,
-/// counterexamples, and pairs the closure settles.
+/// counterexamples, and pairs the closure settles — and, on the skipped
+/// pre-chase, accepted replaces, counterexamples of FDs embedded in `X`
+/// (materialized from the lazily built tableau) and pairs the closure
+/// leaves to the full chase, each equal to the oracle's result.
 #[test]
 fn generator_reaches_every_outcome() {
-    let settled = relvu::obs::counter("core.chase.pairs_settled");
-    let settled_before = settled.get();
+    let _serial = serial();
+    let (_, _, settled_before) = counts();
     let (mut accepted, mut counterexamples) = (0, 0);
     for seed in 0..2000 {
         let c = gen_case(seed);
@@ -348,12 +462,105 @@ fn generator_reaches_every_outcome() {
         counterexamples >= 40,
         "only {counterexamples} counterexamples"
     );
-    if relvu::obs::enabled() {
-        // Other tests of this binary may add to the counter too, but the
-        // loop above alone settles pairs.
-        assert!(
-            settled.get() - settled_before >= 100,
-            "the pair closure settled too few pairs"
+    if !relvu::obs::enabled() {
+        return;
+    }
+    let (_, _, settled_after) = counts();
+    assert!(
+        settled_after - settled_before >= 100,
+        "the pair closure settled too few pairs"
+    );
+
+    let (mut skip_accepted, mut skip_embedded, mut skip_chased) = (0, 0, 0);
+    for seed in (0..2000).filter(|&s| skips_prechase(s)) {
+        let c = gen_case(seed);
+        let t1 = c.t1.as_ref().expect("a skip case has a row to replace");
+        let before = counts();
+        let got = translate_replace(&c.schema, &c.fds, c.x, c.y, &c.v, t1, &c.t);
+        let after = counts();
+        assert_eq!(got, oracle_replace(&c, t1, &c.t), "{c:?}");
+        let reached_c = matches!(
+            got,
+            Ok(Translatability::Translatable(
+                Translation::ReplaceJoin { .. }
+            )) | Ok(Translatability::Rejected(
+                RejectReason::ChaseCounterexample { .. }
+            )) | Err(CoreError::InvalidViewInstance)
         );
+        let skipped = after.1 - before.1;
+        assert_eq!(skipped, u64::from(reached_c), "{c:?}");
+        if !reached_c {
+            continue;
+        }
+        if after.0 > before.0 {
+            skip_chased += 1;
+        }
+        match &got {
+            Ok(Translatability::Translatable(_)) => skip_accepted += 1,
+            Ok(Translatability::Rejected(RejectReason::ChaseCounterexample {
+                fd_index, ..
+            })) => {
+                let fd = c.fds.atomized().iter().nth(*fd_index).cloned().unwrap();
+                if fd.lhs().is_subset(&c.x) {
+                    skip_embedded += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        skip_accepted >= 100,
+        "only {skip_accepted} accepted replaces skipped the pre-chase"
+    );
+    assert!(
+        skip_embedded >= 10,
+        "only {skip_embedded} counterexamples of FDs embedded in X skipped the pre-chase"
+    );
+    assert!(
+        skip_chased >= 20,
+        "only {skip_chased} skipped pre-chases left a pair to the full chase"
+    );
+}
+
+/// A `V` that violates an FD embedded in `X` is still refused as
+/// invalid when the pre-chase is skipped: `mgrs = π{D, M}` with two
+/// managers for department 1, and a case-2 manager change.
+#[test]
+fn skipped_prechase_still_refuses_an_invalid_view() {
+    let _serial = serial();
+    let schema = Schema::new(["E", "D", "M"]).unwrap();
+    let fds = FdSet::parse(&schema, "E -> D; D -> M").unwrap();
+    let x = schema.set(["D", "M"]).unwrap();
+    let y = schema.set(["E", "D"]).unwrap();
+    let v = Relation::from_rows(
+        x,
+        [
+            Tuple::new([Value::int(1), Value::int(100)]),
+            Tuple::new([Value::int(1), Value::int(200)]),
+            Tuple::new([Value::int(2), Value::int(300)]),
+        ],
+    )
+    .unwrap();
+    let (t1, t2) = (
+        Tuple::new([Value::int(1), Value::int(100)]),
+        Tuple::new([Value::int(1), Value::int(150)]),
+    );
+    let before = counts();
+    let got = translate_replace(&schema, &fds, x, y, &v, &t1, &t2);
+    let after = counts();
+    assert_eq!(got, Err(CoreError::InvalidViewInstance));
+    let c = Case {
+        schema,
+        fds,
+        x,
+        y,
+        v,
+        t: t2.clone(),
+        t1: Some(t1.clone()),
+    };
+    assert_eq!(got, oracle_replace(&c, &t1, &t2));
+    if relvu::obs::enabled() {
+        assert_eq!(after.1 - before.1, 1, "the pre-chase was skipped");
+        assert_eq!(after.0, before.0, "and no chase ran");
     }
 }
