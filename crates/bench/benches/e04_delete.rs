@@ -16,7 +16,7 @@ fn bench(c: &mut Criterion) {
         let w = edm_workload(2, rows, (rows / 8).max(2), 0xE4);
         // Delete an existing row (departments have several employees, so
         // condition (a) passes).
-        let t = w.v.rows()[0].clone();
+        let t = w.v.row(0).to_tuple();
         g.bench_with_input(BenchmarkId::new("delete", rows), &rows, |b, _| {
             b.iter(|| {
                 black_box(

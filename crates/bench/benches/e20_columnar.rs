@@ -45,7 +45,12 @@ fn per_op(total: Duration, n: usize) -> Duration {
 fn point_ops(rows: usize) {
     let w = edm_workload(WIDTH, rows, rows / 8, 0xE20);
     let mut base = w.base.clone();
-    let sample: Vec<_> = base.rows().iter().step_by(7).take(4096).cloned().collect();
+    let sample: Vec<_> = base
+        .iter()
+        .step_by(7)
+        .take(4096)
+        .map(|t| t.to_tuple())
+        .collect();
     let misses: Vec<_> = (0..4096u64)
         .map(|i| {
             let mut t = sample[i as usize % sample.len()].clone();

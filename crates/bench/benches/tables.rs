@@ -286,7 +286,7 @@ fn e4() {
     println!("{:>6} {:>14}", "|V|", "delete_µs");
     for rows in [16usize, 64, 256, 1024, 4096] {
         let w = edm_workload(2, rows, (rows / 8).max(2), 0xE4);
-        let t = w.v.rows()[0].clone();
+        let t = w.v.row(0).to_tuple();
         let us = time_us(9, || {
             black_box(
                 translate_delete(

@@ -41,7 +41,7 @@ impl ChaseState {
     pub fn new(rel: &Relation) -> Self {
         let mut st = ChaseState {
             attrs: rel.attrs(),
-            rows: rel.iter().cloned().collect(),
+            rows: rel.iter().map(|t| t.to_tuple()).collect(),
             uf: UnionFind::new(),
             ids: HashMap::new(),
             node_rows: Vec::with_capacity(rel.len()),

@@ -59,7 +59,7 @@ fn orient(a: Value, b: Value) -> Result<(Value, Value), ConstConflict> {
 pub fn chase_fds_sorted(rel: &Relation, fds: &FdSet) -> ChaseOutcome {
     let attrs = rel.attrs();
     let atomized = fds.atomized();
-    let mut rows: Vec<Tuple> = rel.iter().cloned().collect();
+    let mut rows: Vec<Tuple> = rel.iter().map(|t| t.to_tuple()).collect();
     // Dense column positions per FD, computed once.
     let plans: Vec<(Vec<usize>, usize)> = atomized
         .iter()
@@ -179,7 +179,7 @@ mod tests {
             }
             let mut used = vec![false; b.len()];
             let mut map = HashMap::new();
-            try_rows(a.rows(), b, &mut used, &mut map, 0)
+            try_rows(&a.rows().to_vec(), b, &mut used, &mut map, 0)
         }
         maps_onto(a, b) && maps_onto(b, a)
     }

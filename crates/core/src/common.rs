@@ -4,7 +4,7 @@
 
 use relvu_deps::closure;
 use relvu_deps::FdSet;
-use relvu_relation::{Attr, AttrSet, Relation, Schema, Tuple, Value};
+use relvu_relation::{Attr, AttrSet, Relation, Row, Schema, Tuple, Value};
 
 use crate::outcome::RejectReason;
 use crate::{CoreError, Result};
@@ -101,25 +101,14 @@ impl ViewCtx {
     }
 
     /// The paper's filled relation: each row of `V` extended over `U` with
-    /// fresh nulls in the `Y − X` columns.
+    /// fresh nulls in the `Y − X` columns, in `V`'s row order. Built
+    /// column by column ([`Relation::widened`]): `V`'s `X` columns are
+    /// read off their id arrays and each `Y − X` column is filled with
+    /// [`ViewCtx::null_of`]'s nulls, so no row is materialized as a
+    /// tuple.
     pub fn fill(&self, v: &Relation) -> Relation {
-        let mut out = Relation::new(self.universe);
-        for (i, row) in v.iter().enumerate() {
-            let full = Tuple::from_pairs(
-                &self.universe,
-                self.universe.iter().map(|a| {
-                    let val = if self.x.contains(a) {
-                        row.get(&self.x, a)
-                    } else {
-                        self.null_of(i, a)
-                    };
-                    (a, val)
-                }),
-            )
-            .expect("covers universe");
-            out.insert(full).expect("arity matches");
-        }
-        out
+        v.widened(self.universe, |row, a| self.null_of(row, a))
+            .expect("V ranges over X ⊆ U and each null is interned once")
     }
 
     /// Row indices of `V` agreeing with `t` on `X ∩ Y` (the μ candidates
@@ -188,7 +177,7 @@ pub(crate) fn run_chase(
 /// Row-wise reference semantics for [`ViewCtx::qualifying_rows`]'s
 /// columnar scan; debug builds cross-check the two on every call.
 #[cfg_attr(not(debug_assertions), allow(dead_code))]
-pub(crate) fn qualifies(ctx: &ViewCtx, r: &Tuple, t: &Tuple, z: AttrSet, a: Attr) -> bool {
+pub(crate) fn qualifies(ctx: &ViewCtx, r: &Row<'_>, t: &Tuple, z: AttrSet, a: Attr) -> bool {
     let z_in_x = z & ctx.x;
     if !r.agrees(&ctx.x, t, &ctx.x, &z_in_x) {
         return false;
@@ -246,8 +235,8 @@ mod tests {
         let filled = ctx.fill(&v);
         assert_eq!(filled.len(), 2);
         let m = s.attr("M").unwrap();
-        assert_eq!(filled.rows()[0].get(&ctx.universe, m), ctx.null_of(0, m));
-        assert_eq!(filled.rows()[1].get(&ctx.universe, m), ctx.null_of(1, m));
+        assert_eq!(filled.row(0).get(&ctx.universe, m), ctx.null_of(0, m));
+        assert_eq!(filled.row(1).get(&ctx.universe, m), ctx.null_of(1, m));
         assert_ne!(ctx.null_of(0, m), ctx.null_of(1, m));
     }
 

@@ -34,6 +34,7 @@
 //! rule serves Theorem 9's case-2 replaces.
 
 use relvu_chase::{ChaseState, ConstConflict};
+use relvu_deps::check::satisfies_fd;
 use relvu_deps::FdSet;
 use relvu_relation::{Attr, AttrSet, Relation, Schema, Tuple};
 
@@ -285,35 +286,12 @@ impl Base {
 }
 
 /// Does `V` satisfy every FD of `atomized` embedded in `X`? Checked on
-/// `V`'s interned id columns: rows sorted by their `Z` ids must agree on
-/// `A` within each run.
+/// `V`'s interned id columns by [`satisfies_fd`].
 fn satisfies_embedded(x: AttrSet, atomized: &FdSet, v: &Relation) -> bool {
-    let mut idx: Vec<u32> = Vec::new();
-    for fd in atomized.iter() {
-        let (z, a) = (fd.lhs(), fd.rhs().first().expect("atomized"));
-        if !z.is_subset(&x) || !x.contains(a) {
-            continue;
-        }
-        let z_cols: Vec<&[u32]> = z.iter().map(|b| v.col_ids(b)).collect();
-        let a_col = v.col_ids(a);
-        let same_z = |p: u32, q: u32| z_cols.iter().all(|c| c[p as usize] == c[q as usize]);
-        idx.clear();
-        idx.extend(0..v.len() as u32);
-        idx.sort_unstable_by(|&p, &q| {
-            z_cols
-                .iter()
-                .map(|c| c[p as usize].cmp(&c[q as usize]))
-                .find(|o| o.is_ne())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        if idx
-            .windows(2)
-            .any(|w| same_z(w[0], w[1]) && a_col[w[0] as usize] != a_col[w[1] as usize])
-        {
-            return false;
-        }
-    }
-    true
+    atomized
+        .iter()
+        .filter(|fd| fd.lhs().is_subset(&x) && fd.rhs().is_subset(&x))
+        .all(|fd| satisfies_fd(v, fd))
 }
 
 /// One hypothesis pair of condition (c): witness row `r` of `V`, the `μ`
@@ -348,7 +326,7 @@ impl Pair {
     /// cells of one column, and these columns start all-null), so the
     /// constants compared are exactly `V`'s.
     fn settles(&self, ctx: &ViewCtx, atomized: &FdSet, v: &Relation, base: &mut Base) -> bool {
-        let (r, mu) = (&v.rows()[self.row], &v.rows()[self.mu]);
+        let (r, mu) = (v.row(self.row), v.row(self.mu));
         let mut eq = self.z_in_rest;
         for ((b, rv), mv) in ctx.x.iter().zip(r.values()).zip(mu.values()) {
             if rv == mv {

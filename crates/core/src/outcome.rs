@@ -215,7 +215,7 @@ impl RejectReason {
                 counterexample,
             } => {
                 if let Some(r) = counterexample.rows().get(*row) {
-                    offending.push(r.clone());
+                    offending.push(r.to_tuple());
                 }
                 format!(
                     "the chase completed without success for FD #{fd_index} and view \

@@ -144,7 +144,7 @@ fn two_tuple_succeeds(
             &ctx.universe,
             ctx.universe.iter().map(|attr| {
                 let val = if ctx.x.contains(attr) {
-                    v.rows()[i].get(&ctx.x, attr)
+                    v.get(i, attr)
                 } else {
                     ctx.null_of(i, attr)
                 };

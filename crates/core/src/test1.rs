@@ -110,7 +110,7 @@ fn two_tuple_chase_succeeds(
             &ctx.universe,
             ctx.universe.iter().map(|attr| {
                 let val = if ctx.x.contains(attr) {
-                    v.rows()[i].get(&ctx.x, attr)
+                    v.get(i, attr)
                 } else {
                     ctx.null_of(i, attr)
                 };

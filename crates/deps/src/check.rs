@@ -4,29 +4,35 @@
 //! `relvu-chase` is property-tested against, and what Theorem 3's
 //! counterexample construction violates when a translation is rejected.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use relvu_relation::{ops, Relation, Tuple};
+use relvu_relation::{ops, AttrSet, Relation, Row, Tuple};
 
 use crate::{DepSet, Fd, FdSet, Jd, Mvd};
 
 /// Does `rel ⊨ X → Y`? (No two tuples agree on `X` but differ on `Y`.)
+///
+/// Runs on the interned id columns, where equal ids are equal values:
+/// the row slots are sorted by their `X` ids, and every two neighbours
+/// with equal `X` ids must have equal `Y` ids. No row is projected or
+/// hashed.
 pub fn satisfies_fd(rel: &Relation, fd: &Fd) -> bool {
     let attrs = rel.attrs();
     debug_assert!(fd.lhs().is_subset(&attrs) && fd.rhs().is_subset(&attrs));
-    let mut seen: HashMap<Tuple, Tuple> = HashMap::new();
-    for t in rel {
-        let key = t.project(&attrs, &fd.lhs());
-        let val = t.project(&attrs, &fd.rhs());
-        match seen.get(&key) {
-            Some(prev) if *prev != val => return false,
-            Some(_) => {}
-            None => {
-                seen.insert(key, val);
-            }
-        }
-    }
-    true
+    let cols = |on: AttrSet| -> Vec<&[u32]> { on.iter().map(|a| rel.col_ids(a)).collect() };
+    let (lhs, rhs) = (cols(fd.lhs()), cols(fd.rhs()));
+    let same =
+        |cols: &[&[u32]], p: u32, q: u32| cols.iter().all(|c| c[p as usize] == c[q as usize]);
+    let mut idx: Vec<u32> = (0..rel.len() as u32).collect();
+    idx.sort_unstable_by(|&p, &q| {
+        lhs.iter()
+            .map(|c| c[p as usize].cmp(&c[q as usize]))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    idx.windows(2)
+        .all(|w| !same(&lhs, w[0], w[1]) || same(&rhs, w[0], w[1]))
 }
 
 /// Does `rel` satisfy every FD in `fds`?
@@ -42,7 +48,7 @@ pub fn satisfies_mvd(rel: &Relation, mvd: &Mvd) -> bool {
     let y = (mvd.rhs() - x) & attrs;
     let z = attrs - x - y;
     // Group rows by their X projection.
-    let mut groups: HashMap<Tuple, Vec<&Tuple>> = HashMap::new();
+    let mut groups: HashMap<Tuple, Vec<Row<'_>>> = HashMap::new();
     for t in rel {
         groups.entry(t.project(&attrs, &x)).or_default().push(t);
     }

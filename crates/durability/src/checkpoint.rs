@@ -57,7 +57,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use relvu_engine::{Commit, Database, EngineSnapshot};
-use relvu_relation::Tuple;
+use relvu_relation::{Tuple, Value};
 
 use crate::error::DurabilityError;
 use crate::record::{fnv1a, parse_tuple, push_tuple, FNV_OFFSET};
@@ -307,7 +307,7 @@ pub(crate) fn write_full<V: Vfs>(
     })
 }
 
-fn push_tuple_line(out: &mut String, tag: &str, t: &Tuple) -> Result<(), DurabilityError> {
+fn push_tuple_line(out: &mut String, tag: &str, t: &[Value]) -> Result<(), DurabilityError> {
     out.push_str(tag);
     push_tuple(out, t)?;
     out.push('\n');

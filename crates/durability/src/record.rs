@@ -60,8 +60,8 @@ fn err(detail: impl Into<String>) -> DurabilityError {
 ///
 /// # Errors
 /// [`DurabilityError::Encode`] on a labeled null.
-pub(crate) fn push_tuple(out: &mut String, t: &Tuple) -> Result<(), DurabilityError> {
-    for v in t.values() {
+pub(crate) fn push_tuple(out: &mut String, t: &[Value]) -> Result<(), DurabilityError> {
+    for &v in t {
         match v {
             Value::Const(c) => {
                 let _ = write!(out, " {c}");
@@ -110,7 +110,9 @@ fn push_kind(out: &mut String, kind: &str, tuples: &[&Tuple]) -> Result<(), Dura
         return Err(err(format!("{kind} tuples with different arities")));
     }
     out.push_str(&format!(" {arity}"));
-    tuples.iter().try_for_each(|t| push_tuple(out, t))
+    tuples
+        .iter()
+        .try_for_each(|t| push_tuple(out, t.as_slice()))
 }
 
 /// Serialize a [`LogEntry`] into a complete frame (header + payload).

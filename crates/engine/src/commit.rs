@@ -24,11 +24,17 @@
 //! A [`ViewDelta`] is the only way a consumer reads part of a commit:
 //! the base's or one view's whole delta, or — for a selection view — its
 //! σ_P or σ_¬P side, read through the σ_P partition computed once at
-//! commit.
+//! commit. A delta keeps its rows in one flat block of values, removed
+//! rows then added rows, `arity` values per row (the salmans/codd
+//! stride layout): a commit that moves n rows holds one allocation of
+//! n · arity values, not n separately allocated tuples.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
-use relvu_relation::{Relation, Tuple};
+#[cfg(test)]
+use relvu_relation::Tuple;
+use relvu_relation::{Relation, Value};
 
 use crate::log::LogEntry;
 
@@ -52,19 +58,160 @@ impl Commit {
     }
 
     /// Base rows removed, in removal order.
-    pub fn removed(&self) -> &[Tuple] {
-        self.base.rows().0
+    pub fn removed(&self) -> impl ExactSizeIterator<Item = &[Value]> {
+        self.base.rows().0.iter()
     }
 
     /// Base rows inserted, in insertion order.
-    pub fn added(&self) -> &[Tuple] {
-        self.base.rows().1
+    pub fn added(&self) -> impl ExactSizeIterator<Item = &[Value]> {
+        self.base.rows().1.iter()
     }
 
     /// True when the commit did not change the base (nor, therefore,
     /// any view).
     pub(crate) fn is_empty(&self) -> bool {
         self.base.is_empty()
+    }
+}
+
+/// Rows of one arity, stored row-major in one flat value slice.
+#[derive(Clone, Copy)]
+pub(crate) struct Block<'a> {
+    vals: &'a [Value],
+    arity: usize,
+    len: usize,
+}
+
+impl<'a> Block<'a> {
+    /// No rows.
+    pub(crate) const EMPTY: Block<'static> = Block {
+        vals: &[],
+        arity: 0,
+        len: 0,
+    };
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Row `i`.
+    pub(crate) fn row(&self, i: usize) -> &'a [Value] {
+        &self.vals[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// The rows in order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = &'a [Value]> + 'a {
+        let b = *self;
+        (0..b.len).map(move |i| b.row(i))
+    }
+}
+
+/// A growable [`Block`]: where a commit writes its joined, netted and
+/// projected rows, one value at a time, with no per-row allocation.
+pub(crate) struct RowBuf {
+    vals: Vec<Value>,
+    arity: usize,
+    len: usize,
+}
+
+impl RowBuf {
+    /// An empty buffer for rows of `arity` values, with room for `rows`.
+    pub(crate) fn with_capacity(arity: usize, rows: usize) -> Self {
+        RowBuf {
+            vals: Vec::with_capacity(arity * rows),
+            arity,
+            len: 0,
+        }
+    }
+
+    /// The rows of `rel`, in storage order.
+    pub(crate) fn of_relation(rel: &Relation) -> Self {
+        let mut buf = RowBuf::with_capacity(rel.attrs().len(), rel.len());
+        for row in rel {
+            buf.push(row.values());
+        }
+        buf
+    }
+
+    /// Append one row.
+    ///
+    /// # Panics
+    /// Debug builds panic if `row` does not yield exactly `arity` values.
+    pub(crate) fn push(&mut self, row: impl IntoIterator<Item = Value>) {
+        let before = self.vals.len();
+        self.vals.extend(row);
+        debug_assert_eq!(self.vals.len() - before, self.arity, "row arity");
+        self.len += 1;
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    pub(crate) fn block(&self) -> Block<'_> {
+        Block {
+            vals: &self.vals,
+            arity: self.arity,
+            len: self.len,
+        }
+    }
+
+    /// Keep the rows for which `keep` holds, in order.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&[Value]) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.len {
+            let at = i * self.arity;
+            if keep(&self.vals[at..at + self.arity]) {
+                self.vals
+                    .copy_within(at..at + self.arity, kept * self.arity);
+                kept += 1;
+            }
+        }
+        self.vals.truncate(kept * self.arity);
+        self.len = kept;
+    }
+
+    /// Binary search for `row` in a buffer sorted by row value.
+    pub(crate) fn search(&self, row: &[Value]) -> std::result::Result<usize, usize> {
+        let block = self.block();
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match block.row(mid).cmp(row) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
+    }
+
+    /// The rows as tuples, for unit tests.
+    #[cfg(test)]
+    pub(crate) fn to_tuples(&self) -> Vec<Tuple> {
+        self.block()
+            .iter()
+            .map(|r| Tuple::new(r.iter().copied()))
+            .collect()
+    }
+
+    /// A buffer holding `rows`, for unit tests.
+    #[cfg(test)]
+    pub(crate) fn of(rows: &[Tuple]) -> Self {
+        let arity = rows.first().map_or(0, Tuple::arity);
+        let mut buf = RowBuf::with_capacity(arity, rows.len());
+        for t in rows {
+            buf.push(t.values());
+        }
+        buf
     }
 }
 
@@ -75,21 +222,26 @@ impl Commit {
 /// [`ViewDelta::inserts`] (in order) to the relation as of the previous
 /// commit reproduces the relation as of `seq` exactly — including row
 /// order, because `Relation::remove` is a swap-remove and these are the
-/// writer's own application-order vectors. Subscribers receive it as
-/// [`crate::SubEvent::Delta`]; it is shared, never copied.
+/// writer's own application-order rows. The rows are one flat block of
+/// values, removed then added, `arity` per row, read as row slices.
+/// Subscribers receive it as [`crate::SubEvent::Delta`]; it is shared,
+/// never copied.
 pub struct ViewDelta {
     /// The sequence number of the commit that produced this delta.
     pub seq: u64,
-    rows: Rows,
+    body: Body,
 }
 
-enum Rows {
+enum Body {
     /// A relation's whole delta.
     Whole {
-        removed: Box<[Tuple]>,
-        added: Box<[Tuple]>,
-        /// For a selection view: whether each tuple of `removed`, then
-        /// of `added`, satisfies σ_P — the delta's one σ_P partition.
+        /// The removed rows, then the added rows, `arity` values each.
+        vals: Box<[Value]>,
+        arity: usize,
+        removed: usize,
+        added: usize,
+        /// For a selection view: whether each row of `removed`, then of
+        /// `added`, satisfies σ_P — the delta's one σ_P partition.
         in_pred: Option<Box<[bool]>>,
     },
     /// The σ_P (`matching`) or σ_¬P side of a selection view's whole
@@ -99,20 +251,34 @@ enum Rows {
 
 impl ViewDelta {
     /// A relation's whole delta; `in_pred` is the σ_P partition of
-    /// `removed` then `added`, for selection views. The rows are kept at
-    /// exact capacity: a delta can outlive its commit by a long way (a
-    /// subscriber may keep its events).
+    /// `removed` then `added`, for selection views. The rows are copied
+    /// into one block of exact size: a delta can outlive its commit by a
+    /// long way (a subscriber may keep its events).
     pub(crate) fn whole(
         seq: u64,
-        removed: Vec<Tuple>,
-        added: Vec<Tuple>,
+        removed: RowBuf,
+        added: RowBuf,
         in_pred: Option<Vec<bool>>,
     ) -> Arc<Self> {
+        debug_assert!(
+            removed.is_empty() || added.is_empty() || removed.arity == added.arity,
+            "one arity per delta"
+        );
+        let arity = if removed.is_empty() {
+            added.arity
+        } else {
+            removed.arity
+        };
+        let mut vals = Vec::with_capacity(removed.vals.len() + added.vals.len());
+        vals.extend_from_slice(&removed.vals);
+        vals.extend_from_slice(&added.vals);
         Arc::new(ViewDelta {
             seq,
-            rows: Rows::Whole {
-                removed: removed.into_boxed_slice(),
-                added: added.into_boxed_slice(),
+            body: Body::Whole {
+                vals: vals.into_boxed_slice(),
+                arity,
+                removed: removed.len,
+                added: added.len,
                 in_pred: in_pred.map(Vec::into_boxed_slice),
             },
         })
@@ -124,7 +290,7 @@ impl ViewDelta {
         debug_assert!(self.is_selection(), "only selection views have sides");
         Arc::new(ViewDelta {
             seq: self.seq,
-            rows: Rows::Side {
+            body: Body::Side {
                 of: Arc::clone(self),
                 matching,
             },
@@ -134,8 +300,8 @@ impl ViewDelta {
     /// Is this a selection view's whole delta, which has σ_P sides?
     pub(crate) fn is_selection(&self) -> bool {
         matches!(
-            self.rows,
-            Rows::Whole {
+            self.body,
+            Body::Whole {
                 in_pred: Some(_),
                 ..
             }
@@ -144,19 +310,32 @@ impl ViewDelta {
 
     /// The whole delta's rows, `(removed, added)`, before any side is
     /// taken.
-    pub(crate) fn rows(&self) -> (&[Tuple], &[Tuple]) {
-        match &self.rows {
-            Rows::Whole { removed, added, .. } => (removed, added),
-            Rows::Side { of, .. } => of.rows(),
+    pub(crate) fn rows(&self) -> (Block<'_>, Block<'_>) {
+        match &self.body {
+            Body::Whole {
+                vals,
+                arity,
+                removed,
+                added,
+                ..
+            } => {
+                let (arity, split) = (*arity, removed * arity);
+                let block = |vals, len| Block { vals, arity, len };
+                (
+                    block(&vals[..split], *removed),
+                    block(&vals[split..], *added),
+                )
+            }
+            Body::Side { of, .. } => of.rows(),
         }
     }
 
-    /// Does this delta keep the tuple at `index` of `removed ++ added`?
+    /// Does this delta keep the row at `index` of `removed ++ added`?
     fn keeps(&self, index: usize) -> bool {
-        match &self.rows {
-            Rows::Whole { .. } => true,
-            Rows::Side { of, matching } => match &of.rows {
-                Rows::Whole {
+        match &self.body {
+            Body::Whole { .. } => true,
+            Body::Side { of, matching } => match &of.body {
+                Body::Whole {
                     in_pred: Some(m), ..
                 } => m[index] == *matching,
                 _ => unreachable!("sides are taken of selection deltas"),
@@ -164,21 +343,20 @@ impl ViewDelta {
         }
     }
 
-    /// Tuples the commit deleted from the relation, in deletion order.
-    pub fn deletes(&self) -> impl Iterator<Item = &Tuple> {
+    /// Rows the commit deleted from the relation, in deletion order.
+    pub fn deletes(&self) -> impl Iterator<Item = &[Value]> {
         let (removed, _) = self.rows();
         (0..removed.len())
             .filter(|&i| self.keeps(i))
-            .map(move |i| &removed[i])
+            .map(move |i| removed.row(i))
     }
 
-    /// Tuples the commit inserted into the relation, in insertion
-    /// order.
-    pub fn inserts(&self) -> impl Iterator<Item = &Tuple> {
+    /// Rows the commit inserted into the relation, in insertion order.
+    pub fn inserts(&self) -> impl Iterator<Item = &[Value]> {
         let (removed, added) = self.rows();
         (0..added.len())
             .filter(move |&i| self.keeps(removed.len() + i))
-            .map(move |i| &added[i])
+            .map(move |i| added.row(i))
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -197,7 +375,7 @@ impl ViewDelta {
             rel.remove(t);
         }
         for t in self.inserts() {
-            rel.insert(t.clone())
+            rel.insert_row(t)
                 .expect("committed rows keep the relation's arity");
         }
     }
@@ -223,6 +401,12 @@ impl std::fmt::Debug for ViewDelta {
     }
 }
 
+/// A whole delta at `seq` from tuple lists — for unit tests.
+#[cfg(test)]
+pub(crate) fn test_delta(seq: u64, removed: Vec<Tuple>, added: Vec<Tuple>) -> Arc<ViewDelta> {
+    ViewDelta::whole(seq, RowBuf::of(&removed), RowBuf::of(&added), None)
+}
+
 /// A commit at `seq` whose base delta is `(added, removed)` and which
 /// touched the given views — for unit tests of the consumers.
 #[cfg(test)]
@@ -245,14 +429,11 @@ pub(crate) fn test_commit(
     });
     let views = views
         .into_iter()
-        .map(|(name, added, removed)| {
-            let delta = ViewDelta::whole(seq, removed, added, None);
-            (name.to_string(), delta)
-        })
+        .map(|(name, added, removed)| (name.to_string(), test_delta(seq, removed, added)))
         .collect();
     Arc::new(Commit {
         entry,
-        base: ViewDelta::whole(seq, removed, added, None),
+        base: test_delta(seq, removed, added),
         views,
     })
 }

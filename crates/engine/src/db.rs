@@ -15,7 +15,7 @@ use relvu_deps::check::satisfies_fds;
 use relvu_deps::{closure, FdSet};
 use relvu_relation::{AttrSet, Pred, Relation, Schema, Tuple};
 
-use crate::commit::{Commit, ViewDelta};
+use crate::commit::{Block, Commit, ViewDelta};
 use crate::log::{LogEntry, UpdateOp, UpdateReport};
 use crate::mat::ViewMat;
 use crate::mvcc::{EngineSnapshot, History, LazyRel, SnapCell, SnapState, ViewSnap};
@@ -900,16 +900,16 @@ impl Database {
                 let mat = mats
                     .get_mut(node.as_str())
                     .expect("registered views have mats");
-                mat.fold_complement(&added, &removed);
+                mat.fold_complement(added.block(), removed.block());
                 let def = cur.views.get(node.as_str()).expect("registered");
-                let (in_add, in_rem): (&[Tuple], &[Tuple]) = match def.parent() {
-                    None => (&added, &removed),
+                let (in_add, in_rem) = match def.parent() {
+                    None => (added.block(), removed.block()),
                     Some(p) => match at.get(p) {
                         Some(&i) => {
                             let (removed, added) = touched[i].1.rows();
                             (added, removed)
                         }
-                        None => (&[], &[]),
+                        None => (Block::EMPTY, Block::EMPTY),
                     },
                 };
                 if in_add.is_empty() && in_rem.is_empty() {
@@ -927,8 +927,9 @@ impl Database {
                 let in_pred = def.pred().map(|p| {
                     let x = def.x();
                     out_rem
+                        .block()
                         .iter()
-                        .chain(&out_add)
+                        .chain(out_add.block().iter())
                         .map(|t| p.eval(&x, t))
                         .collect()
                 });
@@ -1162,7 +1163,7 @@ impl Database {
                     }
                 }
                 for t in added {
-                    if !inner.base.insert(t.clone())? {
+                    if !inner.base.insert_row(t)? {
                         return Err(EngineError::Load {
                             reason: format!("delta commit {seq} inserts a duplicate base row"),
                         });

@@ -27,8 +27,10 @@
 //!   change even when the parent's instance does not.
 //!
 //! A commit starts with one pass, [`ViewMat::apply`], that joins the
-//! committing view's translation against its complement and edits the
-//! base in place: removals then insertions, each in sorted order, each
+//! committing view's translation against its complement — writing each
+//! joined row straight into a flat [`RowBuf`], already in sorted order,
+//! with no per-row tuple — and edits the base in place from those
+//! borrowed rows: removals then insertions, each in sorted order, each
 //! edit itself reporting whether the row was there (so no membership
 //! probe precedes it). The rows of `del ∩ add` are found by binary
 //! search in the sorted `add` list. Before the first edit it checks the
@@ -39,7 +41,8 @@
 //! Both sides then fold the base delta **netted by key, in place**: the
 //! source rows themselves are sorted (by reference) on their key
 //! columns, each run of equal keys collapses to one signed count, and
-//! only a key whose count is non-zero is projected into a tuple. Only a
+//! only a key whose count is non-zero is projected, into one flat
+//! buffer of keys. Only a
 //! key whose support crosses zero edits an array (obs
 //! `engine.mat.instance_edits` / `engine.mat.complement_edits`). So a
 //! translation's own complement, and every view tuple whose rows all
@@ -58,8 +61,9 @@
 use std::cmp::Ordering;
 
 use relvu_core::Translation;
-use relvu_relation::{gallop, ops, Attr, AttrSet, Pred, Relation, Tuple};
+use relvu_relation::{gallop, ops, Attr, AttrSet, Pred, Relation, RowRef, Tuple, Value};
 
+use crate::commit::{Block, RowBuf};
 use crate::mvcc::ViewSnap;
 use crate::view::ViewDef;
 use crate::Result;
@@ -92,6 +96,10 @@ pub(crate) struct ViewMat {
     /// The attributes of `X∩Y` in ascending order, for probing with a
     /// view tuple over `x`.
     shared_attrs: Vec<Attr>,
+    /// Where each column of a joined row `t ⋈ e` (over `x ∪ y`) is read
+    /// from: `(true, rank)` in the view tuple `t`, `(false, rank)` in the
+    /// complement entry `e`.
+    join_src: Vec<(bool, usize)>,
     /// Distinct `π_Y(R)` tuples with base-row support counts, sorted by
     /// (`X∩Y` projection, full tuple). With `X∩Y = ∅` every probe's run
     /// is the whole array, which degrades to the Cartesian product
@@ -131,9 +139,14 @@ impl ViewMat {
             None => ops::project(feed, x)?,
         };
         let mut support = vec![0u64; instance.len()];
-        for (xt, n) in net(&[], feed.rows(), &[], &x_pos) {
+        // The bulk nets sort whole relations: read each row out of its
+        // id columns once, into one flat buffer, rather than on every
+        // comparison.
+        let feed_rows = RowBuf::of_relation(feed);
+        let (keys, counts) = net([], feed_rows.block().iter(), &[], &x_pos);
+        for (xt, n) in keys.block().iter().zip(counts) {
             let slot = instance
-                .slot_of(&xt)
+                .slot_of(xt)
                 .expect("every projection is in the bulk projection");
             support[slot] = n as u64;
         }
@@ -147,10 +160,24 @@ impl ViewMat {
         });
         let shared_ranks: Vec<usize> = shared.iter().map(|a| y.rank(a).expect("X∩Y ⊆ Y")).collect();
         let shared_attrs: Vec<Attr> = shared.iter().collect();
+        let join_src = (x | y)
+            .iter()
+            .map(|a| match x.rank(a) {
+                Some(rank) => (true, rank),
+                None => (false, y.rank(a).expect("a joined column is in x or y")),
+            })
+            .collect();
         // Bulk complement: the whole base, netted by key.
-        let y_entries = net(&[], base.rows(), &shared_pos, &y_pos)
-            .into_iter()
-            .map(|(yt, n)| (yt, n as u64))
+        let base_rows = match source {
+            Some(_) => RowBuf::of_relation(base),
+            None => feed_rows,
+        };
+        let (keys, counts) = net([], base_rows.block().iter(), &shared_pos, &y_pos);
+        let y_entries = keys
+            .block()
+            .iter()
+            .zip(counts)
+            .map(|(yt, n)| (Tuple::new(yt.iter().copied()), n as u64))
             .collect();
         relvu_obs::counter!("engine.mat.tuples").add(instance.len() as u64);
         relvu_obs::counter!("engine.mat.rebuilds").inc();
@@ -166,6 +193,7 @@ impl ViewMat {
             split,
             shared_ranks,
             shared_attrs,
+            join_src,
             y_entries,
         })
     }
@@ -202,22 +230,31 @@ impl ViewMat {
 
     /// The base rows `{t} ⋈ π_Y(R)` — a translation's touched rows —
     /// answered from the sorted complement: binary search to the run's
-    /// start, [`gallop`] to its end, O(log |π_Y(R)| + matches). No
-    /// probe-key tuple is materialized.
-    fn join_rows<'a>(&'a self, t: &'a Tuple) -> impl Iterator<Item = Tuple> + 'a {
+    /// start, [`gallop`] to its end, O(log |π_Y(R)| + matches). Each
+    /// joined row is written straight into one flat buffer. The rows come
+    /// out sorted by value: within a run the entries agree on `X∩Y` and
+    /// ascend as `Y` tuples, and the joined rows take their other
+    /// columns from `t`.
+    fn join_rows(&self, t: &Tuple) -> RowBuf {
         let lo = self
             .y_entries
             .partition_point(|(e, _)| self.cmp_entry_probe(e, t) == Ordering::Less);
         let run = gallop(&self.y_entries[lo..], |(e, _)| {
             self.cmp_entry_probe(e, t) == Ordering::Equal
         });
-        self.y_entries[lo..lo + run]
-            .iter()
-            .map(move |(m, _)| t.joined(&self.x, m, &self.y))
+        let mut out = RowBuf::with_capacity(self.join_src.len(), run);
+        for (e, _) in &self.y_entries[lo..lo + run] {
+            out.push(
+                self.join_src
+                    .iter()
+                    .map(|&(in_t, rank)| if in_t { t.at(rank) } else { e.at(rank) }),
+            );
+        }
+        out
     }
 
     /// Apply a committed translation to `base` in place and return the
-    /// base-row delta it made, `(added, removed)`, both sorted by tuple
+    /// base-row delta it made, `(added, removed)`, both sorted by row
     /// value: the rows of `base − removed ∪ added` equal
     /// [`Translation::apply`]'s result. Removals run first, then
     /// insertions, each in sorted order, and each edit itself reports
@@ -237,34 +274,37 @@ impl ViewMat {
         base: &mut Relation,
         tr: &Translation,
         views: impl IntoIterator<Item = &'a ViewMat>,
-    ) -> Result<(Vec<Tuple>, Vec<Tuple>)> {
-        let (mut added, mut removed): (Vec<Tuple>, Vec<Tuple>) = match tr {
-            Translation::Identity => (Vec::new(), Vec::new()),
-            Translation::InsertJoin { t } => (self.join_rows(t).collect(), Vec::new()),
-            Translation::DeleteJoin { t } => (Vec::new(), self.join_rows(t).collect()),
-            Translation::ReplaceJoin { t1, t2 } => {
-                (self.join_rows(t2).collect(), self.join_rows(t1).collect())
-            }
+    ) -> Result<(RowBuf, RowBuf)> {
+        let none = || RowBuf::with_capacity(self.join_src.len(), 0);
+        let (mut added, mut removed) = match tr {
+            Translation::Identity => (none(), none()),
+            Translation::InsertJoin { t } => (self.join_rows(t), none()),
+            Translation::DeleteJoin { t } => (none(), self.join_rows(t)),
+            Translation::ReplaceJoin { t1, t2 } => (self.join_rows(t2), self.join_rows(t1)),
         };
-        added.sort_unstable();
-        removed.sort_unstable();
+        debug_assert!(
+            [&added, &removed].iter().all(|b| b
+                .block()
+                .iter()
+                .zip(b.block().iter().skip(1))
+                .all(|(p, q)| p < q)),
+            "joined rows come out strictly sorted"
+        );
         if !added.is_empty() {
             // `(base − del) ∪ add` re-adds rows in both sets, so a row
             // of `del ∩ add` is not removed at all.
-            removed.retain(|b| added.binary_search(b).is_err());
+            removed.retain(|b| added.search(b).is_err());
         }
         // Verify before the first edit so the edit can never stop
         // half-applied. The checks guarantee x ∪ y = U, so joined rows
         // have base arity.
         let from = base.attrs();
-        if let Some(row) = added.first() {
-            if row.arity() != from.len() {
-                return Err(relvu_relation::RelationError::ArityMismatch {
-                    expected: from.len(),
-                    got: row.arity(),
-                }
-                .into());
+        if !added.is_empty() && self.join_src.len() != from.len() {
+            return Err(relvu_relation::RelationError::ArityMismatch {
+                expected: from.len(),
+                got: self.join_src.len(),
             }
+            .into());
         }
         if !base.has_dict_room(added.len())
             || views.into_iter().any(|v| !v.has_dict_room(added.len()))
@@ -273,7 +313,7 @@ impl ViewMat {
         }
         removed.retain(|b| base.remove(b));
         added.retain(|b| {
-            base.insert(b.clone())
+            base.insert_row(b)
                 .expect("arity and dictionary room checked before the first edit")
         });
         Ok((added, removed))
@@ -291,20 +331,21 @@ impl ViewMat {
 
     /// Fold a committed *source*-row delta, netted by key, into the view
     /// side (support counts, instance, split), returning this view's own
-    /// instance delta `(added, removed)` sorted by tuple value — the
+    /// instance delta `(added, removed)` sorted by row value — the
     /// incoming delta for its children in the dependency DAG, and the
     /// order both lists were applied in here.
     pub(crate) fn fold_instance(
         &mut self,
-        added: &[Tuple],
-        removed: &[Tuple],
-    ) -> (Vec<Tuple>, Vec<Tuple>) {
-        let keys = net(removed, added, &[], &self.x_pos);
+        added: Block<'_>,
+        removed: Block<'_>,
+    ) -> (RowBuf, RowBuf) {
+        let (keys, counts) = net(removed.iter(), added.iter(), &[], &self.x_pos);
+        let keys = keys.block();
         let mut fresh = Vec::new();
-        let mut out_removed = Vec::new();
-        for (xt, n) in keys {
-            let Some(slot) = self.instance.slot_of(&xt) else {
-                fresh.push((xt, n));
+        let mut out_removed = RowBuf::with_capacity(self.x.len(), 0);
+        for (i, (xt, &n)) in keys.iter().zip(&counts).enumerate() {
+            let Some(slot) = self.instance.slot_of(xt) else {
+                fresh.push(i);
                 continue;
             };
             let left = self.support[slot].checked_add_signed(n);
@@ -312,28 +353,27 @@ impl ViewMat {
             if left == Some(0) {
                 // The relation swap-removes storage slot `slot`; mirror
                 // the move on the counts.
-                self.instance.remove(&xt);
+                self.instance.remove(xt);
                 self.support.swap_remove(slot);
-                if let Some(part) = self.part_of(&xt) {
-                    part.remove(&xt);
+                if let Some(part) = self.part_of(xt) {
+                    part.remove(xt);
                 }
-                out_removed.push(xt);
+                out_removed.push(xt.iter().copied());
             }
         }
-        let out_added: Vec<Tuple> = fresh
-            .into_iter()
-            .map(|(xt, n)| {
-                if let Some(part) = self.part_of(&xt) {
-                    part.insert(xt.clone()).expect(ROOM_CHECKED);
-                }
-                // Appends at the slot `support.len()`, keeping the
-                // vectors parallel.
-                self.instance.insert(xt.clone()).expect(ROOM_CHECKED);
-                self.support
-                    .push(u64::try_from(n).expect("removed rows were folded in"));
-                xt
-            })
-            .collect();
+        let mut out_added = RowBuf::with_capacity(self.x.len(), fresh.len());
+        for i in fresh {
+            let xt = keys.row(i);
+            if let Some(part) = self.part_of(xt) {
+                part.insert_row(xt).expect(ROOM_CHECKED);
+            }
+            // Appends at the slot `support.len()`, keeping the
+            // vectors parallel.
+            self.instance.insert_row(xt).expect(ROOM_CHECKED);
+            self.support
+                .push(u64::try_from(counts[i]).expect("removed rows were folded in"));
+            out_added.push(xt.iter().copied());
+        }
         let (ins, del) = (out_added.len() as u64, out_removed.len() as u64);
         relvu_obs::counter!("engine.mat.tuples").add(ins);
         relvu_obs::counter!("engine.mat.tuples").sub(del);
@@ -346,15 +386,16 @@ impl ViewMat {
     /// even when the view-side subtree is skipped — because the
     /// complement projects the base, not the parent. Netted by key, so
     /// a translation of this very view edits no entry at all.
-    pub(crate) fn fold_complement(&mut self, added: &[Tuple], removed: &[Tuple]) {
-        let keys = net(removed, added, &self.shared_pos, &self.y_pos);
+    pub(crate) fn fold_complement(&mut self, added: Block<'_>, removed: Block<'_>) {
+        let (keys, counts) = net(removed.iter(), added.iter(), &self.shared_pos, &self.y_pos);
         let ranks = &self.shared_ranks;
-        let find =
-            |es: &[(Tuple, u64)], yt: &Tuple| es.binary_search_by(|(e, _)| cmp_y(ranks, e, yt));
+        let find = |es: &[(Tuple, u64)], yt: &[Value]| {
+            es.binary_search_by(|(e, _)| cmp_y(ranks, e.as_slice(), yt))
+        };
         let mut fresh = Vec::new();
         let mut edits = 0;
-        for (yt, n) in keys {
-            match find(&self.y_entries, &yt) {
+        for (yt, &n) in keys.block().iter().zip(&counts) {
+            match find(&self.y_entries, yt) {
                 Err(_) => fresh.push((yt, n)),
                 Ok(i) => match self.y_entries[i].1.checked_add_signed(n) {
                     Some(0) => {
@@ -367,15 +408,16 @@ impl ViewMat {
         }
         edits += fresh.len() as u64;
         for (yt, n) in fresh {
-            let i = find(&self.y_entries, &yt).expect_err("absent keys stay absent");
+            let i = find(&self.y_entries, yt).expect_err("absent keys stay absent");
             let n = u64::try_from(n).expect("removed rows were folded in");
-            self.y_entries.insert(i, (yt, n));
+            self.y_entries
+                .insert(i, (Tuple::new(yt.iter().copied()), n));
         }
         relvu_obs::counter!("engine.mat.complement_edits").add(edits);
     }
 
-    /// The split part, `σ_P` or `σ_¬P`, that view tuple `xt` belongs to.
-    fn part_of(&mut self, xt: &Tuple) -> Option<&mut Relation> {
+    /// The split part, `σ_P` or `σ_¬P`, that view row `xt` belongs to.
+    fn part_of(&mut self, xt: &[Value]) -> Option<&mut Relation> {
         let (matching, rest) = self.split.as_mut()?;
         let pred = self.pred.as_ref().expect("split implies pred");
         let keep = pred.eval(&self.x, xt);
@@ -425,9 +467,11 @@ impl ViewMat {
                 "materialized complement diverged from π_Y(R)"
             );
             assert!(
-                self.y_entries
-                    .windows(2)
-                    .all(|w| cmp_y(&self.shared_ranks, &w[0].0, &w[1].0) == Ordering::Less),
+                self.y_entries.windows(2).all(|w| cmp_y(
+                    &self.shared_ranks,
+                    w[0].0.as_slice(),
+                    w[1].0.as_slice()
+                ) == Ordering::Less),
                 "complement entries strictly sorted by (X∩Y, full tuple)"
             );
         }
@@ -435,12 +479,12 @@ impl ViewMat {
 }
 
 /// The complement sort order: the `X∩Y` columns (major key a probe
-/// searches on), then the full tuple (making distinct entries strictly
+/// searches on), then the full row (making distinct entries strictly
 /// ordered).
 #[inline]
-fn cmp_y(shared_ranks: &[usize], a: &Tuple, b: &Tuple) -> Ordering {
+fn cmp_y(shared_ranks: &[usize], a: &[Value], b: &[Value]) -> Ordering {
     for &rank in shared_ranks {
-        match a.at(rank).cmp(&b.at(rank)) {
+        match a[rank].cmp(&b[rank]) {
             Ordering::Equal => continue,
             other => return other,
         }
@@ -463,7 +507,7 @@ fn positions(of: AttrSet, within: AttrSet) -> Result<Vec<usize>> {
 /// Compare two rows on the columns at `pos`, in order: the value order
 /// of their projections onto those columns.
 #[inline]
-fn cmp_at(pos: &[usize], a: &Tuple, b: &Tuple) -> Ordering {
+fn cmp_at(pos: &[usize], a: &impl RowRef, b: &impl RowRef) -> Ordering {
     for &p in pos {
         match a.at(p).cmp(&b.at(p)) {
             Ordering::Equal => continue,
@@ -476,25 +520,35 @@ fn cmp_at(pos: &[usize], a: &Tuple, b: &Tuple) -> Ordering {
 /// Net a delta by key, in place: sort references to the removed (−1)
 /// and added (+1) source rows by their `major` columns, then their `key`
 /// columns, and collapse each run of equal keys to one signed count.
-/// Only a key whose count is non-zero is projected onto `key`. The
-/// result is strictly sorted in that order: `major` empty gives the
-/// key tuples' value order (the instance's), `major` the `X∩Y` columns
-/// gives [`cmp_y`] (the complement's).
-fn net(removed: &[Tuple], added: &[Tuple], major: &[usize], key: &[usize]) -> Vec<(Tuple, i64)> {
-    let cmp = |a: &Tuple, b: &Tuple| cmp_at(major, a, b).then_with(|| cmp_at(key, a, b));
-    let mut rows: Vec<(&Tuple, i64)> = removed
-        .iter()
+/// Only a key whose count is non-zero is projected onto `key`, into one
+/// flat buffer, its count at the same index of the second result. The
+/// keys are strictly sorted in that order: `major` empty gives the key
+/// rows' value order (the instance's), `major` the `X∩Y` columns gives
+/// [`cmp_y`] (the complement's).
+fn net<R: RowRef>(
+    removed: impl IntoIterator<Item = R>,
+    added: impl IntoIterator<Item = R>,
+    major: &[usize],
+    key: &[usize],
+) -> (RowBuf, Vec<i64>) {
+    let cmp = |a: &R, b: &R| cmp_at(major, a, b).then_with(|| cmp_at(key, a, b));
+    let mut rows: Vec<(R, i64)> = removed
+        .into_iter()
         .map(|r| (r, -1))
-        .chain(added.iter().map(|r| (r, 1)))
+        .chain(added.into_iter().map(|r| (r, 1)))
         .collect();
-    rows.sort_unstable_by(|a, b| cmp(a.0, b.0));
-    rows.chunk_by(|a, b| cmp(a.0, b.0) == Ordering::Equal)
-        .filter_map(|run| {
-            let n: i64 = run.iter().map(|&(_, n)| n).sum();
-            let row = run[0].0;
-            (n != 0).then(|| (Tuple::new(key.iter().map(|&p| row.at(p))), n))
-        })
-        .collect()
+    rows.sort_unstable_by(|a, b| cmp(&a.0, &b.0));
+    let mut keys = RowBuf::with_capacity(key.len(), 0);
+    let mut counts = Vec::new();
+    for run in rows.chunk_by(|a, b| cmp(&a.0, &b.0) == Ordering::Equal) {
+        let n: i64 = run.iter().map(|&(_, n)| n).sum();
+        if n != 0 {
+            let row = &run[0].0;
+            keys.push(key.iter().map(|&p| row.at(p)));
+            counts.push(n);
+        }
+    }
+    (keys, counts)
 }
 
 #[cfg(test)]

@@ -36,6 +36,22 @@ fn manager_change() -> (Vec<Tuple>, Vec<Tuple>) {
     (added, removed)
 }
 
+/// The rows of `rows` in one flat buffer.
+fn buf(rows: &[Tuple]) -> RowBuf {
+    RowBuf::of(rows)
+}
+
+/// [`net`]'s keys paired with their counts.
+fn net_pairs(
+    removed: &[Tuple],
+    added: &[Tuple],
+    major: &[usize],
+    key: &[usize],
+) -> Vec<(Tuple, i64)> {
+    let (keys, counts) = net(removed, added, major, key);
+    keys.to_tuples().into_iter().zip(counts).collect()
+}
+
 /// The base after [`manager_change`].
 fn changed_base() -> Relation {
     let mut b = base();
@@ -55,14 +71,14 @@ fn rows_moving_within_one_key_leave_the_view_side_alone() {
     let mut m = mat(&[0, 1], &[1, 2]);
     let (rows, support) = (m.instance.rows().to_vec(), m.support.clone());
     let (added, removed) = manager_change();
-    let (out_added, out_removed) = m.fold_instance(&added, &removed);
+    let (out_added, out_removed) = m.fold_instance(buf(&added).block(), buf(&removed).block());
     assert!(out_added.is_empty() && out_removed.is_empty());
     assert_eq!(m.instance.rows(), &rows[..], "no row moved");
     assert_eq!(m.support, support, "support unchanged");
     // `π{E, D}` is the complement of `mgrs = π{D, M}`: same netting.
     let mut mgrs = mat(&[1, 2], &[0, 1]);
     let entries = mgrs.y_entries.clone();
-    mgrs.fold_complement(&added, &removed);
+    mgrs.fold_complement(buf(&added).block(), buf(&removed).block());
     assert_eq!(mgrs.y_entries, entries);
 }
 
@@ -72,14 +88,14 @@ fn one_commit_empties_one_key_and_creates_another() {
     // (10, 101) rises from 0 to 2.
     let mut m = mat(&[1, 2], &[0, 1]);
     let (added, removed) = manager_change();
-    let (out_added, out_removed) = m.fold_instance(&added, &removed);
-    assert_eq!(out_added, vec![tup![10, 101]]);
-    assert_eq!(out_removed, vec![tup![10, 100]]);
+    let (out_added, out_removed) = m.fold_instance(buf(&added).block(), buf(&removed).block());
+    assert_eq!(out_added.to_tuples(), vec![tup![10, 101]]);
+    assert_eq!(out_removed.to_tuples(), vec![tup![10, 100]]);
     let slot = m.instance.slot_of(&tup![10, 101]).unwrap();
     assert_eq!(m.support[slot], 2);
     // The complement side of `emp = π{E, D}` takes the same two edits.
     let mut emp = mat(&[0, 1], &[1, 2]);
-    emp.fold_complement(&added, &removed);
+    emp.fold_complement(buf(&added).block(), buf(&removed).block());
     let counts: Vec<(Tuple, u64)> = vec![(tup![10, 101], 2), (tup![20, 200], 1)];
     assert_eq!(emp.y_entries, counts);
     let after = changed_base();
@@ -130,17 +146,27 @@ fn delta_then_edits(
     let (mut added, mut removed) = match tr {
         Translation::Identity => (Vec::new(), Vec::new()),
         Translation::InsertJoin { t } => (
-            m.join_rows(t).filter(|b| !base.contains(b)).collect(),
+            m.join_rows(t)
+                .to_tuples()
+                .into_iter()
+                .filter(|b| !base.contains(b))
+                .collect(),
             Vec::new(),
         ),
         Translation::DeleteJoin { t } => (
             Vec::new(),
-            m.join_rows(t).filter(|b| base.contains(b)).collect(),
+            m.join_rows(t)
+                .to_tuples()
+                .into_iter()
+                .filter(|b| base.contains(b))
+                .collect(),
         ),
         Translation::ReplaceJoin { t1, t2 } => {
-            let add: Vec<Tuple> = m.join_rows(t2).collect();
+            let add: Vec<Tuple> = m.join_rows(t2).to_tuples();
             let removed = m
                 .join_rows(t1)
+                .to_tuples()
+                .into_iter()
                 .filter(|b| base.contains(b) && !add.contains(b))
                 .collect();
             (
@@ -202,14 +228,16 @@ fn in_place_net_equals_project_then_sort_net() {
         let project = |r: &Tuple| r.project(&from, &key);
         // The instance order: the key tuple's value order.
         assert_eq!(
-            net(&removed, &added, &[], &key_pos),
+            net_pairs(&removed, &added, &[], &key_pos),
             project_then_sort_net(&removed, &added, project, Tuple::cmp),
             "case {case}: instance order"
         );
         // The complement order: the shared columns first.
         assert_eq!(
-            net(&removed, &added, &shared_pos, &key_pos),
-            project_then_sort_net(&removed, &added, project, |a, b| cmp_y(&shared_ranks, a, b)),
+            net_pairs(&removed, &added, &shared_pos, &key_pos),
+            project_then_sort_net(&removed, &added, project, |a, b| {
+                cmp_y(&shared_ranks, a.as_slice(), b.as_slice())
+            }),
             "case {case}: complement order"
         );
     }
@@ -249,7 +277,7 @@ fn apply_equals_delta_then_edits() {
             let m = ViewMat::build(&base, None, &def, None).unwrap();
             let view_tuple = |rng: &mut StdRng| match m.instance().rows() {
                 rows if !rows.is_empty() && rng.gen_bool(0.6) => {
-                    rows[rng.gen_range(0..rows.len())].clone()
+                    rows.get(rng.gen_range(0..rows.len())).unwrap().to_tuple()
                 }
                 _ => random_row(rng, x.len()),
             };
@@ -275,7 +303,8 @@ fn apply_equals_delta_then_edits() {
                 },
             };
             let want = delta_then_edits(&m, &mut oracle, &tr);
-            let got = m.apply(&mut base, &tr, [&m]).unwrap();
+            let (added, removed) = m.apply(&mut base, &tr, [&m]).unwrap();
+            let got = (added.to_tuples(), removed.to_tuples());
             assert_eq!(got, want, "case {case} step {step}: {tr:?}");
             assert_eq!(
                 base.rows(),

@@ -718,6 +718,7 @@ impl SnapCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commit::test_delta;
     use relvu_relation::{tup, Tuple};
 
     fn rel(rows: &[Tuple]) -> Relation {
@@ -731,7 +732,7 @@ mod tests {
         let v0 = Arc::new(LazyRel::ready(Arc::clone(&root)));
         assert!(Arc::ptr_eq(&v0.get(), &root), "quiet read is zero-copy");
         // Empty delta: the version itself is shared.
-        let delta = |seq, added, removed| ViewDelta::whole(seq, removed, added, None);
+        let delta = |seq, added, removed| test_delta(seq, removed, added);
         let same = v0.advance(&delta(1, Vec::new(), Vec::new()));
         assert!(Arc::ptr_eq(&same, &v0));
         // Real delta: lazy until read, then correct.
@@ -857,7 +858,7 @@ mod tests {
         let mut v = Arc::new(LazyRel::ready(Arc::new(rel(&[]))));
         let mut kept = None;
         for i in 0..NODES {
-            v = v.advance(&ViewDelta::whole(i, vec![], vec![tup![i, i]], None));
+            v = v.advance(&test_delta(i, vec![], vec![tup![i, i]]));
             if i == 999 {
                 kept = Some(Arc::clone(&v));
             }

@@ -8,6 +8,8 @@
 //! ids within a column, so row comparison, membership and conjunctive
 //! scans are `u32` array work instead of `Value` hashing — the
 //! salmans/codd layout, adapted to the paper's set-semantics relations.
+//! The id arrays are a relation's only copy of its rows: a row is read
+//! back value by value through the dictionaries.
 //!
 //! [`gallop`] is the exponential search both the merge joins in
 //! [`crate::ops`] and the complement probes in the engine use to find
@@ -51,7 +53,7 @@ pub(crate) struct Col {
     vals: Vec<Value>,
     /// value → id.
     map: FnvMap<Value, u32>,
-    /// Interned id per row slot (parallel to the relation's rows).
+    /// Interned id per row slot: the column's only copy of the rows.
     pub(crate) ids: Vec<u32>,
     /// Offset added to freshly assigned ids. Zero in real use; the
     /// test-only [`Col::inflate_id_base`] hook raises it to exercise the
@@ -97,6 +99,11 @@ impl Col {
     #[inline]
     pub(crate) fn dict_len(&self) -> usize {
         self.vals.len()
+    }
+
+    /// Does the dictionary hold a labeled null? O(distinct values).
+    pub(crate) fn has_null(&self) -> bool {
+        self.vals.iter().any(|v| v.is_null())
     }
 
     /// How many more distinct values this column can intern before

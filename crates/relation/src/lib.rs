@@ -9,7 +9,8 @@
 //!   over them (so `X ∩ Y`, `Y − X`, superkey checks are a few machine ops),
 //! * [`Value`] — interned constants and labeled nulls (the "new symbols" the
 //!   paper fills the `Y − X` columns with in §3.1),
-//! * [`Tuple`] / [`Relation`] — instances with set semantics,
+//! * [`Tuple`] / [`Relation`] — instances with set semantics, stored as
+//!   interned id columns and read as borrowed [`Row`]s,
 //! * [`ops`] — projection, natural join, selection, union, difference,
 //!   Cartesian product,
 //! * [`SuccinctView`] — a view presented "implicitly as the union of
@@ -28,6 +29,7 @@ mod error;
 pub mod ops;
 pub mod pred;
 mod relation;
+mod row;
 mod schema;
 mod succinct;
 mod tuple;
@@ -39,6 +41,7 @@ pub use display::{RelationDisplay, TupleDisplay};
 pub use error::RelationError;
 pub use pred::{CmpOp, Pred};
 pub use relation::Relation;
+pub use row::{Row, RowIter, RowRef, Rows};
 pub use schema::Schema;
 pub use succinct::SuccinctView;
 pub use tuple::Tuple;

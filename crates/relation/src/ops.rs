@@ -5,23 +5,24 @@
 //! `π_X(R)`, translated insertions join `t * π_Y(R)`, complements are
 //! checked via `π_X(R) * π_Y(R) = R` (Theorem 1).
 //!
-//! All operators build their result through [`Relation::from_rows`]'s
+//! All operators build their result through [`Relation::from_values`]'s
 //! bulk path (one `O(n log n)` index build) rather than per-row
-//! `insert`s, and the join is a sort/gallop merge over interned id
-//! columns instead of a tuple-keyed hash join. Output row order is
+//! `insert`s, reading each row's values straight off the input's id
+//! columns — no intermediate tuples — and the join is a sort/gallop
+//! merge over interned id columns instead of a tuple-keyed hash join. Output row order is
 //! unchanged from the historical hash-based implementations — the
 //! serialization layers depend on it.
 
 use std::cmp::Ordering;
 
 use crate::columnar::gallop;
-use crate::{Attr, AttrSet, Relation, RelationError, Result, Tuple, Value};
+use crate::{Attr, AttrSet, Relation, RelationError, Result, Row, Tuple, Value};
 
 /// Projection `π_X(r)`. `x` must be a subset of `r`'s attributes.
 ///
 /// Duplicates are discovered on the interned id columns *before* any
-/// output tuple is materialized: only the `|π_X(r)|` surviving rows are
-/// allocated. First occurrence wins, so output order matches a
+/// output row is built: only the `|π_X(r)|` surviving rows are
+/// interned. First occurrence wins, so output order matches a
 /// sequential insert of each row's projection.
 ///
 /// # Errors
@@ -30,7 +31,7 @@ pub fn project(r: &Relation, x: AttrSet) -> Result<Relation> {
     if !x.is_subset(&r.attrs()) {
         return Err(RelationError::NotASubset);
     }
-    let from = r.attrs();
+    let ranks = r.ranks_of(x);
     let cols: Vec<&[u32]> = x.iter().map(|a| r.col_ids(a)).collect();
     let n = r.len();
     let mut idx: Vec<u32> = (0..n as u32).collect();
@@ -53,13 +54,13 @@ pub fn project(r: &Relation, x: AttrSet) -> Result<Relation> {
             keep[w[1] as usize] = false;
         }
     }
-    Relation::from_rows(
+    let ranks = &ranks;
+    Relation::from_values(
         x,
-        r.rows()
-            .iter()
+        r.iter()
             .zip(&keep)
             .filter(|&(_, &k)| k)
-            .map(|(t, _)| t.project(&from, &x)),
+            .map(|(t, _)| ranks.iter().map(move |&rank| t.at(rank))),
     )
 }
 
@@ -82,10 +83,9 @@ pub fn natural_join(r: &Relation, s: &Relation) -> Result<Relation> {
     // buckets did.
     let s_sorted = s.slots_sorted_by(shared);
     let s_ranks = s.ranks_of(shared);
-    let s_rows = s.rows();
     let shared_attrs: Vec<Attr> = shared.iter().collect();
     let mut key: Vec<Value> = Vec::with_capacity(shared_attrs.len());
-    let mut joined: Vec<Tuple> = Vec::new();
+    let mut joined: Vec<(Row<'_>, u32)> = Vec::new();
     for t in r {
         key.clear();
         key.extend(shared_attrs.iter().map(|&a| t.get(&r_attrs, a)));
@@ -94,18 +94,33 @@ pub fn natural_join(r: &Relation, s: &Relation) -> Result<Relation> {
         let run = gallop(&s_sorted[lo..], |&slot| {
             s.cmp_slot_values(slot, &s_ranks, &key) == Ordering::Equal
         });
-        for &slot in &s_sorted[lo..lo + run] {
-            joined.push(t.joined(&r_attrs, &s_rows[slot as usize], &s_attrs));
-        }
+        joined.extend(s_sorted[lo..lo + run].iter().map(|&slot| (t, slot)));
     }
+    // Each output column reads the r side where r has it, else s.
+    let source: Vec<(bool, usize)> = out_attrs
+        .iter()
+        .map(|a| match r_attrs.rank(a) {
+            Some(rank) => (true, rank),
+            None => (false, s_attrs.rank(a).expect("output attribute in r or s")),
+        })
+        .collect();
+    let source = &source;
     // Distinct r-rows joined with distinct s-rows cannot collide, so
-    // from_rows' dedup is a no-op; it only builds the sorted index.
-    Relation::from_rows(out_attrs, joined)
+    // from_values' dedup is a no-op; it only builds the sorted index.
+    Relation::from_values(
+        out_attrs,
+        joined.into_iter().map(|(t, slot)| {
+            let u = s.row(slot as usize);
+            source
+                .iter()
+                .map(move |&(from_r, rank)| if from_r { t.at(rank) } else { u.at(rank) })
+        }),
+    )
 }
 
 /// Selection `σ_P(r)`.
-pub fn select<P: FnMut(&Tuple) -> bool>(r: &Relation, mut pred: P) -> Relation {
-    Relation::from_rows(r.attrs(), r.rows().iter().filter(|t| pred(t)).cloned())
+pub fn select<P: FnMut(&Row<'_>) -> bool>(r: &Relation, mut pred: P) -> Relation {
+    Relation::from_values(r.attrs(), r.iter().filter(|t| pred(t)).map(|t| t.values()))
         .expect("rows already have the relation's arity")
 }
 
@@ -118,12 +133,11 @@ pub fn union(r: &Relation, s: &Relation) -> Result<Relation> {
     if r.attrs() != s.attrs() {
         return Err(RelationError::SchemaMismatch);
     }
-    Relation::from_rows(
+    Relation::from_values(
         r.attrs(),
-        r.rows()
-            .iter()
-            .chain(s.rows().iter().filter(|t| !r.contains(t)))
-            .cloned(),
+        r.iter()
+            .chain(s.iter().filter(|t| !r.contains(t)))
+            .map(|t| t.values()),
     )
 }
 
@@ -135,9 +149,9 @@ pub fn difference(r: &Relation, s: &Relation) -> Result<Relation> {
     if r.attrs() != s.attrs() {
         return Err(RelationError::SchemaMismatch);
     }
-    Relation::from_rows(
+    Relation::from_values(
         r.attrs(),
-        r.rows().iter().filter(|t| !s.contains(t)).cloned(),
+        r.iter().filter(|t| !s.contains(t)).map(|t| t.values()),
     )
 }
 

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use crate::{Attr, AttrSet, Schema, Tuple, Value};
+use crate::{Attr, AttrSet, RowRef, Schema, Value};
 
 /// Comparison operator of an atomic predicate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,14 +102,20 @@ impl Pred {
         self.atoms.iter().map(|a| a.attr).collect()
     }
 
-    /// Evaluate on a tuple over `attrs`.
+    /// Evaluate on a row (a [`crate::Tuple`], a borrowed
+    /// [`crate::Row`] or a value slice) over `attrs`.
     ///
     /// # Panics
     /// Panics if a compared attribute is not in `attrs`.
-    pub fn eval(&self, attrs: &AttrSet, t: &Tuple) -> bool {
-        self.atoms.iter().all(|a| match t.get(attrs, a.attr) {
-            Value::Const(v) => a.op.eval(v, a.value),
-            Value::Null(_) => false,
+    pub fn eval(&self, attrs: &AttrSet, t: &(impl RowRef + ?Sized)) -> bool {
+        self.atoms.iter().all(|a| {
+            let rank = attrs
+                .rank(a.attr)
+                .expect("compared attribute in the row's set");
+            match t.at(rank) {
+                Value::Const(v) => a.op.eval(v, a.value),
+                Value::Null(_) => false,
+            }
         })
     }
 
@@ -178,7 +184,7 @@ mod tests {
     #[test]
     fn nulls_never_match() {
         let a = attrs();
-        let t = Tuple::new([Value::Null(0), Value::int(10)]);
+        let t = crate::Tuple::new([Value::Null(0), Value::int(10)]);
         assert!(!Pred::cmp(Attr::new(0), CmpOp::Ne, 99).eval(&a, &t));
         // But untouched columns don't matter.
         assert!(Pred::cmp(Attr::new(1), CmpOp::Eq, 10).eval(&a, &t));

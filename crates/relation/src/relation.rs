@@ -1,15 +1,19 @@
 //! Relation instances with set semantics, stored columnar.
 //!
-//! Rows live twice: as the [`Tuple`]s callers iterate (in insertion
-//! order, with swap-remove holes — the order every serialization layer
-//! reproduces byte-for-byte) and as per-attribute interned `u32` id
-//! columns (see [`crate::columnar`]). Membership, removal and the
+//! A row is its storage slot: each attribute is a dictionary-interned
+//! `u32` id column (see [`crate::columnar`]), and the id columns are the
+//! only copy of the rows. Callers read a row as a borrowed [`Row`],
+//! decoded value by value through the dictionaries, in storage order —
+//! insertion order with swap-remove holes, the order every serialization
+//! layer reproduces byte-for-byte. Membership, removal and the
 //! conjunctive scans the translation tests run are id-array work over a
-//! sorted slot index; no tuple is ever cloned or hashed for indexing.
+//! sorted slot index; no tuple is ever stored, cloned or hashed.
 
 use std::cmp::Ordering;
+use std::fmt;
 
 use crate::columnar::Col;
+use crate::row::{Row, RowIter, RowRef, Rows};
 use crate::{Attr, AttrSet, RelationError, Result, Tuple, Value, MAX_ATTRS};
 
 /// A relation instance over an attribute set.
@@ -24,14 +28,17 @@ use crate::{Attr, AttrSet, RelationError, Result, Tuple, Value, MAX_ATTRS};
 /// Internally each attribute is a dictionary-interned id column, and a
 /// slot index sorted by id-lexicographic row key replaces the old
 /// tuple→index hash map: membership is a binary search over `u32`s, and
-/// inserts intern `Copy` ids instead of cloning the tuple into a map.
-#[derive(Clone, Debug, Default)]
+/// inserts intern `Copy` ids instead of cloning the tuple into a map. A
+/// clone copies `arity + 1` `u32` arrays and the dictionaries.
+#[derive(Clone, Default)]
 pub struct Relation {
     attrs: AttrSet,
-    rows: Vec<Tuple>,
     /// One interned id column per dense attribute position, each `ids`
-    /// array parallel to `rows`.
+    /// array holding one entry per row slot.
     cols: Vec<Col>,
+    /// Number of rows (kept apart from the columns so an arity-0
+    /// relation still counts its one possible row).
+    len: usize,
     /// Row slots sorted by id-lexicographic key. Ids are assigned in
     /// first-appearance order, so this order is internal to the relation
     /// (it is *not* value order); it exists for O(log n) membership.
@@ -46,13 +53,18 @@ pub struct Relation {
 /// insert; see the allocation regression test).
 type IdKey = [u32; MAX_ATTRS];
 
+/// Does `row` hold a labeled null?
+fn row_has_null(row: &(impl RowRef + ?Sized)) -> bool {
+    (0..row.arity()).any(|i| row.at(i).is_null())
+}
+
 impl Relation {
     /// An empty relation over `attrs`.
     pub fn new(attrs: AttrSet) -> Self {
         Relation {
             attrs,
-            rows: Vec::new(),
             cols: (0..attrs.len()).map(|_| Col::default()).collect(),
+            len: 0,
             order: Vec::new(),
             null_rows: 0,
         }
@@ -65,21 +77,77 @@ impl Relation {
     /// # Errors
     /// Fails if any row's arity differs from `attrs.len()`.
     pub fn from_rows<I: IntoIterator<Item = Tuple>>(attrs: AttrSet, rows: I) -> Result<Self> {
+        Relation::from_values(attrs, rows)
+    }
+
+    /// [`Relation::from_rows`] over rows given as value sequences in
+    /// dense column order — a borrowed row's `values()`, a projection, a
+    /// join — so no row is materialized as a [`Tuple`] on the way in.
+    ///
+    /// # Errors
+    /// Fails if any row's arity differs from `attrs.len()`, or a column
+    /// dictionary exhausts its id space.
+    pub fn from_values<I, R>(attrs: AttrSet, rows: I) -> Result<Self>
+    where
+        I: IntoIterator<Item = R>,
+        R: IntoIterator<Item = Value>,
+    {
         let mut r = Relation::new(attrs);
         let arity = attrs.len();
-        for t in rows {
-            if t.arity() != arity {
+        for row in rows {
+            let mut got = 0;
+            for v in row {
+                if let Some(c) = r.cols.get_mut(got) {
+                    let id = c.intern(v)?;
+                    c.ids.push(id);
+                }
+                got += 1;
+            }
+            if got != arity {
                 return Err(RelationError::ArityMismatch {
                     expected: arity,
-                    got: t.arity(),
+                    got,
                 });
             }
-            for (c, v) in r.cols.iter_mut().zip(t.values()) {
+            r.len += 1;
+        }
+        r.rebuild_order_dedup();
+        Ok(r)
+    }
+
+    /// This relation widened to `to ⊇ attrs`: each existing column is
+    /// read off its id array and each new column is filled row by row
+    /// with `fill(slot, attr)`. Every column is interned afresh, so the
+    /// copy's dictionaries hold only live values, whatever this
+    /// relation's have accumulated. Row order is kept, and since the old
+    /// columns already tell the rows apart, no row can collide; only the
+    /// slot index is sorted again.
+    ///
+    /// # Errors
+    /// [`RelationError::NotASubset`] if `attrs ⊄ to`;
+    /// [`RelationError::DictFull`] if a column runs out of ids.
+    pub fn widened(
+        &self,
+        to: AttrSet,
+        mut fill: impl FnMut(usize, Attr) -> Value,
+    ) -> Result<Relation> {
+        if !self.attrs.is_subset(&to) {
+            return Err(RelationError::NotASubset);
+        }
+        let mut r = Relation::new(to);
+        for (c, a) in r.cols.iter_mut().zip(to.iter()) {
+            let from = self.attrs.rank(a).map(|rank| &self.cols[rank]);
+            c.ids.reserve_exact(self.len);
+            for slot in 0..self.len {
+                let v = match from {
+                    Some(src) => src.val_of(src.ids[slot]),
+                    None => fill(slot, a),
+                };
                 let id = c.intern(v)?;
                 c.ids.push(id);
             }
-            r.rows.push(t);
         }
+        r.len = self.len;
         r.rebuild_order_dedup();
         Ok(r)
     }
@@ -117,13 +185,13 @@ impl Relation {
     /// The position in `order` of `t`, if present: its id key is
     /// resolved into a stack buffer, and a value unknown to a dictionary
     /// means `t` cannot be a member.
-    fn search_tuple(&self, t: &Tuple) -> Option<usize> {
+    fn search_row(&self, t: &(impl RowRef + ?Sized)) -> Option<usize> {
         if t.arity() != self.attrs.len() {
             return None;
         }
         let mut key: IdKey = [0; MAX_ATTRS];
-        for ((c, v), id) in self.cols.iter().zip(t.values()).zip(&mut key) {
-            *id = c.id_of(v)?;
+        for (i, (c, id)) in self.cols.iter().zip(&mut key).enumerate() {
+            *id = c.id_of(t.at(i))?;
         }
         self.search_probe(&key[..self.cols.len()]).ok()
     }
@@ -138,7 +206,7 @@ impl Relation {
     /// Rebuild the sorted slot index from scratch, removing duplicate
     /// rows (keeping each key's lowest slot — its first occurrence).
     fn rebuild_order_dedup(&mut self) {
-        let n = self.rows.len();
+        let n = self.len;
         let mut idx: Vec<u32> = (0..n as u32).collect();
         idx.sort_unstable_by(|&a, &b| self.cmp_slots(a, b).then_with(|| a.cmp(&b)));
         let mut dup = vec![false; n];
@@ -150,30 +218,21 @@ impl Relation {
             }
         }
         if any_dup {
-            // Compact rows and id columns, preserving relative order of
+            // Compact the id columns, preserving relative order of
             // survivors (exactly the order sequential dedup would give).
-            let mut keep_i = 0usize;
-            for (i, &is_dup) in dup.iter().enumerate() {
-                if !is_dup {
-                    if keep_i != i {
-                        self.rows.swap(keep_i, i);
-                        for c in &mut self.cols {
-                            c.ids.swap(keep_i, i);
-                        }
-                    }
-                    keep_i += 1;
-                }
-            }
-            self.rows.truncate(keep_i);
             for c in &mut self.cols {
-                c.ids.truncate(keep_i);
+                let mut slot = 0;
+                c.ids.retain(|_| {
+                    slot += 1;
+                    !dup[slot - 1]
+                });
             }
-            let m = self.rows.len();
-            idx = (0..m as u32).collect();
+            self.len = dup.iter().filter(|&&d| !d).count();
+            idx = (0..self.len as u32).collect();
             idx.sort_unstable_by(|&a, &b| self.cmp_slots(a, b));
         }
         self.order = idx;
-        self.null_rows = self.rows.iter().filter(|t| t.has_null()).count();
+        self.null_rows = self.iter().filter(Row::has_null).count();
     }
 
     /// The attribute set this relation ranges over.
@@ -185,24 +244,32 @@ impl Relation {
     /// Number of tuples (the paper's `|V|`).
     #[inline]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// Is the relation empty?
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Insert a tuple. Returns `Ok(true)` if it was new.
-    ///
-    /// The tuple is stored as passed — never cloned; indexing happens on
-    /// the interned `Copy` ids.
     ///
     /// # Errors
     /// Fails if the tuple's arity does not match, or a column dictionary
     /// exhausts its id space ([`RelationError::DictFull`]).
     pub fn insert(&mut self, t: Tuple) -> Result<bool> {
+        self.insert_row(&t)
+    }
+
+    /// Insert a borrowed row — a value slice, a [`Row`] of another
+    /// relation or a [`Tuple`] — without cloning it: only its interned
+    /// ids are stored. Returns `Ok(true)` if it was new.
+    ///
+    /// # Errors
+    /// Fails if the row's arity does not match, or a column dictionary
+    /// exhausts its id space ([`RelationError::DictFull`]).
+    pub fn insert_row(&mut self, t: &(impl RowRef + ?Sized)) -> Result<bool> {
         if t.arity() != self.attrs.len() {
             return Err(RelationError::ArityMismatch {
                 expected: self.attrs.len(),
@@ -213,9 +280,9 @@ impl Relation {
         // column means the row cannot already be present.
         let mut key: IdKey = [0; MAX_ATTRS];
         let mut fresh_value = false;
-        for ((c, v), id) in self.cols.iter_mut().zip(t.values()).zip(&mut key) {
+        for (i, (c, id)) in self.cols.iter_mut().zip(&mut key).enumerate() {
             let before = c.dict_len();
-            *id = c.intern(v)?;
+            *id = c.intern(t.at(i))?;
             fresh_value |= c.dict_len() != before;
         }
         let key = &key[..self.cols.len()];
@@ -225,29 +292,30 @@ impl Relation {
                 Ok(false)
             }
             Err(pos) => {
-                let slot = self.rows.len() as u32;
-                self.null_rows += usize::from(t.has_null());
+                let slot = self.len as u32;
+                self.null_rows += usize::from(row_has_null(t));
                 for (c, &id) in self.cols.iter_mut().zip(key) {
                     c.ids.push(id);
                 }
-                self.rows.push(t);
+                self.len += 1;
                 self.order.insert(pos, slot);
                 Ok(true)
             }
         }
     }
 
-    /// Remove a tuple. Returns `true` if it was present.
+    /// Remove a row (a [`Tuple`], a value slice or a [`Row`]). Returns
+    /// `true` if it was present.
     ///
     /// The last row is swapped into the vacated position, so iteration
     /// order after a removal differs from pure insertion order (it stays
     /// deterministic for a given operation sequence).
-    pub fn remove(&mut self, t: &Tuple) -> bool {
-        let Some(pos) = self.search_tuple(t) else {
+    pub fn remove(&mut self, t: &(impl RowRef + ?Sized)) -> bool {
+        let Some(pos) = self.search_row(t) else {
             return false;
         };
         let slot = self.order[pos];
-        let last = (self.rows.len() - 1) as u32;
+        let last = (self.len - 1) as u32;
         if slot != last {
             // The last row moves into `slot`; repoint its index entry
             // before storage changes (keys are distinct, so the search
@@ -256,25 +324,25 @@ impl Relation {
             self.order[last_pos] = slot;
         }
         self.order.remove(pos);
-        self.null_rows -= usize::from(t.has_null());
-        self.rows.swap_remove(slot as usize);
+        self.null_rows -= usize::from(row_has_null(t));
         for c in &mut self.cols {
             c.ids.swap_remove(slot as usize);
         }
+        self.len -= 1;
         true
     }
 
     /// The storage slot (index into [`rows`]) of `t`, if present.
     ///
     /// [`rows`]: Relation::rows
-    pub fn slot_of(&self, t: &Tuple) -> Option<usize> {
-        self.search_tuple(t).map(|pos| self.order[pos] as usize)
+    pub fn slot_of(&self, t: &(impl RowRef + ?Sized)) -> Option<usize> {
+        self.search_row(t).map(|pos| self.order[pos] as usize)
     }
 
     /// Membership test: id-key resolution plus one binary search.
     #[inline]
-    pub fn contains(&self, t: &Tuple) -> bool {
-        self.search_tuple(t).is_some()
+    pub fn contains(&self, t: &(impl RowRef + ?Sized)) -> bool {
+        self.search_row(t).is_some()
     }
 
     /// Does any row contain a labeled null? O(1): the count is
@@ -285,20 +353,29 @@ impl Relation {
     }
 
     /// Iterate over rows in storage order.
-    pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
-        self.rows.iter()
+    pub fn iter(&self) -> RowIter<'_> {
+        self.rows().iter()
     }
 
-    /// Borrow the rows.
-    pub fn rows(&self) -> &[Tuple] {
-        &self.rows
+    /// The rows in storage order, compared row by row with `==`.
+    pub fn rows(&self) -> Rows<'_> {
+        Rows::new(&self.cols, self.len)
+    }
+
+    /// The row at storage slot `slot`.
+    ///
+    /// # Panics
+    /// Panics if `slot >= len()`.
+    #[inline]
+    pub fn row(&self, slot: usize) -> Row<'_> {
+        self.rows().get(slot).expect("row slot in range")
     }
 
     /// Set equality: same attribute set, same tuples (order-insensitive).
     pub fn set_eq(&self, other: &Relation) -> bool {
         self.attrs == other.attrs
-            && self.rows.len() == other.rows.len()
-            && self.rows.iter().all(|t| other.contains(t))
+            && self.len == other.len
+            && self.iter().all(|t| other.contains(&t))
     }
 
     /// The value of attribute `a` in row `i`.
@@ -307,23 +384,25 @@ impl Relation {
     /// Panics if `a` is not in this relation's attribute set.
     #[inline]
     pub fn get(&self, i: usize, a: crate::Attr) -> Value {
-        self.rows[i].get(&self.attrs, a)
+        self.row(i).get(&self.attrs, a)
     }
 
     /// Largest labeled-null id in use, if any. Useful for allocating fresh
-    /// nulls (`NullGen::above`). Reads the dictionaries, not the rows:
-    /// O(distinct values), independent of row count.
+    /// nulls (`NullGen::above`). O(1) when no row holds a null. Otherwise
+    /// it reads the dictionaries, and scans only the id columns whose
+    /// dictionary holds a null: a dictionary keeps the values of
+    /// since-removed rows, so its nulls alone would overstate the answer.
     pub fn max_null_id(&self) -> Option<u64> {
-        // A dictionary may hold nulls from since-removed rows; those ids
-        // are still safely "in use" for freshness purposes, but for exact
-        // compatibility with the row contents we scan rows when any
-        // removal could have stranded dictionary entries.
-        self.rows
+        if self.null_rows == 0 {
+            return None;
+        }
+        self.cols
             .iter()
-            .flat_map(|t| t.values())
+            .filter(|c| c.has_null())
+            .flat_map(|c| c.ids.iter().map(|&id| c.val_of(id)))
             .filter_map(|v| match v {
                 Value::Null(n) => Some(n),
-                _ => None,
+                Value::Const(_) => None,
             })
             .max()
     }
@@ -332,12 +411,10 @@ impl Relation {
     // Columnar access (the id layer the hot paths run on).
     // ------------------------------------------------------------------
 
-    /// The interned id array of attribute `a`, parallel to [`rows`].
+    /// The interned id array of attribute `a`, one entry per row slot.
     ///
     /// # Panics
     /// Panics if `a` is not in this relation's attribute set.
-    ///
-    /// [`rows`]: Relation::rows
     pub fn col_ids(&self, a: Attr) -> &[u32] {
         let rank = self.attrs.rank(a).expect("attribute in relation");
         &self.cols[rank].ids
@@ -381,7 +458,7 @@ impl Relation {
     }
 
     /// Row slots (== indices into [`rows`]) whose `on`-columns agree
-    /// with `t` (a tuple over `t_attrs ⊇ on`), optionally restricted to
+    /// with `t` (a row over `t_attrs ⊇ on`), optionally restricted to
     /// rows *disagreeing* with `t` on `differ`. Ascending slot order —
     /// identical to an `iter().enumerate()` filter.
     ///
@@ -398,16 +475,17 @@ impl Relation {
     /// [`rows`]: Relation::rows
     pub fn slots_agreeing(
         &self,
-        t: &Tuple,
+        t: &(impl RowRef + ?Sized),
         t_attrs: &AttrSet,
         on: AttrSet,
         differ: Option<Attr>,
     ) -> impl Iterator<Item = u32> + '_ {
+        let value = |a: Attr| t.at(t_attrs.rank(a).expect("`t` ranges over `t_attrs`"));
         let mut agree: Vec<(&[u32], u32)> = Vec::with_capacity(on.len());
-        let mut n = self.rows.len();
+        let mut n = self.len;
         for a in on.iter() {
             let rank = self.attrs.rank(a).expect("`on` within the relation");
-            match self.cols[rank].id_of(t.get(t_attrs, a)) {
+            match self.cols[rank].id_of(value(a)) {
                 Some(id) => agree.push((&self.cols[rank].ids, id)),
                 None => {
                     n = 0;
@@ -418,7 +496,7 @@ impl Relation {
         // `differ` with an un-interned probe value differs everywhere.
         let differ: Option<(&[u32], u32)> = differ.and_then(|a| {
             let rank = self.attrs.rank(a).expect("`differ` within the relation");
-            let id = self.cols[rank].id_of(t.get(t_attrs, a))?;
+            let id = self.cols[rank].id_of(value(a))?;
             Some((&self.cols[rank].ids[..], id))
         });
         (0..n)
@@ -441,7 +519,7 @@ impl Relation {
     /// Panics if `key` is not within this relation's attribute set.
     pub fn slots_sorted_by(&self, key: AttrSet) -> Vec<u32> {
         let key_ranks = self.ranks_of(key);
-        let mut idx: Vec<u32> = (0..self.rows.len() as u32).collect();
+        let mut idx: Vec<u32> = (0..self.len as u32).collect();
         idx.sort_unstable_by(|&a, &b| {
             self.cmp_slots_by_value(a, b, &key_ranks)
                 .then_with(|| a.cmp(&b))
@@ -494,7 +572,7 @@ impl Relation {
     /// never-used relation.
     #[doc(hidden)]
     pub fn _inflate_dict_id_base(&mut self, by: u32) {
-        assert!(self.rows.is_empty(), "inflation only on a fresh relation");
+        assert!(self.is_empty(), "inflation only on a fresh relation");
         for c in &mut self.cols {
             c.inflate_id_base(by);
         }
@@ -508,18 +586,12 @@ impl Relation {
         if !cfg!(debug_assertions) {
             return;
         }
-        let n = self.rows.len();
+        let n = self.len;
         assert_eq!(self.order.len(), n, "order indexes every row");
         for c in &self.cols {
-            assert_eq!(c.ids.len(), n, "id columns parallel to rows");
-        }
-        for (i, t) in self.rows.iter().enumerate() {
-            for (rank, v) in t.values().enumerate() {
-                assert_eq!(
-                    self.cols[rank].val_of(self.cols[rank].ids[i]),
-                    v,
-                    "ids decode to row values"
-                );
+            assert_eq!(c.ids.len(), n, "one id per row slot in every column");
+            for &id in &c.ids {
+                assert_eq!(c.id_of(c.val_of(id)), Some(id), "ids decode and re-intern");
             }
         }
         for w in self.order.windows(2) {
@@ -531,9 +603,18 @@ impl Relation {
         }
         assert_eq!(
             self.null_rows,
-            self.rows.iter().filter(|t| t.has_null()).count(),
+            self.iter().filter(Row::has_null).count(),
             "null-row count maintained"
         );
+    }
+}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relation")
+            .field("attrs", &self.attrs)
+            .field("rows", &self.rows())
+            .finish()
     }
 }
 
@@ -546,10 +627,10 @@ impl PartialEq for Relation {
 impl Eq for Relation {}
 
 impl<'a> IntoIterator for &'a Relation {
-    type Item = &'a Tuple;
-    type IntoIter = std::slice::Iter<'a, Tuple>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.rows.iter()
+    type Item = Row<'a>;
+    type IntoIter = RowIter<'a>;
+    fn into_iter(self) -> RowIter<'a> {
+        self.iter()
     }
 }
 
@@ -613,7 +694,7 @@ mod tests {
         let mut r =
             Relation::from_rows(set(&[0]), [tup![10], tup![20], tup![30], tup![40]]).unwrap();
         assert!(r.remove(&tup![20]));
-        let got: Vec<Tuple> = r.iter().cloned().collect();
+        let got: Vec<Tuple> = r.iter().map(|t| t.to_tuple()).collect();
         assert_eq!(got, vec![tup![10], tup![40], tup![30]]);
     }
 
@@ -624,7 +705,7 @@ mod tests {
             [tup![1, 1], tup![2, 2], tup![1, 1], tup![3, 3], tup![2, 2]],
         )
         .unwrap();
-        let got: Vec<Tuple> = r.iter().cloned().collect();
+        let got: Vec<Tuple> = r.iter().map(|t| t.to_tuple()).collect();
         assert_eq!(got, vec![tup![1, 1], tup![2, 2], tup![3, 3]]);
         r.debug_validate();
     }
@@ -659,6 +740,87 @@ mod tests {
         assert_eq!(r.max_null_id(), Some(7));
         let empty = Relation::new(set(&[0]));
         assert_eq!(empty.max_null_id(), None);
+    }
+
+    #[test]
+    fn max_null_id_ignores_nulls_only_a_removed_row_held() {
+        let mut r = Relation::new(set(&[0, 1]));
+        let high = Tuple::new([Value::int(1), Value::Null(9)]);
+        r.insert(high.clone()).unwrap();
+        r.insert(Tuple::new([Value::int(2), Value::Null(4)]))
+            .unwrap();
+        r.remove(&high);
+        // The dictionary still holds ⊥9; no row does.
+        assert_eq!(r.max_null_id(), Some(4));
+    }
+
+    #[test]
+    fn rows_read_through_the_dictionaries() {
+        let attrs = set(&[1, 4]);
+        let r = Relation::from_rows(attrs, [tup![1, 10], tup![2, 20]]).unwrap();
+        let row = r.row(1);
+        assert_eq!(row.arity(), 2);
+        assert_eq!(row.at(1), Value::int(20));
+        assert_eq!(row.get(&attrs, Attr::new(1)), Value::int(2));
+        assert_eq!(
+            row.values().collect::<Vec<_>>(),
+            [Value::int(2), Value::int(20)]
+        );
+        assert_eq!(row.to_tuple(), tup![2, 20]);
+        assert_eq!(row, tup![2, 20]);
+        assert_eq!(r.rows(), vec![tup![1, 10], tup![2, 20]]);
+        assert_ne!(r.rows(), vec![tup![2, 20], tup![1, 10]]);
+        // Slices and rows of another relation probe, remove and insert.
+        let mut s = Relation::new(attrs);
+        assert!(s.insert_row(&row).unwrap());
+        assert!(s.insert_row(&[Value::int(1), Value::int(10)][..]).unwrap());
+        assert!(s.contains(&r.row(0)) && s.slot_of(&row) == Some(0));
+        assert!(s.remove(&[Value::int(2), Value::int(20)][..]));
+        assert_eq!(s.rows(), vec![tup![1, 10]]);
+    }
+
+    #[test]
+    fn rows_compare_in_order() {
+        let a = Relation::from_rows(set(&[0]), [tup![1], tup![2]]).unwrap();
+        let b = Relation::from_rows(set(&[0]), [tup![2], tup![1]]).unwrap();
+        assert_eq!(a, b, "set equality");
+        assert_ne!(a.rows(), b.rows(), "row order differs");
+        assert_eq!(a.rows(), a.clone().rows());
+    }
+
+    #[test]
+    fn from_values_checks_arity() {
+        let got = Relation::from_values(set(&[0, 1]), [vec![Value::int(1)]]);
+        assert_eq!(
+            got.unwrap_err(),
+            RelationError::ArityMismatch {
+                expected: 2,
+                got: 1
+            }
+        );
+    }
+
+    #[test]
+    fn widened_keeps_rows_and_order() {
+        let mut r = Relation::from_rows(set(&[1]), [tup![7], tup![5], tup![9]]).unwrap();
+        r.remove(&tup![7]);
+        let wide = r
+            .widened(set(&[0, 1, 2]), |slot, a| {
+                Value::Null((slot * 10 + a.index()) as u64)
+            })
+            .unwrap();
+        let want = [
+            Tuple::new([Value::Null(0), Value::int(9), Value::Null(2)]),
+            Tuple::new([Value::Null(10), Value::int(5), Value::Null(12)]),
+        ];
+        assert_eq!(wide.rows(), want.to_vec());
+        assert!(wide.has_nulls());
+        assert_eq!(wide.max_null_id(), Some(12));
+        wide.debug_validate();
+        assert_eq!(
+            r.widened(set(&[0]), |_, _| Value::int(0)).unwrap_err(),
+            RelationError::NotASubset
+        );
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl SuccinctView {
             }
             if let Some(a) = acc {
                 for t in &a {
-                    out.insert(t.clone())?;
+                    out.insert_row(&t)?;
                 }
             }
         }
@@ -152,7 +152,7 @@ impl Iterator for TermIter<'_> {
         let mut pairs = Vec::with_capacity(self.view_attrs.len());
         for (f, &i) in self.factors.iter().zip(&self.idx) {
             let fa = f.attrs();
-            let row = &f.rows()[i];
+            let row = f.row(i);
             for a in fa.iter() {
                 pairs.push((a, row.get(&fa, a)));
             }

@@ -1,6 +1,6 @@
 //! Tuples over an attribute set.
 
-use crate::{Attr, AttrSet, RelationError, Result, Value};
+use crate::{Attr, AttrSet, RelationError, Result, RowRef, Value};
 
 /// A tuple over some attribute set `X`, stored densely in ascending
 /// attribute order of `X`.
@@ -106,24 +106,29 @@ impl Tuple {
     pub fn agrees(
         &self,
         from: &AttrSet,
-        other: &Tuple,
+        other: &(impl RowRef + ?Sized),
         other_from: &AttrSet,
         on: &AttrSet,
     ) -> bool {
         on.iter()
-            .all(|a| self.get(from, a) == other.get(other_from, a))
+            .all(|a| self.get(from, a) == other.at(rank_in(other_from, a)))
     }
 
     /// Join this tuple (over `from`) with `other` (over `other_from`) into a
     /// tuple over `from ∪ other_from`, assuming they agree on the overlap.
-    pub fn joined(&self, from: &AttrSet, other: &Tuple, other_from: &AttrSet) -> Tuple {
+    pub fn joined(
+        &self,
+        from: &AttrSet,
+        other: &(impl RowRef + ?Sized),
+        other_from: &AttrSet,
+    ) -> Tuple {
         let target = from.union(other_from);
         Tuple {
             vals: boxed(target.iter().map(|a| {
                 if from.contains(a) {
                     self.get(from, a)
                 } else {
-                    other.get(other_from, a)
+                    other.at(rank_in(other_from, a))
                 }
             })),
         }
@@ -145,6 +150,14 @@ impl Tuple {
     }
 }
 
+/// The dense position of `a` in a row over `attrs`.
+///
+/// # Panics
+/// Panics if `a ∉ attrs`.
+fn rank_in(attrs: &AttrSet, a: Attr) -> usize {
+    attrs.rank(a).expect("attribute not in tuple's set")
+}
+
 /// Collect values into a boxed slice with one allocation when the
 /// iterator's lower size bound is its length. `Vec::from_iter` over an
 /// iterator that is not `TrustedLen` (an [`AttrSet`] walk is not)
@@ -154,6 +167,20 @@ fn boxed(vals: impl Iterator<Item = Value>) -> Box<[Value]> {
     let mut out = Vec::with_capacity(vals.size_hint().0);
     out.extend(vals);
     out.into_boxed_slice()
+}
+
+impl From<&[Value]> for Tuple {
+    fn from(vals: &[Value]) -> Tuple {
+        Tuple { vals: vals.into() }
+    }
+}
+
+impl IntoIterator for Tuple {
+    type Item = Value;
+    type IntoIter = std::vec::IntoIter<Value>;
+    fn into_iter(self) -> Self::IntoIter {
+        Vec::from(self.vals).into_iter()
+    }
 }
 
 impl FromIterator<Value> for Tuple {

@@ -32,9 +32,9 @@ pub fn insert_candidate<R: Rng>(
     fresh_base: u64,
 ) -> Tuple {
     assert!(!v.is_empty(), "need a nonempty view instance");
-    let row = &v.rows()[rng.gen_range(0..v.len())];
+    let row = v.row(rng.gen_range(0..v.len()));
     match kind {
-        InsertKind::Existing => row.clone(),
+        InsertKind::Existing => row.to_tuple(),
         InsertKind::SharedKept => Tuple::from_pairs(
             &x,
             x.iter().map(|a| {
@@ -134,12 +134,12 @@ pub fn update_batch<R: Rng>(
                     fresh_base,
                 ))
             } else if pick < mix.insert + mix.delete {
-                let row = &v.rows()[rng.gen_range(0..v.len())];
-                ViewUpdate::Delete(row.clone())
+                let row = v.row(rng.gen_range(0..v.len()));
+                ViewUpdate::Delete(row.to_tuple())
             } else if pick < mix.insert + mix.delete + mix.replace {
-                let row = &v.rows()[rng.gen_range(0..v.len())];
+                let row = v.row(rng.gen_range(0..v.len()));
                 let fresh = insert_candidate(rng, x, shared, v, InsertKind::SharedKept, fresh_base);
-                ViewUpdate::Replace(row.clone(), fresh)
+                ViewUpdate::Replace(row.to_tuple(), fresh)
             } else {
                 ViewUpdate::Insert(insert_candidate(
                     rng,

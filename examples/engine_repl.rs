@@ -38,7 +38,7 @@ use relvu::durability::{
     BgCheckpoint, DurabilityError, DurableDatabase, MemVfs, RecoveryReport, Vfs, WalOptions,
 };
 use relvu::engine::{Database, EngineError, Policy, SubEvent, SubscribeOptions, Subscription};
-use relvu::relation::{AttrSet, RelationDisplay, Tuple};
+use relvu::relation::{AttrSet, RelationDisplay, Tuple, Value};
 use relvu::workload::fixtures;
 
 fn fresh_engine(f: &fixtures::EdmFixture) -> Database {
@@ -292,8 +292,8 @@ fn drain_subscriptions(subs: &mut Vec<Subscription>, f: &fixtures::EdmFixture) {
         loop {
             match sub.try_recv() {
                 Some(SubEvent::Delta(d)) => {
-                    let show = |t: &Tuple| {
-                        let vals: Vec<String> = t.values().map(|v| f.dict.show(v)).collect();
+                    let show = |t: &[Value]| {
+                        let vals: Vec<String> = t.iter().map(|&v| f.dict.show(v)).collect();
                         format!("({})", vals.join(", "))
                     };
                     let mut parts = Vec::new();

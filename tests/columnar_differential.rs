@@ -178,8 +178,8 @@ proptest! {
         let mut join = RowOracle::default();
         for tr in r.rows() {
             for ts in s.rows() {
-                if tr.agrees(&r_attrs, ts, &s_attrs, &shared) {
-                    join.insert(tr.joined(&r_attrs, ts, &s_attrs));
+                if tr.agrees(&r_attrs, &ts, &s_attrs, &shared) {
+                    join.insert(tr.to_tuple().joined(&r_attrs, &ts, &s_attrs));
                 }
             }
         }
@@ -189,19 +189,19 @@ proptest! {
 
         // σ_P(R), R ∪ S, R − S (the latter two need equal schemas).
         let k = Value::int(rng.gen_range(0..pool));
-        let sel: Vec<Tuple> = r.rows().iter().filter(|t| t.at(0) <= k).cloned().collect();
+        let sel: Vec<Tuple> = r.iter().filter(|t| t.at(0) <= k).map(|t| t.to_tuple()).collect();
         let selected = ops::select(&r, |t| t.at(0) <= k);
         prop_assert_eq!(selected.rows(), sel.as_slice());
 
         let (s2, _) = churned(&mut rng, r_attrs, 30, pool);
         let mut uni = RowOracle::default();
         for t in r.rows().iter().chain(s2.rows()) {
-            uni.insert(t.clone());
+            uni.insert(t.to_tuple());
         }
         let united = ops::union(&r, &s2).unwrap();
         prop_assert_eq!(united.rows(), uni.rows.as_slice());
 
-        let diff: Vec<Tuple> = r.rows().iter().filter(|t| !s2.contains(t)).cloned().collect();
+        let diff: Vec<Tuple> = r.iter().filter(|t| !s2.contains(t)).map(|t| t.to_tuple()).collect();
         let subtracted = ops::difference(&r, &s2).unwrap();
         prop_assert_eq!(subtracted.rows(), diff.as_slice());
     }
@@ -309,7 +309,7 @@ proptest! {
         )
         .expect("create store");
         let v = durable.reader().snapshot().view_instance("v").expect("registered");
-        if let Some(t) = v.rows().first().cloned() {
+        if let Some(t) = v.iter().next().map(|t| t.to_tuple()) {
             let _ = durable.apply("v", UpdateOp::Delete { t });
         }
         let live = durable.reader().dump();

@@ -147,11 +147,11 @@ fn gen_case(seed: u64) -> Case {
     let domain = rng.gen_range(2..5u64);
     let rows = rng.gen_range(2..10usize);
     let v = Relation::from_rows(x, (0..rows).map(|_| random_tuple(&mut rng, x, domain))).unwrap();
-    let t1 = (!v.is_empty()).then(|| v.rows()[rng.gen_range(0..v.len())].clone());
+    let t1 = (!v.is_empty()).then(|| v.row(rng.gen_range(0..v.len())).to_tuple());
     let mut t = random_tuple(&mut rng, x, domain + 2);
     if !v.is_empty() && rng.gen_bool(0.8) {
-        let from = &v.rows()[rng.gen_range(0..v.len())];
-        t = with_shared(x, shared, &t, from);
+        let from = v.row(rng.gen_range(0..v.len()));
+        t = with_shared(x, shared, &t, &from.to_tuple());
     }
     Case {
         schema,
@@ -213,7 +213,7 @@ fn gen_skip_case(seed: u64) -> Case {
             v = grown;
         }
     }
-    let t1 = v.rows()[rng.gen_range(0..v.len())].clone();
+    let t1 = v.row(rng.gen_range(0..v.len())).to_tuple();
     let t = with_shared(x, shared, &random_tuple(&mut rng, x, domain + 2), &t1);
     Case {
         schema,
@@ -326,7 +326,7 @@ fn oracle_condition_c(
 fn mu_rows(c: &Case, t: &Tuple) -> Vec<usize> {
     let shared = c.x & c.y;
     (0..c.v.len())
-        .filter(|&i| c.v.rows()[i].agrees(&c.x, t, &c.x, &shared))
+        .filter(|&i| c.v.row(i).agrees(&c.x, t, &c.x, &shared))
         .collect()
 }
 

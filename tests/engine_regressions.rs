@@ -639,7 +639,13 @@ fn aborted_batch_leaves_log_ring_and_streams_like_a_twin() {
             .base_deltas_since(0)
             .unwrap()
             .iter()
-            .map(|c| (c.seq(), c.removed().to_vec(), c.added().to_vec()))
+            .map(|c| {
+                (
+                    c.seq(),
+                    c.removed().map(Tuple::from).collect(),
+                    c.added().map(Tuple::from).collect(),
+                )
+            })
             .collect()
     };
     let catch_up = |db: &Database| {

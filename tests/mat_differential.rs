@@ -160,12 +160,12 @@ fn x_preserving_replaces(rng: &mut StdRng, db: &Database, name: &str, n: usize) 
     }
     let u = base.attrs();
     let run = |t: &Tuple| base.iter().filter(|r| r.agrees(&u, t, &x, &shared)).count();
-    let mut t1s: Vec<&Tuple> = v.iter().collect();
+    let mut t1s: Vec<Tuple> = v.rows().to_vec();
     t1s.sort_by_key(|t| std::cmp::Reverse(run(t)));
     t1s.into_iter()
         .take(n)
         .map(|t1| {
-            let other = &v.rows()[rng.gen_range(0..v.len())];
+            let other = v.row(rng.gen_range(0..v.len()));
             let t2 = Tuple::new(x.iter().map(|a| {
                 if !moved.contains(a) {
                     t1.get(&x, a)

@@ -155,7 +155,7 @@ proptest! {
         let x: AttrSet = (0..N_ATTRS - 1).map(Attr::new).collect();
         let y = relvu::core::minimal_complement(&schema, &fds, x);
         let v = ops::project(&r, x).unwrap();
-        let t = v.rows()[0].clone();
+        let t = v.row(0).to_tuple();
         if let Ok(Translatability::Translatable(tr)) =
             translate_delete(&schema, &fds, x, y, &v, &t)
         {

@@ -8,10 +8,10 @@ use relvu::workload::{instance_gen, schema_gen};
 use relvu_deps::check::satisfies_fds;
 
 fn random_target(rng: &mut StdRng, b: &schema_gen::BenchSchema, v: &Relation) -> (Tuple, Tuple) {
-    let t1 = v.rows()[rng.gen_range(0..v.len())].clone();
+    let t1 = v.row(rng.gen_range(0..v.len())).to_tuple();
     // Mutate t1 into a candidate t2: fresh employee, department from V
     // (same or different — both Theorem 9 cases get exercised).
-    let row = &v.rows()[rng.gen_range(0..v.len())];
+    let row = v.row(rng.gen_range(0..v.len()));
     let shared = b.x & b.y;
     let t2 = Tuple::from_pairs(
         &b.x,

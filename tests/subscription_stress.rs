@@ -52,7 +52,7 @@ fn n_updates() -> usize {
 /// comparison key. `Relation`'s own `==` is set equality; subscriptions
 /// promise the stronger contract, so compare ordered row vectors.
 fn rows_of(rel: &Relation) -> Vec<Tuple> {
-    rel.into_iter().cloned().collect()
+    rel.rows().to_vec()
 }
 
 /// Fold one delta the way the engine advances instances: removals
@@ -63,7 +63,7 @@ fn fold(rel: &mut Relation, d: &ViewDelta) {
         assert!(rel.remove(t), "delete of a row the fold does not hold");
     }
     for t in d.inserts() {
-        rel.insert(t.clone()).expect("subscribed delta keeps arity");
+        rel.insert_row(t).expect("subscribed delta keeps arity");
     }
 }
 
