@@ -24,10 +24,21 @@
 //! whose body hashed to `parentcrc` — each delta pins its exact parent,
 //! so a chain is only loaded when every link validates; any broken link
 //! makes recovery fall back to the next older restore point. Replaying
-//! a chain applies each commit's removals then insertions in recorded
-//! order, reproducing the live engine's base **byte-for-byte** (the dump
-//! format emits rows in relation iteration order, and `Relation::remove`
-//! is a swap-remove, so net set-deltas would not round-trip).
+//! a chain applies each commit's `del` and `add` rows by the engine's
+//! one edit rule (`Relation::apply_delta`: pairs rewritten in place,
+//! then leftover removals swap-removed and leftover additions appended),
+//! reproducing the live engine's base **byte-for-byte** (the dump
+//! format emits rows in relation iteration order, so net set-deltas
+//! would not round-trip).
+//!
+//! *Compatibility.* Engines before the pair rule applied the same `del`
+//! and `add` lists as all removals, then all insertions, and the header
+//! did not change with the rule (it is still `v1`). A chain written by
+//! such an engine therefore replays to the same set of rows but, after
+//! any commit with rows on both lines, in a different row order than
+//! the engine that wrote it held, so its dumps are not byte-identical
+//! across the upgrade. Telling the two rules apart would take a new
+//! header version.
 //!
 //! **When a delta is written.** Because deltas are not netted, a chain
 //! of commits that rewrite the same rows can record far more bytes than

@@ -29,7 +29,6 @@
 //! stride layout): a commit that moves n rows holds one allocation of
 //! n · arity values, not n separately allocated tuples.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 #[cfg(test)]
@@ -57,12 +56,13 @@ impl Commit {
         self.entry.seq
     }
 
-    /// Base rows removed, in removal order.
+    /// Base rows removed; see [`ViewDelta::deletes`] for how they pair
+    /// with [`Commit::added`].
     pub fn removed(&self) -> impl ExactSizeIterator<Item = &[Value]> {
         self.base.rows().0.iter()
     }
 
-    /// Base rows inserted, in insertion order.
+    /// Base rows inserted; see [`ViewDelta::inserts`].
     pub fn added(&self) -> impl ExactSizeIterator<Item = &[Value]> {
         self.base.rows().1.iter()
     }
@@ -164,36 +164,6 @@ impl RowBuf {
         }
     }
 
-    /// Keep the rows for which `keep` holds, in order.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&[Value]) -> bool) {
-        let mut kept = 0;
-        for i in 0..self.len {
-            let at = i * self.arity;
-            if keep(&self.vals[at..at + self.arity]) {
-                self.vals
-                    .copy_within(at..at + self.arity, kept * self.arity);
-                kept += 1;
-            }
-        }
-        self.vals.truncate(kept * self.arity);
-        self.len = kept;
-    }
-
-    /// Binary search for `row` in a buffer sorted by row value.
-    pub(crate) fn search(&self, row: &[Value]) -> std::result::Result<usize, usize> {
-        let block = self.block();
-        let (mut lo, mut hi) = (0, self.len);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match block.row(mid).cmp(row) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return Ok(mid),
-            }
-        }
-        Err(lo)
-    }
-
     /// The rows as tuples, for unit tests.
     #[cfg(test)]
     pub(crate) fn to_tuples(&self) -> Vec<Tuple> {
@@ -218,14 +188,19 @@ impl RowBuf {
 /// One commit's effect on one relation: the base, a view's instance,
 /// or a selection view's σ_P or σ_¬P side of its instance.
 ///
-/// Applying [`ViewDelta::deletes`] (in order) then
-/// [`ViewDelta::inserts`] (in order) to the relation as of the previous
-/// commit reproduces the relation as of `seq` exactly — including row
-/// order, because `Relation::remove` is a swap-remove and these are the
-/// writer's own application-order rows. The rows are one flat block of
-/// values, removed then added, `arity` per row, read as row slices.
-/// Subscribers receive it as [`crate::SubEvent::Delta`]; it is shared,
-/// never copied.
+/// Folding it into the relation as of the previous commit
+/// ([`ViewDelta::fold_into`]) reproduces the relation as of `seq`
+/// exactly — including row order,
+/// because the lists are the ones the writer applied, under the same
+/// edit rule ([`Relation::apply_delta`]): the `i`-th delete and the
+/// `i`-th insert are a pair, rewritten in the delete's slot; the
+/// leftover deletes are then swap-removed and the leftover inserts
+/// appended, each in order. A case-2 replace (Theorem 9,
+/// `t1[X∩Y] = t2[X∩Y]`) records each moved row's old version at the
+/// same index as its new one. The rows
+/// are one flat block of values, removed then added, `arity` per row,
+/// read as row slices. Subscribers receive it as
+/// [`crate::SubEvent::Delta`]; it is shared, never copied.
 pub struct ViewDelta {
     /// The sequence number of the commit that produced this delta.
     pub seq: u64,
@@ -343,7 +318,12 @@ impl ViewDelta {
         }
     }
 
-    /// Rows the commit deleted from the relation, in deletion order.
+    /// Rows the commit deleted from the relation. The `i`-th delete and
+    /// the `i`-th of [`ViewDelta::inserts`] are a pair: the insert took
+    /// the delete's storage slot. A consumer that keeps a copy of the
+    /// relation in the engine's row order must fold pairs in place, as
+    /// [`ViewDelta::fold_into`] does; removing every delete and then
+    /// inserting every insert gives the same set in another order.
     pub fn deletes(&self) -> impl Iterator<Item = &[Value]> {
         let (removed, _) = self.rows();
         (0..removed.len())
@@ -351,7 +331,9 @@ impl ViewDelta {
             .map(move |i| removed.row(i))
     }
 
-    /// Rows the commit inserted into the relation, in insertion order.
+    /// Rows the commit inserted into the relation: the first ones
+    /// paired with [`ViewDelta::deletes`] (see there), then the leftover
+    /// ones, appended in order.
     pub fn inserts(&self) -> impl Iterator<Item = &[Value]> {
         let (removed, added) = self.rows();
         (0..added.len())
@@ -368,16 +350,18 @@ impl ViewDelta {
         self.deletes().count() + self.inserts().count()
     }
 
-    /// Fold this delta into `rel`: deletes then inserts, in recorded
-    /// order — the byte-identical reconstruction step.
+    /// Fold this delta into `rel`, the relation as of the previous
+    /// commit, by [`Relation::apply_delta`]: each delete/insert pair is
+    /// rewritten in place, then the leftover deletes are swap-removed
+    /// and the leftover inserts appended — the byte-identical
+    /// reconstruction step.
+    ///
+    /// # Panics
+    /// Panics if `rel` is not the relation this delta was committed
+    /// against: a delete it does not hold or an insert it already does.
     pub fn fold_into(&self, rel: &mut Relation) {
-        for t in self.deletes() {
-            rel.remove(t);
-        }
-        for t in self.inserts() {
-            rel.insert_row(t)
-                .expect("committed rows keep the relation's arity");
-        }
+        rel.apply_delta(self.deletes(), self.inserts())
+            .expect("a delta folds into the relation it was committed against");
     }
 }
 

@@ -13,7 +13,7 @@ use relvu_core::{
 };
 use relvu_deps::check::satisfies_fds;
 use relvu_deps::{closure, FdSet};
-use relvu_relation::{AttrSet, Pred, Relation, Schema, Tuple};
+use relvu_relation::{AttrSet, Pred, Relation, RelationError, Schema, Tuple};
 
 use crate::commit::{Block, Commit, ViewDelta};
 use crate::log::{LogEntry, UpdateOp, UpdateReport};
@@ -1121,9 +1121,10 @@ impl Database {
     /// top of the current state, finishing at `final_seq` — the loading
     /// side of an incremental checkpoint chain.
     ///
-    /// Each commit's removals then insertions are applied in recorded
-    /// order, reproducing the exact base-row order the live engine had
-    /// (so a subsequent dump is byte-identical). Every view
+    /// Each commit's removed and added rows are applied by
+    /// [`Relation::apply_delta`], the rule the live engine applied them
+    /// by, reproducing its exact base-row order (so a subsequent dump is
+    /// byte-identical). Every view
     /// materialization is rebuilt afterwards and Σ revalidated, so a
     /// corrupt or mismatched delta surfaces as an error rather than a
     /// silently-wrong state. On error the engine is left unchanged.
@@ -1155,20 +1156,18 @@ impl Database {
                     });
                 }
                 prev = seq;
-                for t in removed {
-                    if !inner.base.remove(t) {
-                        return Err(EngineError::Load {
+                inner
+                    .base
+                    .apply_delta(removed, added)
+                    .map_err(|e| match e {
+                        RelationError::AbsentRow { .. } => EngineError::Load {
                             reason: format!("delta commit {seq} removes an absent base row"),
-                        });
-                    }
-                }
-                for t in added {
-                    if !inner.base.insert_row(t)? {
-                        return Err(EngineError::Load {
+                        },
+                        RelationError::DuplicateRow { .. } => EngineError::Load {
                             reason: format!("delta commit {seq} inserts a duplicate base row"),
-                        });
-                    }
-                }
+                        },
+                        e => e.into(),
+                    })?;
             }
             if !satisfies_fds(&inner.base, &next.fds) {
                 return Err(EngineError::IllegalBase);
@@ -1200,7 +1199,7 @@ impl Database {
 mod tests {
     use super::*;
     use relvu_core::RejectReason;
-    use relvu_relation::{ops, tup};
+    use relvu_relation::{ops, tup, CmpOp};
     use relvu_workload::fixtures;
 
     fn edm_db() -> (fixtures::EdmFixture, Database) {
@@ -1439,21 +1438,42 @@ mod tests {
         let db = Database::new(s.clone(), fds, base).unwrap();
         let mgrs = s.set(["D", "M"]).unwrap();
         db.create_view("mgrs", mgrs, None, Policy::Exact).unwrap();
-        db.create_view("emp", s.set(["E", "D"]).unwrap(), Some(mgrs), Policy::Exact)
+        let emp = s.set(["E", "D"]).unwrap();
+        db.create_view("emp", emp, Some(mgrs), Policy::Exact)
             .unwrap();
-        // The manager change moves department 0's rows but no `emp`
-        // tuple; the departure then touches `emp`.
+        let d = s.attr("D").unwrap();
+        db.create_selection_view("emp_lo", emp, Some(mgrs), Pred::cmp(d, CmpOp::Lt, 2))
+            .unwrap();
+        // The manager change (Theorem 9's case 2) rewrites department
+        // 0's rows in place, keeping their places in the index; the
+        // rename (case 2 on `emp`) moves employee 3's row in the index;
+        // the transfer (case 1) moves employee 4 out of σ_P; the
+        // departure leaves a leftover removal.
         db.replace_via("mgrs", tup![0, 100], tup![0, 200]).unwrap();
-        db.delete_via("emp", tup![1, 1]).unwrap();
+        db.replace_via("emp", tup![3, 0], tup![9, 0]).unwrap();
+        db.replace_via("emp", tup![4, 1], tup![4, 2]).unwrap();
+        db.delete_via("emp", tup![5, 2]).unwrap();
         let snap = db.snapshot();
         let inner = db.inner.read();
-        for name in ["mgrs", "emp"] {
+        assert!(
+            inner.cur.base.pending_rows() > 0,
+            "the published base is a delta chain below the re-root threshold"
+        );
+        assert_eq!(inner.base.rows(), snap.base().rows(), "base");
+        for name in ["mgrs", "emp", "emp_lo"] {
+            let (inst, split) = snap.mat_parts(name).unwrap();
+            let mat = &inner.mats[name];
             assert_eq!(
-                inner.mats[name].instance().rows(),
-                snap.view_instance(name).unwrap().rows(),
+                mat.instance().rows(),
+                inst.rows(),
                 "`{name}`: the writer's rows in the published order"
             );
+            if let (Some((m, r)), Some((pm, pr))) = (mat.split(), split) {
+                assert_eq!(m.rows(), pm.rows(), "`{name}`: σ_P");
+                assert_eq!(r.rows(), pr.rows(), "`{name}`: σ_¬P");
+            }
         }
+        assert!(snap.mat_parts("emp_lo").unwrap().1.is_some());
     }
 }
 

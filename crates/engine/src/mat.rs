@@ -30,26 +30,29 @@
 //! committing view's translation against its complement — writing each
 //! joined row straight into a flat [`RowBuf`], already in sorted order,
 //! with no per-row tuple — and edits the base in place from those
-//! borrowed rows: removals then insertions, each in sorted order, each
-//! edit itself reporting whether the row was there (so no membership
-//! probe precedes it). The rows of `del ∩ add` are found by binary
-//! search in the sorted `add` list. Before the first edit it checks the
+//! borrowed rows by [`Relation::apply_delta`]: the `i`-th removed row
+//! and the `i`-th added row are rewritten as a pair in the removed
+//! row's slot, then the leftovers are swap-removed or appended. A
+//! case-2 replace (`t1[X∩Y] = t2[X∩Y]`) walks one complement run for
+//! both joins, so every pair is one row with new `X − Y` columns and
+//! the base edit moves no row. Before the first edit it checks the
 //! joined rows' arity and that every relation the commit inserts into
 //! has dictionary ids left for them, so a commit fails whole or not at
 //! all.
 //!
-//! Both sides then fold the base delta **netted by key, in place**: the
-//! source rows themselves are sorted (by reference) on their key
-//! columns, each run of equal keys collapses to one signed count, and
-//! only a key whose count is non-zero is projected, into one flat
-//! buffer of keys. Only a
-//! key whose support crosses zero edits an array (obs
+//! Both sides then fold the base delta **netted by key, in place**: a
+//! pair whose two rows project equally is dropped before any sort (obs
+//! `engine.mat.net_sorted_rows` counts the rows that are sorted), the
+//! other source rows are sorted (by reference) on their key columns,
+//! each run of equal keys collapses to one signed count, and only a key
+//! whose count is non-zero is projected, into one flat buffer of keys.
+//! Only a key whose support crosses zero edits an array (obs
 //! `engine.mat.instance_edits` / `engine.mat.complement_edits`). So a
 //! translation's own complement, and every view tuple whose rows all
-//! move together, cost neither an edit nor an allocation. Edits run as
-//! removals then insertions, each in sorted order — the order the
-//! published chain replays the delta in, so the writer's instance and
-//! split keep the published row order exactly (which is what lets
+//! move together, cost neither an edit nor an allocation. The instance
+//! and split edits go through [`Relation::apply_delta`] too, the rule
+//! the published chain replays the delta by, so the writer's instance
+//! and split keep the published row order exactly (which is what lets
 //! publish re-root a long chain on a clone of them; see
 //! [`crate::mvcc`]).
 //!
@@ -61,7 +64,7 @@
 use std::cmp::Ordering;
 
 use relvu_core::Translation;
-use relvu_relation::{gallop, ops, Attr, AttrSet, Pred, Relation, RowRef, Tuple, Value};
+use relvu_relation::{gallop, ops, Attr, AttrSet, Pred, Relation, RowRef, SlotEdit, Tuple, Value};
 
 use crate::commit::{Block, RowBuf};
 use crate::mvcc::ViewSnap;
@@ -256,12 +259,14 @@ impl ViewMat {
     /// Apply a committed translation to `base` in place and return the
     /// base-row delta it made, `(added, removed)`, both sorted by row
     /// value: the rows of `base − removed ∪ added` equal
-    /// [`Translation::apply`]'s result. Removals run first, then
-    /// insertions, each in sorted order, and each edit itself reports
-    /// whether the row was there, so no membership probe precedes it.
-    /// The sort makes replay after crash recovery reproduce base row
-    /// *order* too, not just set content, since row order is then a
-    /// pure function of the starting order and the operation sequence.
+    /// [`Translation::apply`]'s result. The edit is
+    /// [`Relation::apply_delta`] on exactly these lists, so snapshot
+    /// replay, CDC folds and checkpoint replay reproduce the base row
+    /// *order* too, not just its set content. In Theorem 9's case 2
+    /// (`t1[X∩Y] = t2[X∩Y]`) both joins walk the same complement run, so
+    /// `removed[i] = t1 * e_i` pairs with `added[i] = t2 * e_i`: each
+    /// moved row is rewritten in its own slot, changing only its `X − Y`
+    /// columns.
     ///
     /// # Errors
     /// Before the first edit: an arity mismatch if the joined rows do
@@ -276,7 +281,7 @@ impl ViewMat {
         views: impl IntoIterator<Item = &'a ViewMat>,
     ) -> Result<(RowBuf, RowBuf)> {
         let none = || RowBuf::with_capacity(self.join_src.len(), 0);
-        let (mut added, mut removed) = match tr {
+        let (added, removed) = match tr {
             Translation::Identity => (none(), none()),
             Translation::InsertJoin { t } => (self.join_rows(t), none()),
             Translation::DeleteJoin { t } => (none(), self.join_rows(t)),
@@ -290,11 +295,6 @@ impl ViewMat {
                 .all(|(p, q)| p < q)),
             "joined rows come out strictly sorted"
         );
-        if !added.is_empty() {
-            // `(base − del) ∪ add` re-adds rows in both sets, so a row
-            // of `del ∩ add` is not removed at all.
-            removed.retain(|b| added.search(b).is_err());
-        }
         // Verify before the first edit so the edit can never stop
         // half-applied. The checks guarantee x ∪ y = U, so joined rows
         // have base arity.
@@ -311,11 +311,11 @@ impl ViewMat {
         {
             return Err(relvu_relation::RelationError::DictFull.into());
         }
-        removed.retain(|b| base.remove(b));
-        added.retain(|b| {
-            base.insert_row(b)
-                .expect("arity and dictionary room checked before the first edit")
-        });
+        // The base satisfies the join dependency *[X, Y] (Y is a
+        // complement), so `t ⋈ π_Y(R)` for a view tuple t holds only
+        // base rows, and for a tuple outside the view only absent ones.
+        base.apply_delta(removed.block().iter(), added.block().iter())
+            .expect("a translation removes base rows and adds absent ones");
         Ok((added, removed))
     }
 
@@ -333,46 +333,54 @@ impl ViewMat {
     /// side (support counts, instance, split), returning this view's own
     /// instance delta `(added, removed)` sorted by row value — the
     /// incoming delta for its children in the dependency DAG, and the
-    /// order both lists were applied in here.
+    /// lists [`Relation::apply_delta`] applied here: to the instance
+    /// whole, with the support counts following every slot edit, and to
+    /// each σ_P split part as the rows of each list that fall in it.
     pub(crate) fn fold_instance(
         &mut self,
         added: Block<'_>,
         removed: Block<'_>,
     ) -> (RowBuf, RowBuf) {
         let (keys, counts) = net(removed.iter(), added.iter(), &[], &self.x_pos);
-        let keys = keys.block();
-        let mut fresh = Vec::new();
+        let mut out_added = RowBuf::with_capacity(self.x.len(), 0);
         let mut out_removed = RowBuf::with_capacity(self.x.len(), 0);
-        for (i, (xt, &n)) in keys.iter().zip(&counts).enumerate() {
+        // The support of each row of `out_added`.
+        let mut fresh = Vec::new();
+        for (xt, &n) in keys.block().iter().zip(&counts) {
             let Some(slot) = self.instance.slot_of(xt) else {
-                fresh.push(i);
+                out_added.push(xt.iter().copied());
+                fresh.push(u64::try_from(n).expect("removed rows were folded in"));
                 continue;
             };
             let left = self.support[slot].checked_add_signed(n);
             self.support[slot] = left.expect("removed rows were folded in");
             if left == Some(0) {
-                // The relation swap-removes storage slot `slot`; mirror
-                // the move on the counts.
-                self.instance.remove(xt);
-                self.support.swap_remove(slot);
-                if let Some(part) = self.part_of(xt) {
-                    part.remove(xt);
-                }
                 out_removed.push(xt.iter().copied());
             }
         }
-        let mut out_added = RowBuf::with_capacity(self.x.len(), fresh.len());
-        for i in fresh {
-            let xt = keys.row(i);
-            if let Some(part) = self.part_of(xt) {
-                part.insert_row(xt).expect(ROOM_CHECKED);
+        let support = &mut self.support;
+        self.instance
+            .apply_delta_tracked(
+                out_removed.block().iter(),
+                out_added.block().iter(),
+                |edit| match edit {
+                    SlotEdit::Rewrite { slot, added } => support[slot] = fresh[added],
+                    SlotEdit::SwapRemove { slot } => {
+                        support.swap_remove(slot);
+                    }
+                    SlotEdit::Append { added } => support.push(fresh[added]),
+                },
+            )
+            .expect(NETTED);
+        if let Some((matching, rest)) = self.split.as_mut() {
+            let pred = self.pred.as_ref().expect("split implies pred");
+            let x = &self.x;
+            let (gone, new) = (out_removed.block(), out_added.block());
+            for (part, keep) in [(matching, true), (rest, false)] {
+                let side = |t: &&[Value]| pred.eval(x, *t) == keep;
+                part.apply_delta(gone.iter().filter(side), new.iter().filter(side))
+                    .expect(NETTED);
             }
-            // Appends at the slot `support.len()`, keeping the
-            // vectors parallel.
-            self.instance.insert_row(xt).expect(ROOM_CHECKED);
-            self.support
-                .push(u64::try_from(counts[i]).expect("removed rows were folded in"));
-            out_added.push(xt.iter().copied());
         }
         let (ins, del) = (out_added.len() as u64, out_removed.len() as u64);
         relvu_obs::counter!("engine.mat.tuples").add(ins);
@@ -414,14 +422,6 @@ impl ViewMat {
                 .insert(i, (Tuple::new(yt.iter().copied()), n));
         }
         relvu_obs::counter!("engine.mat.complement_edits").add(edits);
-    }
-
-    /// The split part, `σ_P` or `σ_¬P`, that view row `xt` belongs to.
-    fn part_of(&mut self, xt: &[Value]) -> Option<&mut Relation> {
-        let (matching, rest) = self.split.as_mut()?;
-        let pred = self.pred.as_ref().expect("split implies pred");
-        let keep = pred.eval(&self.x, xt);
-        Some(if keep { matching } else { rest })
     }
 
     /// Debug oracle: the incrementally maintained state must equal a
@@ -492,9 +492,10 @@ fn cmp_y(shared_ranks: &[usize], a: &[Value], b: &[Value]) -> Ordering {
     a.cmp(b)
 }
 
-/// The panic message of an insert the commit's up-front dictionary
-/// check (in [`ViewMat::apply`]) has already cleared.
-const ROOM_CHECKED: &str = "dictionary room checked before the first edit";
+/// The panic message of a view-side edit: the netted lists remove only
+/// resident keys and add only absent ones, and the commit's up-front
+/// dictionary check (in [`ViewMat::apply`]) has cleared their ids.
+const NETTED: &str = "netted keys edit resident rows, with dictionary room checked";
 
 /// Dense positions of `of` within a row over `within`.
 fn positions(of: AttrSet, within: AttrSet) -> Result<Vec<usize>> {
@@ -517,9 +518,13 @@ fn cmp_at(pos: &[usize], a: &impl RowRef, b: &impl RowRef) -> Ordering {
     Ordering::Equal
 }
 
-/// Net a delta by key, in place: sort references to the removed (−1)
-/// and added (+1) source rows by their `major` columns, then their `key`
-/// columns, and collapse each run of equal keys to one signed count.
+/// Net a delta by key, in place: drop each pair `(removed[i],
+/// added[i])` of the [`Relation::apply_delta`] pairing whose two rows
+/// project equally (a case-2 replace pairs every row with its own
+/// successor, so a projection that misses `X − Y` cancels whole without
+/// a sort), then sort references to the other removed (−1) and added
+/// (+1) source rows by their `major` columns, then their `key` columns,
+/// and collapse each run of equal keys to one signed count.
 /// Only a key whose count is non-zero is projected onto `key`, into one
 /// flat buffer, its count at the same index of the second result. The
 /// keys are strictly sorted in that order: `major` empty gives the key
@@ -532,11 +537,24 @@ fn net<R: RowRef>(
     key: &[usize],
 ) -> (RowBuf, Vec<i64>) {
     let cmp = |a: &R, b: &R| cmp_at(major, a, b).then_with(|| cmp_at(key, a, b));
-    let mut rows: Vec<(R, i64)> = removed
-        .into_iter()
-        .map(|r| (r, -1))
-        .chain(added.into_iter().map(|r| (r, 1)))
-        .collect();
+    let (mut removed, mut added) = (removed.into_iter(), added.into_iter());
+    let (n_removed, n_added) = (removed.size_hint().0, added.size_hint().0);
+    let pairs = n_removed.min(n_added);
+    // The added rows of the kept pairs wait in `paired` and go last, so
+    // a replace's two key runs reach the sort as two runs. (Pairing is
+    // only a shortcut: netting the rows unpaired gives the same keys.)
+    let mut rows: Vec<(R, i64)> = Vec::with_capacity(n_removed + n_added);
+    let mut paired: Vec<(R, i64)> = Vec::with_capacity(pairs);
+    for (r, a) in removed.by_ref().take(pairs).zip(added.by_ref()) {
+        if cmp(&r, &a) != Ordering::Equal {
+            rows.push((r, -1));
+            paired.push((a, 1));
+        }
+    }
+    rows.extend(removed.map(|r| (r, -1)));
+    rows.extend(added.map(|a| (a, 1)));
+    rows.append(&mut paired);
+    relvu_obs::counter!("engine.mat.net_sorted_rows").add(rows.len() as u64);
     rows.sort_unstable_by(|a, b| cmp(&a.0, &b.0));
     let mut keys = RowBuf::with_capacity(key.len(), 0);
     let mut counts = Vec::new();

@@ -136,54 +136,59 @@ fn project_then_sort_net(
     keys
 }
 
-/// The replaced `delta` and per-row edits: probe the base for each
-/// joined row, sort both lists, then remove and insert row by row.
+/// The pair-rule oracle over a plain row vector: the `i`-th removed row
+/// is overwritten by the `i`-th added one where it stands, then the
+/// leftover removals are swap-removed and the leftover additions pushed.
+fn pair_fold(rows: &mut Vec<Tuple>, removed: &[Tuple], added: &[Tuple]) {
+    let at = |rows: &Vec<Tuple>, t: &Tuple| rows.iter().position(|r| r == t).unwrap();
+    for (old, new) in removed.iter().zip(added) {
+        let i = at(rows, old);
+        rows[i] = new.clone();
+    }
+    for old in removed.iter().skip(added.len()) {
+        let i = at(rows, old);
+        rows.swap_remove(i);
+    }
+    rows.extend(added.iter().skip(removed.len()).cloned());
+}
+
+/// The delta `tr` makes and its edits: join each side, sort both lists
+/// and fold them into `rows` by [`pair_fold`]. Panics unless `tr` meets
+/// [`ViewMat::apply`]'s precondition — every removed row in the base and
+/// every added one absent — which the checks guarantee for every
+/// translation they accept over a legal base (it satisfies *[X, Y]).
 fn delta_then_edits(
     m: &ViewMat,
-    base: &mut Relation,
+    rows: &mut Vec<Tuple>,
     tr: &Translation,
 ) -> (Vec<Tuple>, Vec<Tuple>) {
+    let join = |t| m.join_rows(t).to_tuples();
     let (mut added, mut removed) = match tr {
         Translation::Identity => (Vec::new(), Vec::new()),
-        Translation::InsertJoin { t } => (
-            m.join_rows(t)
-                .to_tuples()
-                .into_iter()
-                .filter(|b| !base.contains(b))
-                .collect(),
-            Vec::new(),
-        ),
-        Translation::DeleteJoin { t } => (
-            Vec::new(),
-            m.join_rows(t)
-                .to_tuples()
-                .into_iter()
-                .filter(|b| base.contains(b))
-                .collect(),
-        ),
-        Translation::ReplaceJoin { t1, t2 } => {
-            let add: Vec<Tuple> = m.join_rows(t2).to_tuples();
-            let removed = m
-                .join_rows(t1)
-                .to_tuples()
-                .into_iter()
-                .filter(|b| base.contains(b) && !add.contains(b))
-                .collect();
-            (
-                add.into_iter().filter(|b| !base.contains(b)).collect(),
-                removed,
-            )
-        }
+        Translation::InsertJoin { t } => (join(t), Vec::new()),
+        Translation::DeleteJoin { t } => (Vec::new(), join(t)),
+        Translation::ReplaceJoin { t1, t2 } => (join(t2), join(t1)),
     };
+    assert!(
+        removed.iter().all(|b| rows.contains(b)) && !added.iter().any(|b| rows.contains(b)),
+        "{tr:?} removes base rows and adds absent ones"
+    );
     added.sort();
     removed.sort();
-    for row in &removed {
-        base.remove(row);
-    }
-    for row in &added {
-        base.insert(row.clone()).unwrap();
-    }
+    pair_fold(rows, &removed, &added);
     (added, removed)
+}
+
+/// `π_X(R₀) ⋈ π_Y(R₀)` for `n` random rows `R₀` over `universe`: a base
+/// that satisfies *[X, Y], as every legal base does.
+fn legal_base(rng: &mut StdRng, universe: AttrSet, x: AttrSet, y: AttrSet, n: usize) -> Relation {
+    let r0 =
+        Relation::from_rows(universe, (0..n).map(|_| random_row(rng, universe.len()))).unwrap();
+    ops::natural_join(
+        &ops::project(&r0, x).unwrap(),
+        &ops::project(&r0, y).unwrap(),
+    )
+    .unwrap()
 }
 
 /// A random row over four attributes from a small value domain, so keys
@@ -247,7 +252,11 @@ fn in_place_net_equals_project_then_sort_net() {
 fn apply_equals_delta_then_edits() {
     let universe = attrs(&[0, 1, 2]);
     let mut rng = StdRng::seed_from_u64(29);
-    let (mut overlapping, mut disjoint, mut selections, mut both_sides) = (0, 0, 0, 0);
+    let (mut overlapping, mut disjoint, mut selections) = (0, 0, 0);
+    let (mut inserts, mut deletes, mut replaces) = (0, 0, 0);
+    // Replaces whose delta has rows on both sides, so pairs are
+    // rewritten in place.
+    let mut paired = 0;
     for case in 0..600 {
         // x ∪ y = U; X∩Y may be empty.
         let x = random_attrs(&mut rng, 3);
@@ -269,51 +278,165 @@ fn apply_equals_delta_then_edits() {
         } else {
             overlapping += 1;
         }
+        // Every translation below keeps the base of the form S ⋈ π_Y(R),
+        // so it stays legal from step to step.
         let n = rng.gen_range(0..20usize);
-        let mut base =
-            Relation::from_rows(universe, (0..n).map(|_| random_row(&mut rng, 3))).unwrap();
-        let mut oracle = base.clone();
+        let mut base = legal_base(&mut rng, universe, x, y, n);
+        let mut oracle = base.rows().to_vec();
         for step in 0..6 {
             let m = ViewMat::build(&base, None, &def, None).unwrap();
-            let view_tuple = |rng: &mut StdRng| match m.instance().rows() {
-                rows if !rows.is_empty() && rng.gen_bool(0.6) => {
-                    rows.get(rng.gen_range(0..rows.len())).unwrap().to_tuple()
-                }
-                _ => random_row(rng, x.len()),
+            let in_view = |rng: &mut StdRng| {
+                let rows = m.instance().rows();
+                (!rows.is_empty())
+                    .then(|| rows.get(rng.gen_range(0..rows.len())).unwrap().to_tuple())
             };
-            let tr = match rng.gen_range(0..4u32) {
-                0 => Translation::InsertJoin {
-                    t: view_tuple(&mut rng),
-                },
-                1 => Translation::DeleteJoin {
-                    t: view_tuple(&mut rng),
-                },
-                2 => {
-                    // t₁ = t₂: every removed row is re-added.
-                    both_sides += 1;
-                    let t = view_tuple(&mut rng);
+            // Mostly the base's small domain, so joins hit, with a value
+            // from a wide one mixed in, so a miss always comes soon.
+            let outside_view = |rng: &mut StdRng| loop {
+                let t = Tuple::new((0..x.len()).map(|_| {
+                    Value::int(if rng.gen_bool(0.8) {
+                        rng.gen_range(0..3u64)
+                    } else {
+                        rng.gen_range(3..1000u64)
+                    })
+                }));
+                if !m.instance().contains(&t) {
+                    break t;
+                }
+            };
+            // What the checks can accept: insert t ∉ V, delete t ∈ V,
+            // replace t1 ∈ V by t2 ∉ V.
+            let tr = match (rng.gen_range(0..3u32), in_view(&mut rng)) {
+                (1, Some(t)) => {
+                    deletes += 1;
+                    Translation::DeleteJoin { t }
+                }
+                (2, Some(t1)) => {
+                    replaces += 1;
                     Translation::ReplaceJoin {
-                        t1: t.clone(),
-                        t2: t,
+                        t1,
+                        t2: outside_view(&mut rng),
                     }
                 }
-                _ => Translation::ReplaceJoin {
-                    t1: view_tuple(&mut rng),
-                    t2: view_tuple(&mut rng),
-                },
+                _ => {
+                    inserts += 1;
+                    Translation::InsertJoin {
+                        t: outside_view(&mut rng),
+                    }
+                }
             };
             let want = delta_then_edits(&m, &mut oracle, &tr);
+            paired += usize::from(!want.0.is_empty() && !want.1.is_empty());
             let (added, removed) = m.apply(&mut base, &tr, [&m]).unwrap();
             let got = (added.to_tuples(), removed.to_tuples());
             assert_eq!(got, want, "case {case} step {step}: {tr:?}");
             assert_eq!(
                 base.rows(),
-                oracle.rows(),
+                &oracle[..],
                 "case {case} step {step}: row order"
             );
+            base.debug_validate();
         }
     }
-    assert!(overlapping > 0 && disjoint > 0 && selections > 0 && both_sides > 0);
+    assert!(overlapping > 0 && disjoint > 0 && selections > 0);
+    assert!(
+        inserts > 500 && deletes > 500 && replaces > 500 && paired > 300,
+        "{inserts} / {deletes} / {replaces} ({paired} paired)"
+    );
+}
+
+#[test]
+fn replaces_rewrite_their_pairs_in_place() {
+    let universe = attrs(&[0, 1, 2]);
+    let mut rng = StdRng::seed_from_u64(31);
+    let (mut case2, mut case1, mut moved) = (0, 0, 0);
+    for case in 0..400 {
+        let x = random_attrs(&mut rng, 3);
+        let rest: AttrSet = universe.iter().filter(|a| !x.contains(*a)).collect();
+        if rest.is_empty() {
+            continue;
+        }
+        let y = rest | x.iter().filter(|_| rng.gen_bool(0.5)).collect::<AttrSet>();
+        if y == universe {
+            continue; // no X − Y column to move
+        }
+        let def = ViewDef::new("v".into(), x, y, Policy::Exact, None, false, 0);
+        let mut base = legal_base(&mut rng, universe, x, y, 12);
+        let mut oracle = base.rows().to_vec();
+        for step in 0..6 {
+            let m = ViewMat::build(&base, None, &def, None).unwrap();
+            let inst = m.instance().rows();
+            if inst.is_empty() {
+                break;
+            }
+            let t1 = inst.get(rng.gen_range(0..inst.len())).unwrap().to_tuple();
+            // t2: t1 with fresh values (never in the base) in some of X's
+            // columns — X − Y only for case 2, any of X for case 1.
+            let keep_shared = rng.gen_bool(0.5);
+            let t2 = Tuple::new(x.iter().enumerate().map(|(i, a)| {
+                let fresh = if keep_shared && y.contains(a) {
+                    false
+                } else {
+                    rng.gen_bool(0.6)
+                };
+                if fresh {
+                    Value::int(rng.gen_range(10..1000u64))
+                } else {
+                    t1.at(i)
+                }
+            }));
+            if t1 == t2 || m.instance().contains(&t2) {
+                continue;
+            }
+            let shared_kept = (x & y).iter().all(|a| t1.get(&x, a) == t2.get(&x, a));
+            let tr = Translation::ReplaceJoin { t1, t2 };
+            let before = base.rows().to_vec();
+            let want = delta_then_edits(&m, &mut oracle, &tr);
+            let (added, removed) = m.apply(&mut base, &tr, [&m]).unwrap();
+            assert_eq!(
+                (added.to_tuples(), removed.to_tuples()),
+                want,
+                "case {case} step {step}"
+            );
+            assert_eq!(
+                base.rows(),
+                &oracle[..],
+                "case {case} step {step}: row order"
+            );
+            base.debug_validate();
+            if shared_kept {
+                // Case 2: the same complement run on both sides, so every
+                // slot keeps its π_Y and only its X − Y columns move.
+                case2 += 1;
+                assert_eq!(base.len(), before.len());
+                for (slot, old) in before.iter().enumerate() {
+                    assert_eq!(
+                        base.row(slot).to_tuple().project(&universe, &y),
+                        old.project(&universe, &y),
+                        "case {case} step {step}: slot {slot} kept its π_Y"
+                    );
+                }
+                moved += want.1.len();
+            } else {
+                case1 += 1;
+            }
+        }
+    }
+    assert!(
+        case2 > 100 && case1 > 100 && moved > 200,
+        "{case2} / {case1} / {moved}"
+    );
+}
+
+#[test]
+#[should_panic(expected = "a translation removes base rows and adds absent ones")]
+fn apply_panics_on_a_translation_outside_its_precondition() {
+    // Department 10 has no employee 3, so `{3, 10} ⋈ π{D, M}` names a
+    // row the base lacks: no check accepts that deletion.
+    let m = mat(&[0, 1], &[1, 2]);
+    let mut base = base();
+    let delete = Translation::DeleteJoin { t: tup![3, 10] };
+    let _ = m.apply(&mut base, &delete, [&m]);
 }
 
 #[test]

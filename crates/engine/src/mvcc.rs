@@ -33,8 +33,12 @@
 //!   first). The clone is O(|rel|), outside any replay, and comes after
 //!   at least max(|rel|, 64) delta rows or 512 commits. A reader's
 //!   worst-case materialization is one clone plus a replay of at most
-//!   that many rows and commits; each replayed row is a binary search
-//!   and a shift of the sorted index, the same edit the writer made.
+//!   that many rows and commits, each commit by
+//!   [`Relation::apply_delta`], the edit the writer made: a removed row
+//!   paired with an added one is an in-place rewrite of its slot (two
+//!   binary searches, and an index shift only if its position changes),
+//!   a leftover removal or addition a binary search and a shift of the
+//!   sorted index.
 //!   Dropping a chain unlinks it iteratively, so its length never
 //!   touches the stack. Obs counter `engine.snap.reroots` counts the
 //!   re-roots.
@@ -149,9 +153,10 @@ impl LazyRel {
         }
     }
 
-    /// Replay the pending chain over a clone of the root — the same
-    /// removals-then-insertions, in the same commit order, the writer
-    /// applied in place, so row order is reproduced exactly.
+    /// Replay the pending chain over a clone of the root — each
+    /// commit's delta by the rule the writer applied it by in place
+    /// ([`ViewDelta::fold_into`]), in commit order, so row order is
+    /// reproduced exactly.
     pub(crate) fn materialize(&self) -> Relation {
         let mut nodes: Vec<&DeltaNode> = Vec::with_capacity(self.depth as usize);
         let mut cur = self.pending.as_deref();

@@ -49,6 +49,16 @@ pub enum RelationError {
     /// distinct values interned in one attribute over the relation's
     /// lifetime).
     DictFull,
+    /// A delta removes a row the relation does not hold.
+    AbsentRow {
+        /// The row's position in the delta's removed list.
+        index: usize,
+    },
+    /// A delta adds a row the relation already holds.
+    DuplicateRow {
+        /// The row's position in the delta's added list.
+        index: usize,
+    },
 }
 
 impl fmt::Display for RelationError {
@@ -89,6 +99,12 @@ impl fmt::Display for RelationError {
             }
             RelationError::DictFull => {
                 write!(f, "column dictionary exhausted its u32 id space")
+            }
+            RelationError::AbsentRow { index } => {
+                write!(f, "delta removes absent row #{index}")
+            }
+            RelationError::DuplicateRow { index } => {
+                write!(f, "delta adds row #{index}, which is already present")
             }
         }
     }

@@ -40,7 +40,7 @@ pub use columnar::{gallop, FnvMap};
 pub use display::{RelationDisplay, TupleDisplay};
 pub use error::RelationError;
 pub use pred::{CmpOp, Pred};
-pub use relation::Relation;
+pub use relation::{Relation, SlotEdit};
 pub use row::{Row, RowIter, RowRef, Rows};
 pub use schema::Schema;
 pub use succinct::SuccinctView;

@@ -4,10 +4,20 @@
 //! `u32` id column (see [`crate::columnar`]), and the id columns are the
 //! only copy of the rows. Callers read a row as a borrowed [`Row`],
 //! decoded value by value through the dictionaries, in storage order —
-//! insertion order with swap-remove holes, the order every serialization
-//! layer reproduces byte-for-byte. Membership, removal and the
-//! conjunctive scans the translation tests run are id-array work over a
-//! sorted slot index; no tuple is ever stored, cloned or hashed.
+//! insertion order with swap-remove holes and in-place pair rewrites,
+//! the order every serialization layer reproduces byte-for-byte.
+//! Membership, removal and the conjunctive scans the translation tests
+//! run are id-array work over a sorted slot index; no tuple is ever
+//! stored, cloned or hashed.
+//!
+//! A commit's delta reaches every copy of a relation through one edit
+//! rule, [`Relation::apply_delta`]: each removed row paired with an
+//! added row is rewritten in its own slot, then the leftover removals
+//! are swap-removed and the leftover additions appended. A
+//! constant-complement replace that moves n rows is therefore n in-place
+//! id rewrites, not n swap-removes and n appends, and the writer,
+//! snapshot replay, CDC folds and checkpoint replay all land on the same
+//! row order.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -20,7 +30,7 @@ use crate::{Attr, AttrSet, RelationError, Result, Tuple, Value, MAX_ATTRS};
 ///
 /// Rows are a *set* (duplicate inserts are ignored), matching the paper's
 /// pure relational model. Iteration order is deterministic — a pure
-/// function of the sequence of inserts and removals — which keeps
+/// function of the sequence of inserts, removals and deltas — which keeps
 /// displays, dumps and recovery byte-identical, but removal is
 /// swap-based, so a `remove` moves the **last** row into the vacated
 /// slot rather than preserve the original insertion order.
@@ -52,6 +62,31 @@ pub struct Relation {
 /// allocate nothing (the old tuple→index map cloned the whole tuple per
 /// insert; see the allocation regression test).
 type IdKey = [u32; MAX_ATTRS];
+
+/// One slot edit of [`Relation::apply_delta_tracked`], for a caller
+/// that keeps a vector parallel to the row slots.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SlotEdit {
+    /// The pair at index `added` of both lists: the added row now holds
+    /// the removed row's slot `slot`.
+    Rewrite {
+        /// The rewritten slot.
+        slot: usize,
+        /// The pair's index in both lists.
+        added: usize,
+    },
+    /// A leftover removed row left `slot`, and the last slot moved into
+    /// it (`Vec::swap_remove`).
+    SwapRemove {
+        /// The vacated slot.
+        slot: usize,
+    },
+    /// The leftover added row at index `added` took a new last slot.
+    Append {
+        /// Its index in the added list.
+        added: usize,
+    },
+}
 
 /// Does `row` hold a labeled null?
 fn row_has_null(row: &(impl RowRef + ?Sized)) -> bool {
@@ -186,6 +221,13 @@ impl Relation {
     /// resolved into a stack buffer, and a value unknown to a dictionary
     /// means `t` cannot be a member.
     fn search_row(&self, t: &(impl RowRef + ?Sized)) -> Option<usize> {
+        let key = self.key_of(t)?;
+        self.search_probe(&key[..self.cols.len()]).ok()
+    }
+
+    /// `t`'s id key, or `None` if its arity is wrong or a value of it was
+    /// never interned (so it cannot be a member).
+    fn key_of(&self, t: &(impl RowRef + ?Sized)) -> Option<IdKey> {
         if t.arity() != self.attrs.len() {
             return None;
         }
@@ -193,7 +235,7 @@ impl Relation {
         for (i, (c, id)) in self.cols.iter().zip(&mut key).enumerate() {
             *id = c.id_of(t.at(i))?;
         }
-        self.search_probe(&key[..self.cols.len()]).ok()
+        Some(key)
     }
 
     /// Position in `order` of an existing row slot.
@@ -270,35 +312,12 @@ impl Relation {
     /// Fails if the row's arity does not match, or a column dictionary
     /// exhausts its id space ([`RelationError::DictFull`]).
     pub fn insert_row(&mut self, t: &(impl RowRef + ?Sized)) -> Result<bool> {
-        if t.arity() != self.attrs.len() {
-            return Err(RelationError::ArityMismatch {
-                expected: self.attrs.len(),
-                got: t.arity(),
-            });
-        }
-        // Intern the key (no-op for seen values); a fresh value in any
-        // column means the row cannot already be present.
-        let mut key: IdKey = [0; MAX_ATTRS];
-        let mut fresh_value = false;
-        for (i, (c, id)) in self.cols.iter_mut().zip(&mut key).enumerate() {
-            let before = c.dict_len();
-            *id = c.intern(t.at(i))?;
-            fresh_value |= c.dict_len() != before;
-        }
+        let key = self.intern_key(t)?;
         let key = &key[..self.cols.len()];
         match self.search_probe(key) {
-            Ok(_) => {
-                debug_assert!(!fresh_value, "a row with a fresh value cannot be present");
-                Ok(false)
-            }
+            Ok(_) => Ok(false),
             Err(pos) => {
-                let slot = self.len as u32;
-                self.null_rows += usize::from(row_has_null(t));
-                for (c, &id) in self.cols.iter_mut().zip(key) {
-                    c.ids.push(id);
-                }
-                self.len += 1;
-                self.order.insert(pos, slot);
+                self.append_at(pos, key, t);
                 Ok(true)
             }
         }
@@ -311,9 +330,187 @@ impl Relation {
     /// order after a removal differs from pure insertion order (it stays
     /// deterministic for a given operation sequence).
     pub fn remove(&mut self, t: &(impl RowRef + ?Sized)) -> bool {
-        let Some(pos) = self.search_row(t) else {
-            return false;
+        match self.search_row(t) {
+            Some(pos) => {
+                self.swap_remove_at(pos, t);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Apply a delta: remove the rows of `removed` and add those of
+    /// `added`, two lists of distinct rows with no row in both (but
+    /// see the last rule below). This is the one
+    /// edit rule every copy of a relation follows — the writer, snapshot
+    /// replay, CDC folds and checkpoint replay — so the resulting row
+    /// order depends only on the starting order and the two lists:
+    ///
+    /// 1. each pair `(removed[i], added[i])`, `i < min(|removed|,
+    ///    |added|)`, is rewritten in place: `added[i]` takes
+    ///    `removed[i]`'s storage slot, and the slot's entry in the sorted
+    ///    index moves only if its sort position changes;
+    /// 2. the leftover removed rows are swap-removed, in order (as
+    ///    [`Relation::remove`]);
+    /// 3. the leftover added rows are appended, in order (as
+    ///    [`Relation::insert_row`]).
+    ///
+    /// A pair whose two rows are equal is the one row allowed in both
+    /// lists: it leaves its slot as it is.
+    ///
+    /// # Errors
+    /// [`RelationError::AbsentRow`] if a removed row is not present
+    /// when its turn comes, [`RelationError::DuplicateRow`] if an added
+    /// one already is, an arity mismatch, or
+    /// [`RelationError::DictFull`]. The edits before the failing row
+    /// stay applied; a caller that must fail whole checks first or
+    /// discards the relation.
+    pub fn apply_delta<A: RowRef, B: RowRef>(
+        &mut self,
+        removed: impl IntoIterator<Item = A>,
+        added: impl IntoIterator<Item = B>,
+    ) -> Result<()> {
+        self.apply_delta_tracked(removed, added, |_| {})
+    }
+
+    /// [`Relation::apply_delta`], reporting each slot edit to `on_edit`
+    /// as it is made, so a caller can keep a vector parallel to the row
+    /// slots (the engine's support counts) in step.
+    ///
+    /// # Errors
+    /// As [`Relation::apply_delta`].
+    pub fn apply_delta_tracked<A: RowRef, B: RowRef>(
+        &mut self,
+        removed: impl IntoIterator<Item = A>,
+        added: impl IntoIterator<Item = B>,
+        mut on_edit: impl FnMut(SlotEdit),
+    ) -> Result<()> {
+        let (mut removed, mut added) = (removed.into_iter().fuse(), added.into_iter().fuse());
+        for index in 0.. {
+            let edit = match (removed.next(), added.next()) {
+                (Some(old), Some(new)) => SlotEdit::Rewrite {
+                    slot: self.rewrite(&old, &new, index)?,
+                    added: index,
+                },
+                (Some(old), None) => {
+                    self.check_arity(&old)?;
+                    let pos = self
+                        .search_row(&old)
+                        .ok_or(RelationError::AbsentRow { index })?;
+                    SlotEdit::SwapRemove {
+                        slot: self.swap_remove_at(pos, &old),
+                    }
+                }
+                (None, Some(new)) => {
+                    let key = self.intern_key(&new)?;
+                    let key = &key[..self.cols.len()];
+                    let pos = self
+                        .search_probe(key)
+                        .err()
+                        .ok_or(RelationError::DuplicateRow { index })?;
+                    self.append_at(pos, key, &new);
+                    SlotEdit::Append { added: index }
+                }
+                (None, None) => break,
+            };
+            on_edit(edit);
+        }
+        Ok(())
+    }
+
+    /// Pair `index` of [`Relation::apply_delta_tracked`]: write `new`'s
+    /// ids over `old`'s slot and move the slot's index entry only if its
+    /// sort position changes. Returns the slot.
+    fn rewrite(
+        &mut self,
+        old: &(impl RowRef + ?Sized),
+        new: &(impl RowRef + ?Sized),
+        index: usize,
+    ) -> Result<usize> {
+        self.check_arity(old)?;
+        self.check_arity(new)?;
+        let absent = || RelationError::AbsentRow { index };
+        let mut key = self.key_of(old).ok_or_else(absent)?;
+        let n = self.cols.len();
+        let pos = self.search_probe(&key[..n]).map_err(|_| absent())?;
+        let slot = self.order[pos];
+        // Only the columns whose value changes are interned.
+        let mut changed = false;
+        for (i, (c, id)) in self.cols.iter_mut().zip(&mut key).enumerate() {
+            let v = new.at(i);
+            if v != old.at(i) {
+                *id = c.intern(v)?;
+                changed = true;
+            }
+        }
+        if !changed {
+            return Ok(slot as usize);
+        }
+        let key = &key[..n];
+        // A key strictly between the slot's index neighbours keeps its
+        // position and is no other row's; otherwise search, with the
+        // index still holding `slot` under its old key, so `to` is where
+        // the new key would go with the old one still present.
+        let neighbour = |p: usize| self.cmp_slot_probe(self.order[p], key);
+        let fits = (pos == 0 || neighbour(pos - 1) == Ordering::Less)
+            && (pos + 1 == self.len || neighbour(pos + 1) == Ordering::Greater);
+        let to = if fits {
+            pos
+        } else {
+            self.search_probe(key)
+                .err()
+                .ok_or(RelationError::DuplicateRow { index })?
         };
+        self.null_rows -= usize::from(row_has_null(old));
+        self.null_rows += usize::from(row_has_null(new));
+        for (c, &id) in self.cols.iter_mut().zip(key) {
+            c.ids[slot as usize] = id;
+        }
+        if to < pos {
+            self.order[to..=pos].rotate_right(1);
+        } else if to > pos + 1 {
+            self.order[pos..to].rotate_left(1);
+        }
+        Ok(slot as usize)
+    }
+
+    /// Fail unless `t` has this relation's arity.
+    fn check_arity(&self, t: &(impl RowRef + ?Sized)) -> Result<()> {
+        if t.arity() == self.attrs.len() {
+            Ok(())
+        } else {
+            Err(RelationError::ArityMismatch {
+                expected: self.attrs.len(),
+                got: t.arity(),
+            })
+        }
+    }
+
+    /// Intern `t`'s values (a no-op for seen ones) into an id key.
+    fn intern_key(&mut self, t: &(impl RowRef + ?Sized)) -> Result<IdKey> {
+        self.check_arity(t)?;
+        let mut key: IdKey = [0; MAX_ATTRS];
+        for (i, (c, id)) in self.cols.iter_mut().zip(&mut key).enumerate() {
+            *id = c.intern(t.at(i))?;
+        }
+        Ok(key)
+    }
+
+    /// Store the absent row `t`, interned as `key`, in a new last slot
+    /// indexed at `pos`.
+    fn append_at(&mut self, pos: usize, key: &[u32], t: &(impl RowRef + ?Sized)) {
+        let slot = self.len as u32;
+        self.null_rows += usize::from(row_has_null(t));
+        for (c, &id) in self.cols.iter_mut().zip(key) {
+            c.ids.push(id);
+        }
+        self.len += 1;
+        self.order.insert(pos, slot);
+    }
+
+    /// Swap-remove the row `t` indexed at `pos`: the last row moves into
+    /// its slot. Returns the vacated slot.
+    fn swap_remove_at(&mut self, pos: usize, t: &(impl RowRef + ?Sized)) -> usize {
         let slot = self.order[pos];
         let last = (self.len - 1) as u32;
         if slot != last {
@@ -329,7 +526,7 @@ impl Relation {
             c.ids.swap_remove(slot as usize);
         }
         self.len -= 1;
-        true
+        slot as usize
     }
 
     /// The storage slot (index into [`rows`]) of `t`, if present.
@@ -696,6 +893,64 @@ mod tests {
         assert!(r.remove(&tup![20]));
         let got: Vec<Tuple> = r.iter().map(|t| t.to_tuple()).collect();
         assert_eq!(got, vec![tup![10], tup![40], tup![30]]);
+    }
+
+    #[test]
+    fn apply_delta_rewrites_pairs_in_place() {
+        let attrs = set(&[0, 1]);
+        let mut r =
+            Relation::from_rows(attrs, [tup![1, 10], tup![2, 10], tup![3, 10], tup![4, 20]])
+                .unwrap();
+        let mut edits = Vec::new();
+        // Two pairs (the first keeps its sort position, the second
+        // moves), then one leftover removal.
+        r.apply_delta_tracked(
+            [tup![2, 10], tup![3, 10], tup![1, 10]],
+            [tup![2, 11], tup![0, 99]],
+            |e| edits.push(e),
+        )
+        .unwrap();
+        r.debug_validate();
+        assert_eq!(r.rows(), vec![tup![4, 20], tup![2, 11], tup![0, 99]]);
+        assert_eq!(
+            edits,
+            [
+                SlotEdit::Rewrite { slot: 1, added: 0 },
+                SlotEdit::Rewrite { slot: 2, added: 1 },
+                SlotEdit::SwapRemove { slot: 0 },
+            ]
+        );
+        // Leftover additions append; a pair of equal rows is a no-op.
+        r.apply_delta([tup![4, 20]], [tup![4, 20], tup![5, 50]])
+            .unwrap();
+        r.debug_validate();
+        assert_eq!(
+            r.rows(),
+            vec![tup![4, 20], tup![2, 11], tup![0, 99], tup![5, 50]]
+        );
+    }
+
+    #[test]
+    fn apply_delta_refuses_absent_and_present_rows() {
+        let attrs = set(&[0]);
+        let mut r = Relation::from_rows(attrs, [tup![1], tup![2]]).unwrap();
+        let none: [Tuple; 0] = [];
+        assert_eq!(
+            r.clone().apply_delta([tup![9]], [tup![3]]),
+            Err(RelationError::AbsentRow { index: 0 })
+        );
+        assert_eq!(
+            r.clone().apply_delta([tup![1]], [tup![2]]),
+            Err(RelationError::DuplicateRow { index: 0 })
+        );
+        assert_eq!(
+            r.clone().apply_delta([tup![1], tup![9]], none.clone()),
+            Err(RelationError::AbsentRow { index: 1 })
+        );
+        assert_eq!(
+            r.apply_delta(none, [tup![3], tup![2]]),
+            Err(RelationError::DuplicateRow { index: 1 })
+        );
     }
 
     #[test]

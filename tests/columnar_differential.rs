@@ -57,6 +57,37 @@ impl RowOracle {
             None => false,
         }
     }
+
+    /// The delta pair rule: the `i`-th removed row is overwritten by the
+    /// `i`-th added row where it stands, then the leftover removals are
+    /// swap-removed and the leftover additions pushed, in order.
+    fn apply_delta(&mut self, removed: &[Tuple], added: &[Tuple]) {
+        for (old, new) in removed.iter().zip(added) {
+            let i = self
+                .rows
+                .iter()
+                .position(|r| r == old)
+                .expect("removed rows are present");
+            self.rows[i] = new.clone();
+        }
+        for old in removed.iter().skip(added.len()) {
+            assert!(self.remove(old), "removed rows are present");
+        }
+        for new in added.iter().skip(removed.len()) {
+            assert!(self.insert(new.clone()), "added rows are absent");
+        }
+    }
+}
+
+/// `k` distinct rows of `oracle`, in random order.
+fn pick_rows(rng: &mut StdRng, oracle: &RowOracle, k: usize) -> Vec<Tuple> {
+    let mut rows = oracle.rows.clone();
+    for i in 0..k.min(rows.len()) {
+        let j = rng.gen_range(i..rows.len());
+        rows.swap(i, j);
+    }
+    rows.truncate(k);
+    rows
 }
 
 fn rand_tuple(rng: &mut StdRng, arity: usize, pool: u64, nulls: bool) -> Tuple {
@@ -142,6 +173,91 @@ proptest! {
         let rebuilt = Relation::from_rows(attrs, oracle.rows.iter().cloned()).unwrap();
         rebuilt.debug_validate();
         prop_assert_eq!(rebuilt.rows(), r.rows());
+    }
+
+    /// `Relation::apply_delta` lands on the row-oracle's storage order
+    /// on random deltas of every shape the pair rule has. The first
+    /// column is a key (like `E`), so the sorted index orders rows by it
+    /// alone: a pair that rewrites other columns keeps its index
+    /// position (a manager change), and a pair that moves the key to a
+    /// fresh value — the largest id — moves to the end of the index (an
+    /// `ingest_exact` rename). Leftover removals and insertions come on
+    /// either side, and a final round pairs arbitrary rows.
+    #[test]
+    fn pair_rule_matches_row_oracle(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let arity = rng.gen_range(2..4usize);
+        let attrs = AttrSet::first_n(arity);
+        let mut next_key = 0u64;
+        let mut fresh_key = |rng: &mut StdRng| {
+            next_key += rng.gen_range(1..3u64);
+            Value::int(next_key)
+        };
+        let keyed = |key: Value, rng: &mut StdRng| {
+            let rest = rand_tuple(rng, arity - 1, 4, true);
+            Tuple::new(std::iter::once(key).chain(rest.values()))
+        };
+        // Churn the storage order before the deltas start.
+        let mut r = Relation::new(attrs);
+        let mut oracle = RowOracle::default();
+        for _ in 0..rng.gen_range(4..24usize) {
+            let t = keyed(fresh_key(&mut rng), &mut rng);
+            prop_assert_eq!(r.insert(t.clone()).unwrap(), oracle.insert(t));
+            if rng.gen_bool(0.3) {
+                let victim = pick_rows(&mut rng, &oracle, 1);
+                prop_assert_eq!(r.remove(&victim[0]), oracle.remove(&victim[0]));
+            }
+        }
+        let (mut kept, mut moved) = (0, 0);
+        for round in 0..8 {
+            let n_removed = rng.gen_range(0..oracle.rows.len().min(5) + 1);
+            let n_added = rng.gen_range(0..6usize);
+            let removed = pick_rows(&mut rng, &oracle, n_removed);
+            let added: Vec<Tuple> = (0..n_added)
+                .map(|i| match removed.get(i) {
+                    // Keep the key, rewrite the other columns.
+                    Some(old) if rng.gen_bool(0.5) => {
+                        kept += 1;
+                        let rest = rand_tuple(&mut rng, arity - 1, 4, true);
+                        Tuple::new(std::iter::once(old.at(0)).chain(rest.values()))
+                    }
+                    // A fresh key: the row moves to the end of the index.
+                    Some(old) => {
+                        moved += 1;
+                        let rest = old.as_slice()[1..].to_vec();
+                        Tuple::new(std::iter::once(fresh_key(&mut rng)).chain(rest))
+                    }
+                    None => keyed(fresh_key(&mut rng), &mut rng),
+                })
+                .collect();
+            // A kept key with unchanged columns is the same row: a pair
+            // the rule leaves as it is.
+            r.apply_delta(removed.iter(), added.iter()).unwrap();
+            oracle.apply_delta(&removed, &added);
+            r.debug_validate();
+            prop_assert_eq!(r.rows(), oracle.rows.as_slice(), "round {}: storage order drift", round);
+            prop_assert_eq!(r.has_nulls(), oracle.rows.iter().any(Tuple::has_null));
+        }
+        prop_assert!(kept + moved > 0 || oracle.rows.is_empty());
+        // Arbitrary pairs over a churned relation without a key.
+        let pool = rng.gen_range(3..7u64);
+        let (mut r, mut oracle) = churned(&mut rng, attrs, 40, pool);
+        for round in 0..6 {
+            let n_removed = rng.gen_range(0..4usize);
+            let removed = pick_rows(&mut rng, &oracle, n_removed);
+            let mut added: Vec<Tuple> = Vec::new();
+            for _ in 0..rng.gen_range(0..4usize) {
+                let t = rand_tuple(&mut rng, arity, pool, true);
+                if !oracle.rows.contains(&t) && !added.contains(&t) {
+                    added.push(t);
+                }
+            }
+            r.apply_delta(removed.iter(), added.iter()).unwrap();
+            oracle.apply_delta(&removed, &added);
+            r.debug_validate();
+            prop_assert_eq!(r.rows(), oracle.rows.as_slice(), "arbitrary round {}: storage order drift", round);
+            prop_assert_eq!(r.has_nulls(), oracle.rows.iter().any(Tuple::has_null));
+        }
     }
 
     /// Every `ops` operator reproduces an order-preserving nested-loop

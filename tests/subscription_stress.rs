@@ -55,16 +55,13 @@ fn rows_of(rel: &Relation) -> Vec<Tuple> {
     rel.rows().to_vec()
 }
 
-/// Fold one delta the way the engine advances instances: removals
-/// first (swap-remove mechanics), then insertions, both in recorded
+/// Fold one delta the way the engine advances instances: each
+/// delete/insert pair rewritten in the delete's slot, then the leftover
+/// deletes swap-removed and the leftover inserts appended, in recorded
 /// order.
 fn fold(rel: &mut Relation, d: &ViewDelta) {
-    for t in d.deletes() {
-        assert!(rel.remove(t), "delete of a row the fold does not hold");
-    }
-    for t in d.inserts() {
-        rel.insert_row(t).expect("subscribed delta keeps arity");
-    }
+    rel.apply_delta(d.deletes(), d.inserts())
+        .expect("a subscribed delta folds into the subscriber's copy");
 }
 
 /// The writer-side oracle: after each ack the writer pins a snapshot
