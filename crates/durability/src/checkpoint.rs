@@ -470,8 +470,14 @@ pub(crate) struct LoadedChain {
 
 /// Validate and load the checkpoint chain ending at `name`: walk parent
 /// links back to a full checkpoint (every link must name an existing
-/// file whose body crc matches), load the base, then replay each delta
-/// oldest-first.
+/// file whose body crc matches), load the base with its views deferred
+/// ([`Database::load_deferred`]), replay each delta's commits onto the
+/// base oldest-first, and only then register the views, so each view is
+/// built once per recovery whatever the chain's length. Each link is
+/// still checked as
+/// [`Database::apply_checkpoint_deltas`] checks it — seqs in order,
+/// removed rows present, added rows absent, Σ satisfied at the link's
+/// end — and a link that fails rejects the whole chain.
 ///
 /// # Errors
 /// [`DurabilityError::CorruptCheckpoint`] if any link is missing,
@@ -530,20 +536,27 @@ pub(crate) fn load_chain<V: Vfs>(vfs: &V, name: &str) -> Result<LoadedChain, Dur
     // Load base, replay deltas oldest-first.
     links.reverse();
     let (base_name, base_header, base_body) = &links[0];
-    let db = Database::load(base_body).map_err(|e| DurabilityError::CorruptCheckpoint {
+    let base_corrupt = |e| DurabilityError::CorruptCheckpoint {
         name: base_name.clone(),
         detail: format!("snapshot does not load: {e}"),
-    })?;
-    db.resume_at(base_header.seq)?;
+    };
+    // The views are registered only after the last delta, so each is
+    // built once over the final base rather than at load and again
+    // after every link.
+    let pending = Database::load_deferred(base_body).map_err(base_corrupt)?;
+    pending.db().resume_at(base_header.seq)?;
     for (delta_name, delta_header, delta_body) in &links[1..] {
         let commits = parse_delta_body(delta_name, delta_body)?;
         let commits = commits.iter().map(|(s, r, a)| (*s, &r[..], &a[..]));
-        db.apply_checkpoint_deltas(commits, delta_header.seq)
+        pending
+            .db()
+            .apply_checkpoint_deltas(commits, delta_header.seq)
             .map_err(|e| DurabilityError::CorruptCheckpoint {
                 name: delta_name.clone(),
                 detail: format!("delta does not apply: {e}"),
             })?;
     }
+    let db = pending.finish().map_err(base_corrupt)?;
     let tip = links.last().expect("chain is nonempty");
     relvu_obs::histogram!("durability.ckpt.chain_len").record((links.len() - 1) as u64);
     Ok(LoadedChain {

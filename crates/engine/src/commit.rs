@@ -128,15 +128,6 @@ impl RowBuf {
         }
     }
 
-    /// The rows of `rel`, in storage order.
-    pub(crate) fn of_relation(rel: &Relation) -> Self {
-        let mut buf = RowBuf::with_capacity(rel.attrs().len(), rel.len());
-        for row in rel {
-            buf.push(row.values());
-        }
-        buf
-    }
-
     /// Append one row.
     ///
     /// # Panics

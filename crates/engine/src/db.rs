@@ -1124,10 +1124,14 @@ impl Database {
     /// Each commit's removed and added rows are applied by
     /// [`Relation::apply_delta`], the rule the live engine applied them
     /// by, reproducing its exact base-row order (so a subsequent dump is
-    /// byte-identical). Every view
-    /// materialization is rebuilt afterwards and Σ revalidated, so a
+    /// byte-identical). Σ is revalidated at the end of the call, so a
     /// corrupt or mismatched delta surfaces as an error rather than a
-    /// silently-wrong state. On error the engine is left unchanged.
+    /// silently-wrong state, and every registered view's
+    /// materialization is rebuilt. On error the engine is left
+    /// unchanged. A loader replaying a chain of several deltas calls
+    /// this once per link on a [`crate::PendingLoad`], whose views are
+    /// registered only after the last link: each link is still checked,
+    /// and no view is rebuilt per link.
     ///
     /// # Errors
     /// [`EngineError::SeqRegression`] if `final_seq` is behind the
@@ -1474,6 +1478,63 @@ mod tests {
             }
         }
         assert!(snap.mat_parts("emp_lo").unwrap().1.is_some());
+    }
+
+    #[test]
+    fn rebuilds_after_set_fds_and_an_abort_recount_in_the_published_order() {
+        // The views of `writer_rows_keep_the_published_order`, moved out
+        // of first-occurrence order by the same commits; `set_fds` and an
+        // aborted batch then rebuild every materialization over the
+        // published instances.
+        let s = Schema::new(["E", "D", "M"]).unwrap();
+        let fds = FdSet::parse(&s, "E -> D; D -> M").unwrap();
+        let rows = (0..6u64).map(|e| tup![e, e % 3, 100 + e % 3]);
+        let base = Relation::from_rows(s.universe(), rows).unwrap();
+        let db = Database::new(s.clone(), fds.clone(), base).unwrap();
+        let mgrs = s.set(["D", "M"]).unwrap();
+        db.create_view("mgrs", mgrs, None, Policy::Exact).unwrap();
+        let emp = s.set(["E", "D"]).unwrap();
+        db.create_view("emp", emp, Some(mgrs), Policy::Exact)
+            .unwrap();
+        let d = s.attr("D").unwrap();
+        db.create_selection_view("emp_lo", emp, Some(mgrs), Pred::cmp(d, CmpOp::Lt, 2))
+            .unwrap();
+        db.create_view_over("emp_e", "emp", s.set(["E"]).unwrap(), None, Policy::Exact)
+            .unwrap();
+        db.replace_via("mgrs", tup![0, 100], tup![0, 200]).unwrap();
+        db.replace_via("emp", tup![3, 0], tup![9, 0]).unwrap();
+        db.replace_via("emp", tup![4, 1], tup![4, 2]).unwrap();
+        db.delete_via("emp", tup![5, 2]).unwrap();
+        let check = |what: &str| {
+            let inner = db.inner.read();
+            for name in inner.cur.dag.order() {
+                let def = &inner.cur.views[name];
+                let mat = &inner.mats[name];
+                let published = inner.cur.insts[name].inst.get();
+                assert_eq!(mat.instance().rows(), published.rows(), "`{name}` {what}");
+                let source = def.parent().map(|p| inner.mats[p].instance().clone());
+                crate::mat::tests::assert_build_matches_folds(
+                    mat,
+                    &inner.base,
+                    source.as_ref(),
+                    def,
+                    true,
+                    &format!("`{name}` {what}"),
+                );
+            }
+        };
+        check("after the commits");
+        db.set_fds(fds).unwrap();
+        check("after set_fds");
+        let aborted = db.apply_batch(vec![
+            ("emp".into(), UpdateOp::Delete { t: tup![0, 0] }),
+            ("emp".into(), UpdateOp::Insert { t: tup![7, 99] }),
+        ]);
+        assert!(matches!(
+            aborted,
+            Err(EngineError::BatchFailed { index: 1, .. })
+        ));
+        check("after an abort");
     }
 }
 

@@ -47,6 +47,7 @@ pub use metrics::EngineMetrics;
 pub use mvcc::{EngineSnapshot, MatParts};
 pub use policy::Policy;
 pub use reader::EngineReader;
+pub use snapshot::PendingLoad;
 pub use subscribe::{SubEvent, SubscribeFrom, SubscribeOptions, Subscription};
 pub use view::ViewDef;
 

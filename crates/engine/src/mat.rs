@@ -41,10 +41,11 @@
 //! all.
 //!
 //! Both sides then fold the base delta **netted by key, in place**: a
-//! pair whose two rows project equally is dropped before any sort (obs
-//! `engine.mat.net_sorted_rows` counts the rows that are sorted), the
-//! other source rows are sorted (by reference) on their key columns,
-//! each run of equal keys collapses to one signed count, and only a key
+//! pair whose two rows project equally is dropped before any sort,
+//! adjacent rows with equal keys merge into one signed entry, the
+//! entries are sorted (by reference) on their key columns (obs
+//! `engine.mat.net_sorted_rows` counts them), each run of equal keys
+//! collapses to one signed count, and only a key
 //! whose count is non-zero is projected, into one flat buffer of keys.
 //! Only a key whose support crosses zero edits an array (obs
 //! `engine.mat.instance_edits` / `engine.mat.complement_edits`). So a
@@ -56,10 +57,19 @@
 //! publish re-root a long chain on a clone of them; see
 //! [`crate::mvcc`]).
 //!
-//! Full recomputation ([`ViewMat::build`]) survives as the rebuild path
-//! after Σ replacement, snapshot load, checkpoint-delta replay and an
-//! abort — and, in debug builds, as the oracle
-//! [`ViewMat::debug_assert_consistent`] checks after every commit.
+//! Full recomputation ([`ViewMat::build`]) is the path at view
+//! registration and the rebuild path after Σ replacement, snapshot load
+//! and an abort — and, in debug builds, the oracle
+//! [`ViewMat::debug_assert_consistent`] checks after every commit. It
+//! goes through no net: one counted projection
+//! ([`ops::project_counted`]) of the feed gives the instance in
+//! first-occurrence order with each tuple's support, slot for slot, and
+//! one of the base gives the distinct complement entries with their
+//! counts, which alone are then sorted into the join's order. Each is a
+//! single sort of `u32` id keys, where netting sorted every source row
+//! by value. Recovery registers the views only after the whole
+//! checkpoint-delta chain has been applied to the base, so it builds
+//! each view once.
 
 use std::cmp::Ordering;
 
@@ -113,12 +123,16 @@ pub(crate) struct ViewMat {
 impl ViewMat {
     /// Materialize `def` over `base` by a full scan, the view side fed
     /// from `source` when given (the parent's materialized instance)
-    /// and from `base` otherwise. O((|base| + |source|) log) via the
-    /// bulk construction paths; used at view registration and as the
-    /// rebuild path after `set_fds`, `Database::load`, checkpoint-delta
-    /// replay and an abort. A rebuild that keeps the view's `published`
+    /// and from `base` otherwise; used at view registration (and so at
+    /// `Database::load` and recovery) and as the rebuild path after
+    /// `set_fds` and an abort. O((|base| + |source|) log) in two counted
+    /// projections: the feed's onto `X` is the instance with its
+    /// support, and the base's onto `Y` gives the complement entries and
+    /// counts, sorted once over the distinct entries into (`X∩Y`, tuple)
+    /// value order. A rebuild that keeps the view's `published`
     /// instance (and split) over the same base adopts it, row order
-    /// included, so later folds stay in the published row order.
+    /// included, so later folds stay in the published row order; only
+    /// then is each count's slot looked up.
     ///
     /// # Errors
     /// The same [`relvu_relation::RelationError::NotASubset`] a fresh
@@ -137,22 +151,25 @@ impl ViewMat {
         let x_pos = positions(x, feed.attrs())?;
         let y_pos = positions(y, base.attrs())?;
         let shared_pos = positions(shared, base.attrs())?;
-        let instance = match published {
-            Some(vs) => (*vs.inst.get()).clone(),
-            None => ops::project(feed, x)?,
+        // One counted projection gives the instance in first-occurrence
+        // order with each tuple's support, slot for slot.
+        let (fresh, counts) = ops::project_counted(feed, x)?;
+        let (instance, support) = match published {
+            None => (fresh, counts),
+            // A published instance holds the same tuples in the order
+            // the folds left them: look each count's slot up there.
+            Some(vs) => {
+                let instance = (*vs.inst.get()).clone();
+                let mut support = vec![0u64; instance.len()];
+                for (xt, n) in fresh.iter().zip(counts) {
+                    let slot = instance
+                        .slot_of(&xt)
+                        .expect("the published instance is this base's projection");
+                    support[slot] = n;
+                }
+                (instance, support)
+            }
         };
-        let mut support = vec![0u64; instance.len()];
-        // The bulk nets sort whole relations: read each row out of its
-        // id columns once, into one flat buffer, rather than on every
-        // comparison.
-        let feed_rows = RowBuf::of_relation(feed);
-        let (keys, counts) = net([], feed_rows.block().iter(), &[], &x_pos);
-        for (xt, n) in keys.block().iter().zip(counts) {
-            let slot = instance
-                .slot_of(xt)
-                .expect("every projection is in the bulk projection");
-            support[slot] = n as u64;
-        }
         let kept_split = published.and_then(|vs| vs.split.as_ref());
         let split = def.pred().map(|pred| match kept_split {
             Some((m, r)) => ((*m.get()).clone(), (*r.get()).clone()),
@@ -170,17 +187,16 @@ impl ViewMat {
                 None => (false, y.rank(a).expect("a joined column is in x or y")),
             })
             .collect();
-        // Bulk complement: the whole base, netted by key.
-        let base_rows = match source {
-            Some(_) => RowBuf::of_relation(base),
-            None => feed_rows,
-        };
-        let (keys, counts) = net([], base_rows.block().iter(), &shared_pos, &y_pos);
-        let y_entries = keys
-            .block()
-            .iter()
-            .zip(counts)
-            .map(|(yt, n)| (Tuple::new(yt.iter().copied()), n as u64))
+        // The complement: one counted projection of the base, its
+        // distinct entries then sorted once into the join's order.
+        let (entries, counts) = ops::project_counted(base, y)?;
+        let y_entries = entries
+            .slots_in_value_order(shared)
+            .into_iter()
+            .map(|slot| {
+                let slot = slot as usize;
+                (entries.row(slot).to_tuple(), counts[slot])
+            })
             .collect();
         relvu_obs::counter!("engine.mat.tuples").add(instance.len() as u64);
         relvu_obs::counter!("engine.mat.rebuilds").inc();
@@ -522,9 +538,12 @@ fn cmp_at(pos: &[usize], a: &impl RowRef, b: &impl RowRef) -> Ordering {
 /// added[i])` of the [`Relation::apply_delta`] pairing whose two rows
 /// project equally (a case-2 replace pairs every row with its own
 /// successor, so a projection that misses `X − Y` cancels whole without
-/// a sort), then sort references to the other removed (−1) and added
-/// (+1) source rows by their `major` columns, then their `key` columns,
-/// and collapse each run of equal keys to one signed count.
+/// a sort), then merge each run of adjacent rows with equal keys into
+/// one signed entry (the rows a translation joins to one view tuple
+/// arrive together, so a net onto that view's columns sorts one entry
+/// per list), then sort
+/// the entries (by reference) on their `major` columns, then their `key`
+/// columns, and collapse each run of equal keys to one signed count.
 /// Only a key whose count is non-zero is projected onto `key`, into one
 /// flat buffer, its count at the same index of the second result. The
 /// keys are strictly sorted in that order: `major` empty gives the key
@@ -540,20 +559,30 @@ fn net<R: RowRef>(
     let (mut removed, mut added) = (removed.into_iter(), added.into_iter());
     let (n_removed, n_added) = (removed.size_hint().0, added.size_hint().0);
     let pairs = n_removed.min(n_added);
+    let push = |entries: &mut Vec<(R, i64)>, row: R, n: i64| match entries.last_mut() {
+        Some(last) if cmp(&last.0, &row) == Ordering::Equal => last.1 += n,
+        _ => entries.push((row, n)),
+    };
     // The added rows of the kept pairs wait in `paired` and go last, so
     // a replace's two key runs reach the sort as two runs. (Pairing is
     // only a shortcut: netting the rows unpaired gives the same keys.)
     let mut rows: Vec<(R, i64)> = Vec::with_capacity(n_removed + n_added);
-    let mut paired: Vec<(R, i64)> = Vec::with_capacity(pairs);
+    let mut paired: Vec<(R, i64)> = Vec::new();
     for (r, a) in removed.by_ref().take(pairs).zip(added.by_ref()) {
         if cmp(&r, &a) != Ordering::Equal {
-            rows.push((r, -1));
-            paired.push((a, 1));
+            push(&mut rows, r, -1);
+            push(&mut paired, a, 1);
         }
     }
-    rows.extend(removed.map(|r| (r, -1)));
-    rows.extend(added.map(|a| (a, 1)));
-    rows.append(&mut paired);
+    for r in removed {
+        push(&mut rows, r, -1);
+    }
+    for a in added {
+        push(&mut rows, a, 1);
+    }
+    for (a, n) in paired {
+        push(&mut rows, a, n);
+    }
     relvu_obs::counter!("engine.mat.net_sorted_rows").add(rows.len() as u64);
     rows.sort_unstable_by(|a, b| cmp(&a.0, &b.0));
     let mut keys = RowBuf::with_capacity(key.len(), 0);
@@ -570,4 +599,4 @@ fn net<R: RowRef>(
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -483,3 +483,203 @@ fn apply_refuses_a_full_dictionary_before_any_edit() {
     assert!(m.apply(&mut probe, &delete, [&m]).is_ok());
     assert_eq!(probe.len(), 1);
 }
+
+// ---------------------------------------------------------------------
+// The bulk build against a materialization folded up from nothing.
+// ---------------------------------------------------------------------
+
+/// The reference build: `def` materialized over an empty base (and an
+/// empty feed), then every feed row folded into its view side and every
+/// base row into its complement, one row per fold and in storage order —
+/// so each tuple enters the instance at its first occurrence.
+fn folded_reference(base: &Relation, source: Option<&Relation>, def: &ViewDef) -> ViewMat {
+    let empty_base = Relation::new(base.attrs());
+    let empty_feed = source.map(|s| Relation::new(s.attrs()));
+    let mut m = ViewMat::build(&empty_base, empty_feed.as_ref(), def, None).unwrap();
+    for row in source.unwrap_or(base) {
+        m.fold_instance(buf(&[row.to_tuple()]).block(), Block::EMPTY);
+    }
+    for row in base {
+        m.fold_complement(buf(&[row.to_tuple()]).block(), Block::EMPTY);
+    }
+    m
+}
+
+/// `got` equals the folded reference: the instance rows in order, the
+/// support per slot, the complement entries with their counts, and the
+/// σ_P split rows in order. With `adopted`, `got` kept a published
+/// instance instead, so its rows are compared as a set and each slot's
+/// support against the reference's count of the same tuple.
+pub(crate) fn assert_build_matches_folds(
+    got: &ViewMat,
+    base: &Relation,
+    source: Option<&Relation>,
+    def: &ViewDef,
+    adopted: bool,
+    what: &str,
+) {
+    let want = folded_reference(base, source, def);
+    got.instance.debug_validate();
+    assert_eq!(got.y_entries, want.y_entries, "{what}: complement entries");
+    if !adopted {
+        assert_eq!(
+            got.instance.rows(),
+            want.instance.rows(),
+            "{what}: instance rows"
+        );
+        assert_eq!(got.support, want.support, "{what}: support per slot");
+        let rows = |m: &ViewMat| {
+            m.split
+                .as_ref()
+                .map(|(p, q)| (p.rows().to_vec(), q.rows().to_vec()))
+        };
+        assert_eq!(rows(got), rows(&want), "{what}: σ_P split rows");
+        return;
+    }
+    assert!(got.instance.set_eq(&want.instance), "{what}: instance set");
+    assert_eq!(
+        got.support.len(),
+        got.instance.len(),
+        "{what}: one count per slot"
+    );
+    for (slot, row) in got.instance.iter().enumerate() {
+        let at = want.instance.slot_of(&row).expect("same set");
+        assert_eq!(
+            got.support[slot], want.support[at],
+            "{what}: support of slot {slot}"
+        );
+    }
+}
+
+/// A random base over `universe`: `n` rows from values `0..domain`,
+/// sometimes inserted in descending value order (so dictionary ids run
+/// against the values) and sometimes edited afterwards (so ids are no
+/// longer in first-appearance order and dead values linger).
+fn random_base(rng: &mut StdRng, universe: AttrSet, n: usize, domain: u64) -> Relation {
+    let arity = universe.len();
+    let mut rows: Vec<Tuple> = (0..n)
+        .map(|_| Tuple::new((0..arity).map(|_| Value::int(rng.gen_range(0..domain)))))
+        .collect();
+    if rng.gen_bool(0.3) {
+        rows.sort_unstable_by(|a, b| b.cmp(a));
+    }
+    let mut base = Relation::from_rows(universe, rows).unwrap();
+    if rng.gen_bool(0.5) {
+        for _ in 0..n / 3 {
+            if base.is_empty() {
+                break;
+            }
+            let victim = base.row(rng.gen_range(0..base.len())).to_tuple();
+            base.remove(&victim);
+            let fresh = Tuple::new((0..arity).map(|_| Value::int(rng.gen_range(0..domain))));
+            base.insert(fresh).unwrap();
+        }
+    }
+    base
+}
+
+#[test]
+fn bulk_build_equals_folding_every_row() {
+    let universe = attrs(&[0, 1, 2, 3]);
+    let mut rng = StdRng::seed_from_u64(0xB01D);
+    let (mut disjoint, mut over_view, mut selections, mut dup_heavy) = (0, 0, 0, 0);
+    for case in 0..600 {
+        let x = random_attrs(&mut rng, 4);
+        // Y covers U − X and some of X: X∩Y is empty a quarter of the time.
+        let rest: AttrSet = universe.iter().filter(|&a| !x.contains(a)).collect();
+        let y = match rng.gen_bool(0.25) {
+            true if !rest.is_empty() => rest,
+            _ => rest | x.iter().filter(|_| rng.gen_bool(0.5)).collect::<AttrSet>(),
+        };
+        let y = if y.is_empty() { x } else { y };
+        disjoint += usize::from((x & y).is_empty());
+        // Small domains pile many rows on each projection; large ones
+        // make almost every projection distinct.
+        let domain = [2, 3, 1000][case % 3];
+        dup_heavy += usize::from(domain < 1000);
+        let n = rng.gen_range(0..48);
+        let base = random_base(&mut rng, universe, n, domain);
+        let mut def = ViewDef::new("v".into(), x, y, Policy::Exact, None, false, 0);
+        if rng.gen_bool(0.3) {
+            let a = x.iter().next().unwrap();
+            def = def.with_pred(Pred::cmp(a, CmpOp::Lt, domain.min(2)));
+            selections += 1;
+        }
+        let what = format!("case {case}: x {x:?} y {y:?}");
+        let built = ViewMat::build(&base, None, &def, None).unwrap();
+        assert_build_matches_folds(&built, &base, None, &def, false, &what);
+        // A child fed from this view's instance: π_cx over π_x.
+        let cx: AttrSet = x.iter().filter(|_| rng.gen_bool(0.6)).collect();
+        if !cx.is_empty() {
+            let child = ViewDef::new("c".into(), cx, universe - cx, Policy::Exact, None, false, 0);
+            let feed = built.instance.clone();
+            let got = ViewMat::build(&base, Some(&feed), &child, None).unwrap();
+            assert_build_matches_folds(&got, &base, Some(&feed), &child, false, &what);
+            over_view += 1;
+        }
+    }
+    assert!(
+        disjoint > 50 && over_view > 200 && selections > 100 && dup_heavy > 300,
+        "{disjoint} / {over_view} / {selections} / {dup_heavy}"
+    );
+}
+
+#[test]
+fn rebuild_over_a_published_instance_keeps_its_order() {
+    // Folds swap-remove and append, so after a few commits the instance
+    // is in neither first-occurrence nor value order; a rebuild that
+    // adopts it must keep that order and count each tuple afresh.
+    let universe = attrs(&[0, 1, 2]);
+    let mut rng = StdRng::seed_from_u64(0xAD0B7);
+    let mut reordered = 0;
+    for case in 0..200 {
+        let x = random_attrs(&mut rng, 3);
+        let y = (universe - x) | x.iter().take(1).collect::<AttrSet>();
+        let mut def = ViewDef::new("v".into(), x, y, Policy::Exact, None, false, 0);
+        if case % 2 == 0 {
+            def = def.with_pred(Pred::cmp(x.iter().next().unwrap(), CmpOp::Lt, 2));
+        }
+        let mut base = random_base(&mut rng, universe, 24, 4);
+        let mut m = ViewMat::build(&base, None, &def, None).unwrap();
+        for _ in 0..4 {
+            let removed: Vec<Tuple> = base
+                .iter()
+                .take(rng.gen_range(0..6))
+                .map(|r| r.to_tuple())
+                .collect();
+            let mut added: Vec<Tuple> = Vec::new();
+            for _ in 0..rng.gen_range(0..6) {
+                let t = Tuple::new((0..3).map(|_| Value::int(rng.gen_range(0..4))));
+                if !base.contains(&t) && !added.contains(&t) {
+                    added.push(t);
+                }
+            }
+            let (a, r) = (buf(&added), buf(&removed));
+            base.apply_delta(r.block().iter(), a.block().iter())
+                .unwrap();
+            m.fold_instance(a.block(), r.block());
+            m.fold_complement(a.block(), r.block());
+        }
+        let published = ViewSnap::of(&m);
+        let rebuilt = ViewMat::build(&base, None, &def, Some(&published)).unwrap();
+        assert_eq!(
+            rebuilt.instance.rows(),
+            m.instance.rows(),
+            "case {case}: published order"
+        );
+        assert_eq!(rebuilt.support, m.support, "case {case}: support");
+        if let (Some((p, q)), Some((pm, qm))) = (&rebuilt.split, &m.split) {
+            assert_eq!(
+                (p.rows(), q.rows()),
+                (pm.rows(), qm.rows()),
+                "case {case}: split"
+            );
+        }
+        assert_build_matches_folds(&rebuilt, &base, None, &def, true, &format!("case {case}"));
+        reordered += usize::from(m.instance.rows() != ops::project(&base, x).unwrap().rows());
+    }
+    assert!(
+        reordered > 50,
+        "{reordered} of 200 instances left first-occurrence order"
+    );
+}

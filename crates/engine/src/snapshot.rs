@@ -184,6 +184,59 @@ impl EngineSnapshot {
     }
 }
 
+/// A dumped view's registration call, parsed and not yet made.
+struct ViewLine {
+    name: String,
+    parent: Option<String>,
+    x: relvu_relation::AttrSet,
+    /// `None` for an `auto` view, whose complement is derived again.
+    y: Option<relvu_relation::AttrSet>,
+    policy: Policy,
+    /// The predicate of an `sview` line.
+    pred: Option<Pred>,
+}
+
+/// A database loaded from a dump whose views are not yet registered, so
+/// its base can still change wholesale — by checkpoint-delta replay —
+/// before any view is built over it. [`PendingLoad::finish`] then
+/// registers the dump's views, building each view once.
+pub struct PendingLoad {
+    db: Database,
+    views: Vec<ViewLine>,
+}
+
+impl PendingLoad {
+    /// The loaded schema, Σ and base, with no view registered yet: a
+    /// [`Database::resume_at`] or [`Database::apply_checkpoint_deltas`]
+    /// on it edits and checks the base alone and rebuilds no view.
+    pub fn db(&self) -> &Database {
+        &self.db
+    }
+
+    /// Register the dump's views in dump order (parents before their
+    /// children), each materialized once over the base as it now stands.
+    ///
+    /// # Errors
+    /// The usual creation errors if the dumped state is inconsistent.
+    pub fn finish(self) -> Result<Database> {
+        let db = self.db;
+        for v in self.views {
+            let (name, parent) = (v.name.as_str(), v.parent.as_deref());
+            // Replaying the original registration call re-derives the
+            // composition; view lines come out of `dump` in registration
+            // order, so a `from` target always exists by the time its
+            // children load.
+            match (v.pred, parent) {
+                (Some(pred), Some(p)) => db.create_selection_view_over(name, p, v.x, v.y, pred)?,
+                (Some(pred), None) => db.create_selection_view(name, v.x, v.y, pred)?,
+                (None, Some(p)) => db.create_view_over(name, p, v.x, v.y, v.policy)?,
+                (None, None) => db.create_view(name, v.x, v.y, v.policy)?,
+            }
+        }
+        Ok(db)
+    }
+}
+
 impl Database {
     /// Reconstruct a database from [`EngineSnapshot::dump`] output.
     ///
@@ -191,6 +244,18 @@ impl Database {
     /// [`EngineError::Load`] on malformed input; the usual creation errors
     /// if the dumped state is inconsistent.
     pub fn load(text: &str) -> Result<Database> {
+        Database::load_deferred(text)?.finish()
+    }
+
+    /// Parse a dump and load its schema, Σ and base, deferring the
+    /// registration of its views to [`PendingLoad::finish`]. A caller
+    /// that replays checkpoint deltas onto the loaded base in between
+    /// builds each view once instead of once per delta.
+    ///
+    /// # Errors
+    /// [`EngineError::Load`] on malformed input, including a malformed
+    /// view line; the usual creation errors if the base violates Σ.
+    pub fn load_deferred(text: &str) -> Result<PendingLoad> {
         let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
         match lines.next().map(|(_, l)| l.trim()) {
             Some("relvu-dump v1") | Some("relvu-dump v2") => {}
@@ -261,6 +326,7 @@ impl Database {
         let base =
             Relation::from_rows(schema.universe(), rows).map_err(|e| load_err(e.to_string()))?;
         let db = Database::new(schema.clone(), fds, base)?;
+        let mut views = Vec::with_capacity(view_lines.len());
         for (ln, is_selection, l) in view_lines {
             let words: Vec<&str> = l.split_whitespace().collect();
             if words.len() < 3 {
@@ -330,11 +396,12 @@ impl Database {
             // matching the original creation call; a declared view pins
             // the dumped attribute set.
             let y = if auto { None } else { Some(y) };
+            let mut pred = None;
             if is_selection {
                 if pred_toks.len() % 3 != 0 || pred_toks.is_empty() {
                     return Err(load_err_at(ln, format!("bad predicate in `{l}`")));
                 }
-                let mut pred = Pred::all();
+                let mut all = Pred::all();
                 for chunk in pred_toks.chunks(3) {
                     let attr = schema
                         .attr_checked(chunk[0])
@@ -344,24 +411,20 @@ impl Database {
                     let value: u64 = chunk[2]
                         .parse()
                         .map_err(|_| load_err_at(ln, format!("bad constant `{}`", chunk[2])))?;
-                    pred = pred.and(attr, op, value);
+                    all = all.and(attr, op, value);
                 }
-                // Replaying the original registration call re-derives the
-                // composition; view lines come out of `dump` in
-                // registration order, so a `from` target always exists by
-                // the time its children load.
-                match parent {
-                    Some(p) => db.create_selection_view_over(name, p, x, y, pred)?,
-                    None => db.create_selection_view(name, x, y, pred)?,
-                }
-            } else {
-                match parent {
-                    Some(p) => db.create_view_over(name, p, x, y, policy)?,
-                    None => db.create_view(name, x, y, policy)?,
-                }
+                pred = Some(all);
             }
+            views.push(ViewLine {
+                name: name.to_string(),
+                parent: parent.map(str::to_string),
+                x,
+                y,
+                policy,
+                pred,
+            });
         }
-        Ok(db)
+        Ok(PendingLoad { db, views })
     }
 }
 

@@ -5,13 +5,16 @@
 //! `π_X(R)`, translated insertions join `t * π_Y(R)`, complements are
 //! checked via `π_X(R) * π_Y(R) = R` (Theorem 1).
 //!
-//! All operators build their result through [`Relation::from_values`]'s
-//! bulk path (one `O(n log n)` index build) rather than per-row
-//! `insert`s, reading each row's values straight off the input's id
-//! columns — no intermediate tuples — and the join is a sort/gallop
-//! merge over interned id columns instead of a tuple-keyed hash join. Output row order is
-//! unchanged from the historical hash-based implementations — the
-//! serialization layers depend on it.
+//! Projection works on the input's id columns alone: one sort of the
+//! row slots by their interned ids finds the duplicates, and the output
+//! columns are gathered by remapping ids rather than interning each
+//! value again. The other operators build their result through
+//! [`Relation::from_values`]'s bulk path (one `O(n log n)` index build)
+//! rather than per-row `insert`s, reading each row's values straight off
+//! the input's id columns — no intermediate tuples — and the join is a
+//! sort/gallop merge over interned id columns instead of a tuple-keyed
+//! hash join. Output row order is unchanged from the historical
+//! hash-based implementations — the serialization layers depend on it.
 
 use std::cmp::Ordering;
 
@@ -20,48 +23,30 @@ use crate::{Attr, AttrSet, Relation, RelationError, Result, Row, Tuple, Value};
 
 /// Projection `π_X(r)`. `x` must be a subset of `r`'s attributes.
 ///
-/// Duplicates are discovered on the interned id columns *before* any
-/// output row is built: only the `|π_X(r)|` surviving rows are
-/// interned. First occurrence wins, so output order matches a
-/// sequential insert of each row's projection.
+/// The counted projection [`project_counted`] without its counts: both
+/// run the same code.
 ///
 /// # Errors
 /// Fails with [`RelationError::NotASubset`] otherwise.
 pub fn project(r: &Relation, x: AttrSet) -> Result<Relation> {
-    if !x.is_subset(&r.attrs()) {
-        return Err(RelationError::NotASubset);
-    }
-    let ranks = r.ranks_of(x);
-    let cols: Vec<&[u32]> = x.iter().map(|a| r.col_ids(a)).collect();
-    let n = r.len();
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        for ids in &cols {
-            match ids[a as usize].cmp(&ids[b as usize]) {
-                Ordering::Equal => continue,
-                other => return other,
-            }
-        }
-        a.cmp(&b)
-    });
-    let mut keep = vec![true; n];
-    for w in idx.windows(2) {
-        if cols
-            .iter()
-            .all(|ids| ids[w[0] as usize] == ids[w[1] as usize])
-        {
-            // Runs are slot-ascending, so the first occurrence survives.
-            keep[w[1] as usize] = false;
-        }
-    }
-    let ranks = &ranks;
-    Relation::from_values(
-        x,
-        r.iter()
-            .zip(&keep)
-            .filter(|&(_, &k)| k)
-            .map(|(t, _)| ranks.iter().map(move |&rank| t.at(rank))),
-    )
+    project_counted(r, x).map(|(p, _)| p)
+}
+
+/// Projection `π_X(r)` with each kept row's multiplicity: the number of
+/// rows of `r` projecting onto it, at the same index as its slot — the
+/// support count a materialized view keeps per tuple.
+///
+/// Duplicates are found by one sort of `r`'s slots on their interned
+/// `x` ids, before any output row is built; each run of equal ids keeps
+/// its first slot and counts its length. The output's dictionaries are
+/// filled by remapping the source columns' ids, so each distinct value
+/// is hashed once, not once per row. First occurrence wins, so output
+/// order matches a sequential insert of each row's projection.
+///
+/// # Errors
+/// Fails with [`RelationError::NotASubset`] otherwise.
+pub fn project_counted(r: &Relation, x: AttrSet) -> Result<(Relation, Vec<u64>)> {
+    r.project_counted(x)
 }
 
 /// Natural join `r * s` on the shared attributes.
@@ -199,6 +184,79 @@ mod tests {
         assert!(p.contains(&tup![1]));
         assert!(p.contains(&tup![2]));
         assert!(project(&r, set(&[5])).is_err());
+    }
+
+    /// The reference: insert each row's projection in storage order,
+    /// counting repeats.
+    fn counted_by_inserts(r: &Relation, x: AttrSet) -> (Vec<Tuple>, Vec<u64>) {
+        let ranks: Vec<usize> = x.iter().map(|a| r.attrs().rank(a).unwrap()).collect();
+        let mut rows: Vec<Tuple> = Vec::new();
+        let mut counts = Vec::new();
+        for t in r {
+            let p = Tuple::new(ranks.iter().map(|&i| t.at(i)));
+            match rows.iter().position(|q| *q == p) {
+                Some(i) => counts[i] += 1,
+                None => {
+                    rows.push(p);
+                    counts.push(1);
+                }
+            }
+        }
+        (rows, counts)
+    }
+
+    #[test]
+    fn project_counted_matches_sequential_inserts() {
+        // Edited relations' dictionaries are out of first-appearance
+        // order (and hold dead values), which takes the re-sorting path;
+        // fresh ones take the path that reuses the first sort.
+        let mut edited = rel(
+            &[0, 1, 2],
+            &[&[5, 1, 9], &[4, 2, 9], &[3, 1, 8], &[2, 2, 9]],
+        );
+        edited.remove(&tup![5, 1, 9]);
+        edited.insert(tup![7, 3, 7]).unwrap();
+        edited.insert(tup![1, 1, 8]).unwrap();
+        edited.insert(tup![0, 3, 9]).unwrap();
+        let fresh = rel(
+            &[0, 1, 2],
+            &[&[1, 10, 5], &[2, 10, 5], &[3, 20, 5], &[4, 10, 6]],
+        );
+        let mut nulls = Relation::new(set(&[0, 1]));
+        for (a, b) in [(1, 0), (2, 1), (1, 2)] {
+            nulls
+                .insert(Tuple::new([crate::Value::int(a), crate::Value::Null(b)]))
+                .unwrap();
+        }
+        let subsets: &[&[usize]] = &[&[], &[0], &[1], &[2], &[0, 1], &[1, 2], &[0, 2], &[0, 1, 2]];
+        for r in [&edited, &fresh, &nulls] {
+            for &x in subsets {
+                let x = set(x);
+                if !x.is_subset(&r.attrs()) {
+                    continue;
+                }
+                let (p, counts) = project_counted(r, x).unwrap();
+                p.debug_validate();
+                let (rows, want) = counted_by_inserts(r, x);
+                assert_eq!(
+                    p.iter().map(|t| t.to_tuple()).collect::<Vec<_>>(),
+                    rows,
+                    "{x:?}"
+                );
+                assert_eq!(counts, want, "{x:?}");
+                assert_eq!(
+                    p.has_nulls(),
+                    rows.iter().any(|t| t.values().any(|v| v.is_null()))
+                );
+                assert_eq!(p, project(r, x).unwrap());
+            }
+        }
+        assert!(project_counted(&fresh, set(&[5])).is_err());
+        let empty = Relation::new(set(&[0, 1]));
+        assert_eq!(
+            project_counted(&empty, set(&[])).unwrap().1,
+            Vec::<u64>::new()
+        );
     }
 
     #[test]

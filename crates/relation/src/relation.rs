@@ -22,7 +22,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use crate::columnar::Col;
+use crate::columnar::{sort_slots, Col, SortKey};
 use crate::row::{Row, RowIter, RowRef, Rows};
 use crate::{Attr, AttrSet, RelationError, Result, Tuple, Value, MAX_ATTRS};
 
@@ -248,20 +248,15 @@ impl Relation {
     /// Rebuild the sorted slot index from scratch, removing duplicate
     /// rows (keeping each key's lowest slot — its first occurrence).
     fn rebuild_order_dedup(&mut self) {
-        let n = self.len;
-        let mut idx: Vec<u32> = (0..n as u32).collect();
-        idx.sort_unstable_by(|&a, &b| self.cmp_slots(a, b).then_with(|| a.cmp(&b)));
-        let mut dup = vec![false; n];
-        let mut any_dup = false;
-        for w in idx.windows(2) {
-            if self.cmp_slots(w[0], w[1]) == Ordering::Equal {
-                dup[w[1] as usize] = true; // run is slot-ascending: keep w[0]
-                any_dup = true;
-            }
-        }
-        if any_dup {
+        let (mut idx, same) = self.sorted_slots();
+        if same.iter().any(|&s| s) {
             // Compact the id columns, preserving relative order of
             // survivors (exactly the order sequential dedup would give).
+            // Runs are slot-ascending, so each run's first slot stays.
+            let mut dup = vec![false; self.len];
+            for (&slot, &s) in idx.iter().zip(&same) {
+                dup[slot as usize] = s;
+            }
             for c in &mut self.cols {
                 let mut slot = 0;
                 c.ids.retain(|_| {
@@ -270,11 +265,77 @@ impl Relation {
                 });
             }
             self.len = dup.iter().filter(|&&d| !d).count();
-            idx = (0..self.len as u32).collect();
-            idx.sort_unstable_by(|&a, &b| self.cmp_slots(a, b));
+            idx = self.sorted_slots().0;
         }
         self.order = idx;
-        self.null_rows = self.iter().filter(Row::has_null).count();
+        self.count_null_rows();
+    }
+
+    /// The slots sorted by id-lexicographic key (see [`sort_slots`]).
+    fn sorted_slots(&self) -> (Vec<u32>, Vec<bool>) {
+        let keys: Vec<SortKey<'_>> = self.cols.iter().map(|c| c.sort_key(false)).collect();
+        sort_slots(self.len, &keys)
+    }
+
+    /// Recount the rows holding a labeled null; none can when no
+    /// dictionary holds one.
+    fn count_null_rows(&mut self) {
+        self.null_rows = match self.cols.iter().any(Col::has_null) {
+            true => self.iter().filter(Row::has_null).count(),
+            false => 0,
+        };
+    }
+
+    /// `π_x` of this relation with each kept row's multiplicity; see
+    /// [`crate::ops::project_counted`]. One sort of the slots by their
+    /// `x` ids finds the duplicates: each run's first slot survives, and
+    /// the run's length is its count. The output columns are gathered
+    /// by remapping ids ([`Col::gather`]), and when every remap keeps
+    /// the id order, the sorted runs already are the output's slot
+    /// index, so nothing is sorted twice.
+    pub(crate) fn project_counted(&self, x: AttrSet) -> Result<(Relation, Vec<u64>)> {
+        if !x.is_subset(&self.attrs) {
+            return Err(RelationError::NotASubset);
+        }
+        let src: Vec<&Col> = self.ranks_of(x).iter().map(|&r| &self.cols[r]).collect();
+        let keys: Vec<SortKey<'_>> = src.iter().map(|c| c.sort_key(false)).collect();
+        let (sorted, same) = sort_slots(self.len, &keys);
+        let mut count = vec![0u64; self.len];
+        let mut head = 0;
+        for (&slot, &s) in sorted.iter().zip(&same) {
+            if !s {
+                head = slot as usize;
+            }
+            count[head] += 1;
+        }
+        let runs = same.iter().filter(|&&s| !s).count();
+        let (mut kept, mut counts) = (Vec::with_capacity(runs), Vec::with_capacity(runs));
+        for (slot, n) in count.iter_mut().enumerate() {
+            if *n > 0 {
+                counts.push(*n);
+                // From here on `count` maps a kept slot to its output slot.
+                *n = kept.len() as u64;
+                kept.push(slot as u32);
+            }
+        }
+        let mut out = Relation::new(x);
+        let mut ordered = true;
+        for (col, from) in out.cols.iter_mut().zip(&src) {
+            let (gathered, keeps_order) = from.gather(&kept);
+            *col = gathered;
+            ordered &= keeps_order;
+        }
+        out.len = kept.len();
+        out.order = if ordered {
+            let mut order = Vec::with_capacity(runs);
+            let heads = sorted.iter().zip(&same).filter(|&(_, &s)| !s);
+            order.extend(heads.map(|(&slot, _)| count[slot as usize] as u32));
+            order
+        } else {
+            out.sorted_slots().0
+        };
+        out.count_null_rows();
+        Ok((out, counts))
     }
 
     /// The attribute set this relation ranges over.
@@ -715,30 +776,34 @@ impl Relation {
     /// # Panics
     /// Panics if `key` is not within this relation's attribute set.
     pub fn slots_sorted_by(&self, key: AttrSet) -> Vec<u32> {
-        let key_ranks = self.ranks_of(key);
-        let mut idx: Vec<u32> = (0..self.len as u32).collect();
-        idx.sort_unstable_by(|&a, &b| {
-            self.cmp_slots_by_value(a, b, &key_ranks)
-                .then_with(|| a.cmp(&b))
-        });
-        idx
+        let keys: Vec<SortKey<'_>> = self
+            .ranks_of(key)
+            .iter()
+            .map(|&r| self.cols[r].sort_key(true))
+            .collect();
+        sort_slots(self.len, &keys).0
     }
 
-    /// Compare two slots by the *values* of the given dense columns.
-    #[inline]
-    pub(crate) fn cmp_slots_by_value(&self, a: u32, b: u32, ranks: &[usize]) -> Ordering {
-        for &r in ranks {
-            let c = &self.cols[r];
-            let (ia, ib) = (c.ids[a as usize], c.ids[b as usize]);
-            if ia == ib {
-                continue;
-            }
-            match c.val_of(ia).cmp(&c.val_of(ib)) {
-                Ordering::Equal => continue,
-                other => return other,
-            }
-        }
-        Ordering::Equal
+    /// Row slots in **value** order with `major`'s columns as the major
+    /// key: sorted by the values of `major`'s columns, then by the whole
+    /// row's values (dense column order). Rows are distinct, so the
+    /// order is strict — the order of the engine's complement entries,
+    /// whose probes search on `X∩Y` first.
+    ///
+    /// # Panics
+    /// Panics if `major` is not within this relation's attribute set.
+    pub fn slots_in_value_order(&self, major: AttrSet) -> Vec<u32> {
+        // Within a run of equal `major` columns the whole rows compare
+        // as their other columns do.
+        let mut ranks = self.ranks_of(major);
+        let rest = self
+            .attrs
+            .iter()
+            .enumerate()
+            .filter(|&(_, a)| !major.contains(a));
+        ranks.extend(rest.map(|(r, _)| r));
+        let keys: Vec<SortKey<'_>> = ranks.iter().map(|&r| self.cols[r].sort_key(true)).collect();
+        sort_slots(self.len, &keys).0
     }
 
     /// Compare a slot's `ranks` columns against explicit probe values.
@@ -1152,6 +1217,37 @@ mod tests {
         let sorted = r.slots_sorted_by(set(&[0]));
         // Value order on attr 0: 2 (slots 1,2 in storage order), then 5.
         assert_eq!(sorted, vec![1, 2, 0]);
+    }
+
+    #[test]
+    fn slots_in_value_order_sorts_major_then_whole_row() {
+        let attrs = set(&[0, 1, 2]);
+        let mut r = Relation::from_rows(
+            attrs,
+            [
+                tup![5, 1, 3],
+                tup![2, 9, 3],
+                tup![2, 3, 1],
+                tup![7, 3, 3],
+                tup![1, 9, 2],
+            ],
+        )
+        .unwrap();
+        // A dead dictionary value and a null, both out of value order.
+        r.remove(&tup![7, 3, 3]);
+        r.insert(Tuple::new([Value::Null(0), Value::int(1), Value::int(0)]))
+            .unwrap();
+        for major in [set(&[]), set(&[1]), set(&[2]), set(&[1, 2]), attrs] {
+            let ranks = r.ranks_of(major);
+            let key = |slot: u32| {
+                let row = r.row(slot as usize).to_tuple();
+                let head: Vec<Value> = ranks.iter().map(|&i| row.at(i)).collect();
+                (head, row)
+            };
+            let mut want: Vec<u32> = (0..r.len() as u32).collect();
+            want.sort_by_key(|&slot| key(slot));
+            assert_eq!(r.slots_in_value_order(major), want, "{major:?}");
+        }
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!
 //! The replace also reaches the base and the nets as pairs: the `i`-th
 //! removed row `t1 * e_i` and the `i`-th added row `t2 * e_i` share
-//! their `π{E, D}`. So each pair is rewritten in its own base slot, and
-//! the two nets over `{E, D}` drop every pair unsorted
-//! (`engine.mat.net_sorted_rows`).
+//! their `π{E, D}`. So each pair is rewritten in its own base slot, the
+//! two nets over `{E, D}` drop every pair unsorted, and the two nets
+//! over `{D, M0}` merge each list's one run of equal keys before the
+//! sort (`engine.mat.net_sorted_rows`).
 //!
 //! This lives in its own integration binary because the obs registry is
 //! process-global: any other test folding in the same process would
@@ -113,17 +114,20 @@ fn manager_change_sorts_only_the_projections_that_change() {
     if !obs::enabled() {
         return;
     }
-    // Four nets see the 64 pairs (t1 * e, t2 * e): `mgrs`'s instance
-    // and `emp`'s complement project onto {D, M0}, where every pair
-    // differs, and sort all 128 rows; `mgrs`'s complement and `emp`'s
-    // instance project onto {E, D}, where every pair is equal, and
-    // cancel before any sort. Netting without the pairs sorts all 512.
+    // Four nets see the 64 pairs (t1 * e, t2 * e): `mgrs`'s complement
+    // and `emp`'s instance project onto {E, D}, where every pair is
+    // equal, and cancel before any sort; `mgrs`'s instance and `emp`'s
+    // complement project onto {D, M0}, where every pair differs, but
+    // the 64 removed rows are one run of the key (7, 1007) and the 64
+    // added rows one run of (7, 2007), so each net sorts 2 entries.
+    // Sorting every row of the 128 that differ gave 256, and netting
+    // without the pairs 512.
     let change = one_manager_change(true);
     println!(
         "rows entering a net's sort per manager change: {}",
         change.net_sorted_rows
     );
-    assert_eq!(change.net_sorted_rows, 256);
+    assert_eq!(change.net_sorted_rows, 4);
 }
 
 #[test]

@@ -16,7 +16,7 @@
 //! `RELVU_RECOVERY_TAIL` scales the accepted-update target (default
 //! 400) so nightly CI can sweep much longer tails.
 
-use relvu::durability::{DurableDatabase, MemVfs, SyncPolicy, WalOptions};
+use relvu::durability::{DurableDatabase, MemVfs, SyncPolicy, Vfs, WalOptions};
 use relvu::prelude::*;
 use relvu_workload::instance_gen;
 use relvu_workload::schema_gen::{self, BenchSchema};
@@ -203,4 +203,163 @@ fn parallel_replay_reports_match_sequential() {
     assert!(rep_par.replay_groups > 0);
     assert_eq!(rec_seq.reader().dump(), dump);
     assert_eq!(rec_par.reader().dump(), dump);
+}
+
+/// Commit `ops` into a fresh store that takes an incremental checkpoint
+/// after every `every` accepted updates, `links` times, then keeps going
+/// without checkpointing: its newest restore point is a full checkpoint
+/// chained to `links` deltas, and a WAL tail follows it.
+fn chained_store(
+    bench: &BenchSchema,
+    base: &Relation,
+    script: &[UpdateOp],
+    links: usize,
+    every: usize,
+) -> (MemVfs, String) {
+    let vfs = MemVfs::new();
+    let ddb = DurableDatabase::create(vfs.clone(), fresh_db(bench, base), opts_with(1, 8)).unwrap();
+    let (mut accepted, mut written) = (0usize, 0usize);
+    for op in script {
+        if ddb.apply("staff", op.clone()).is_err() {
+            continue;
+        }
+        accepted += 1;
+        if written < links && accepted % every == 0 {
+            ddb.checkpoint_incremental().unwrap();
+            written += 1;
+        }
+    }
+    assert_eq!(
+        written, links,
+        "the script ran out before {links} checkpoints"
+    );
+    let dump = ddb.reader().snapshot().dump();
+    (vfs, dump)
+}
+
+#[test]
+fn delta_chains_of_every_length_recover_byte_for_byte() {
+    let (bench, base, script) = build_script(120);
+    for links in 1..=8 {
+        let (vfs, live) = chained_store(&bench, &base, &script, links, 6);
+        let (rec, report) = DurableDatabase::recover(vfs.crash_image(), opts_with(1, 8))
+            .unwrap_or_else(|e| panic!("{links} links: {e}"));
+        assert_eq!(
+            report.checkpoint_chain.len(),
+            links + 1,
+            "{links} links: recovered through {:?}",
+            report.checkpoint_chain
+        );
+        assert!(report.skipped_checkpoints.is_empty(), "{links} links");
+        assert_eq!(
+            rec.reader().snapshot().dump(),
+            live,
+            "{links} links diverged"
+        );
+        rec.check_invariants().unwrap();
+    }
+}
+
+/// FNV-1a 64, the checkpoint body checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Replace checkpoint `name` in `vfs` by `edit` applied to its body,
+/// with the header's `crc` — and, given `parentcrc`, its parent pin —
+/// set to match. Returns the new body's crc.
+fn rewrite_checkpoint(
+    vfs: &MemVfs,
+    name: &str,
+    parentcrc: Option<u64>,
+    edit: impl FnOnce(&str) -> String,
+) -> u64 {
+    let text = String::from_utf8(vfs.read(name).unwrap()).unwrap();
+    let (header, body) = text.split_once('\n').unwrap();
+    let body = edit(body);
+    let crc = fnv1a(body.as_bytes());
+    let mut fields: Vec<String> = header.split(' ').map(str::to_string).collect();
+    for i in 0..fields.len() - 1 {
+        match (fields[i].as_str(), parentcrc) {
+            ("crc", _) => fields[i + 1] = format!("{crc:016x}"),
+            ("parentcrc", Some(p)) => fields[i + 1] = format!("{p:016x}"),
+            _ => {}
+        }
+    }
+    vfs.remove(name).unwrap();
+    vfs.create(name, format!("{}\n{body}", fields.join(" ")).as_bytes())
+        .unwrap();
+    vfs.sync(name).unwrap();
+    crc
+}
+
+#[test]
+fn a_chain_whose_middle_link_violates_sigma_is_refused() {
+    // Three links. The middle one also adds one employee in two
+    // departments (violating E → D), and the last one removes both rows
+    // again, so the chain's end state satisfies Σ: only a check at each
+    // link's end sees the violation.
+    let (bench, base, script) = build_script(120);
+    let (vfs, live) = chained_store(&bench, &base, &script, 3, 6);
+    let image = vfs.crash_image();
+    let (_, clean) = DurableDatabase::recover(vfs.crash_image(), opts_with(1, 8)).unwrap();
+    assert!(clean.skipped_checkpoints.is_empty());
+    let chain = clean.checkpoint_chain.clone();
+    assert_eq!(chain.len(), 4, "{chain:?}");
+    let (middle, last) = (&chain[2], &chain[3]);
+    // One fresh employee in two fresh departments: a violation whatever
+    // else the base holds.
+    let arity = bench.schema.arity();
+    let fresh = |d: u64| {
+        let mut vals = vec![1u64 << 41, d];
+        vals.resize(arity, 7);
+        vals.iter()
+            .map(u64::to_string)
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let bad = [fresh(1 << 41), fresh((1 << 41) + 1)];
+    let add_bad = |body: &str| {
+        // Leftover additions of the link's last commit.
+        let body = body
+            .strip_suffix("end\n")
+            .expect("a delta body ends with `end`");
+        format!("{body}add {}\nadd {}\nend\n", bad[0], bad[1])
+    };
+    let del_bad = |body: &str| {
+        // Removals of the link's first commit, after its own.
+        let mut lines: Vec<String> = body.lines().map(str::to_string).collect();
+        let at = 1 + lines[1..]
+            .iter()
+            .take_while(|l| l.starts_with("del "))
+            .count();
+        for row in bad.iter().rev() {
+            lines.insert(at, format!("del {row}"));
+        }
+        lines.join("\n") + "\n"
+    };
+    let crc = rewrite_checkpoint(&image, middle, None, add_bad);
+    rewrite_checkpoint(&image, last, Some(crc), del_bad);
+    let (rec, report) = DurableDatabase::recover(image, opts_with(1, 8)).unwrap();
+    let skipped: Vec<&str> = report
+        .skipped_checkpoints
+        .iter()
+        .map(|(f, _)| f.as_str())
+        .collect();
+    assert_eq!(skipped, [last.as_str(), middle.as_str()], "{report:?}");
+    assert!(
+        report
+            .skipped_checkpoints
+            .iter()
+            .all(|(_, why)| why.contains("violates")),
+        "{:?}",
+        report.skipped_checkpoints
+    );
+    assert_eq!(report.checkpoint_chain, chain[..2]);
+    assert_eq!(rec.reader().snapshot().dump(), live);
 }
