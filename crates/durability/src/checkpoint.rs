@@ -318,7 +318,11 @@ pub(crate) fn write_full<V: Vfs>(
     })
 }
 
-fn push_tuple_line(out: &mut String, tag: &str, t: &[Value]) -> Result<(), DurabilityError> {
+fn push_tuple_line(
+    out: &mut String,
+    tag: &str,
+    t: impl IntoIterator<Item = Value>,
+) -> Result<(), DurabilityError> {
     out.push_str(tag);
     push_tuple(out, t)?;
     out.push('\n');
@@ -345,10 +349,10 @@ fn encode_delta_body(
         }
         let _ = writeln!(out, "commit {}", c.seq());
         for t in c.removed() {
-            push_tuple_line(out, "del", t)?;
+            push_tuple_line(out, "del", t.values())?;
         }
         for t in c.added() {
-            push_tuple_line(out, "add", t)?;
+            push_tuple_line(out, "add", t.values())?;
         }
     }
     out.push_str("end\n");

@@ -60,8 +60,11 @@ fn err(detail: impl Into<String>) -> DurabilityError {
 ///
 /// # Errors
 /// [`DurabilityError::Encode`] on a labeled null.
-pub(crate) fn push_tuple(out: &mut String, t: &[Value]) -> Result<(), DurabilityError> {
-    for &v in t {
+pub(crate) fn push_tuple(
+    out: &mut String,
+    t: impl IntoIterator<Item = Value>,
+) -> Result<(), DurabilityError> {
+    for v in t {
         match v {
             Value::Const(c) => {
                 let _ = write!(out, " {c}");
@@ -110,9 +113,7 @@ fn push_kind(out: &mut String, kind: &str, tuples: &[&Tuple]) -> Result<(), Dura
         return Err(err(format!("{kind} tuples with different arities")));
     }
     out.push_str(&format!(" {arity}"));
-    tuples
-        .iter()
-        .try_for_each(|t| push_tuple(out, t.as_slice()))
+    tuples.iter().try_for_each(|t| push_tuple(out, t.values()))
 }
 
 /// Serialize a [`LogEntry`] into a complete frame (header + payload).

@@ -15,7 +15,7 @@ use relvu_deps::check::satisfies_fds;
 use relvu_deps::{closure, FdSet};
 use relvu_relation::{AttrSet, Pred, Relation, RelationError, Schema, Tuple};
 
-use crate::commit::{Block, Commit, ViewDelta};
+use crate::commit::{Block, Commit, RowBuf, ViewDelta};
 use crate::log::{LogEntry, UpdateOp, UpdateReport};
 use crate::mat::ViewMat;
 use crate::mvcc::{EngineSnapshot, History, LazyRel, SnapCell, SnapState, ViewSnap};
@@ -883,7 +883,10 @@ impl Database {
             mat.apply(base, &translation, mats.values())?
         };
         let seq = inner.pending.last().map_or(inner.cur.seq, |c| c.seq()) + 1;
-        let mut touched: Vec<(String, Arc<ViewDelta>)> = Vec::new();
+        // Each touched view's instance delta `(name, removed, added,
+        // σ_P partition)`, kept flat until the DAG fold ends: a child
+        // folds its parent's rows as a plain block.
+        let mut touched: Vec<(String, RowBuf, RowBuf, Option<Vec<bool>>)> = Vec::new();
         {
             // Topological delta propagation: every view's complement side
             // reads `π_Y(R)` off the base, so it folds the base delta
@@ -905,10 +908,7 @@ impl Database {
                 let (in_add, in_rem) = match def.parent() {
                     None => (added.block(), removed.block()),
                     Some(p) => match at.get(p) {
-                        Some(&i) => {
-                            let (removed, added) = touched[i].1.rows();
-                            (added, removed)
-                        }
+                        Some(&i) => (touched[i].2.block(), touched[i].1.block()),
                         None => (Block::EMPTY, Block::EMPTY),
                     },
                 };
@@ -934,8 +934,7 @@ impl Database {
                         .collect()
                 });
                 at.insert(node.as_str(), touched.len());
-                let delta = ViewDelta::whole(seq, out_rem, out_add, in_pred);
-                touched.push((node.clone(), delta));
+                touched.push((node.clone(), out_rem, out_add, in_pred));
             }
         }
         // With obs disabled the timer is a unit no-op without Drop.
@@ -980,7 +979,12 @@ impl Database {
         let commit = Arc::new(Commit {
             entry: Arc::clone(&entry),
             base: ViewDelta::whole(seq, removed, added, None),
-            views: touched.into_boxed_slice(),
+            views: touched
+                .into_iter()
+                .map(|(name, removed, added, in_pred)| {
+                    (name, ViewDelta::whole(seq, removed, added, in_pred))
+                })
+                .collect(),
         });
         inner.pending.push(commit);
         Ok(entry)

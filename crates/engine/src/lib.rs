@@ -39,7 +39,7 @@ pub mod subscribe;
 mod view;
 
 pub use batch::{BatchOptions, BatchOutcome, BatchReport, BatchRequest, BatchStats};
-pub use commit::{Commit, ViewDelta};
+pub use commit::{Commit, DeltaRow, ViewDelta};
 pub use db::{Database, ViewStats};
 pub use error::EngineError;
 pub use log::{LogEntry, LogGap, LogRange, UpdateOp, UpdateReport};

@@ -19,12 +19,16 @@
 //!   remains. Selection views additionally keep the `σ_P` / `σ_¬P`
 //!   split of the instance, which is the pair the §6(2) machinery
 //!   checks against.
-//! * The **complement side** keeps the distinct `π_Y(R)` tuples with
-//!   their support counts in one array sorted by (`X∩Y` projection,
-//!   full tuple): a translation's join `t ⋈ π_Y(R)` binary-searches the
-//!   run start and [`gallop`]s to the run end instead of probing a
-//!   bucket map. It is *always* fed from the base delta — `π_Y(R)` can
-//!   change even when the parent's instance does not.
+//! * The **complement side** keeps the distinct `π_Y(R)` tuples in one
+//!   flat block of values (a [`RowBuf`], no allocation per entry),
+//!   sorted by (`X∩Y` projection, full tuple), with their support
+//!   counts in a parallel array (an entry whose count falls to zero
+//!   stays in place, dead, until dead entries outnumber live ones, so a
+//!   removal shifts nothing): a translation's join `t ⋈ π_Y(R)`
+//!   binary-searches the run start and [`gallop`]s to the run end, both
+//!   by entry index, instead of probing a bucket map. It is *always*
+//!   fed from the base delta — `π_Y(R)` can change even when the
+//!   parent's instance does not.
 //!
 //! A commit starts with one pass, [`ViewMat::apply`], that joins the
 //! committing view's translation against its complement — writing each
@@ -113,11 +117,20 @@ pub(crate) struct ViewMat {
     /// from: `(true, rank)` in the view tuple `t`, `(false, rank)` in the
     /// complement entry `e`.
     join_src: Vec<(bool, usize)>,
-    /// Distinct `π_Y(R)` tuples with base-row support counts, sorted by
+    /// Distinct `π_Y(R)` tuples in one flat block of values, sorted by
     /// (`X∩Y` projection, full tuple). With `X∩Y = ∅` every probe's run
-    /// is the whole array, which degrades to the Cartesian product
+    /// is the whole block, which degrades to the Cartesian product
     /// exactly like the natural join does.
-    y_entries: Vec<(Tuple, u64)>,
+    y_entries: RowBuf,
+    /// The base-row support count of each entry of `y_entries`, index
+    /// for index. An entry whose count falls to zero stays in place,
+    /// dead, so removing one moves no other entry (the block is 40 B an
+    /// entry for two columns, too much to shift on every departure);
+    /// the same tuple coming back revives it, and the dead entries are
+    /// dropped in one pass once they outnumber the live ones.
+    y_counts: Vec<u64>,
+    /// Dead entries (count zero) in `y_entries`.
+    y_dead: usize,
 }
 
 impl ViewMat {
@@ -190,14 +203,14 @@ impl ViewMat {
         // The complement: one counted projection of the base, its
         // distinct entries then sorted once into the join's order.
         let (entries, counts) = ops::project_counted(base, y)?;
-        let y_entries = entries
-            .slots_in_value_order(shared)
-            .into_iter()
-            .map(|slot| {
-                let slot = slot as usize;
-                (entries.row(slot).to_tuple(), counts[slot])
-            })
-            .collect();
+        let order = entries.slots_in_value_order(shared);
+        let mut y_entries = RowBuf::with_capacity(y.len(), order.len());
+        let mut y_counts = Vec::with_capacity(order.len());
+        for slot in order {
+            let slot = slot as usize;
+            y_entries.push(entries.row(slot).values());
+            y_counts.push(counts[slot]);
+        }
         relvu_obs::counter!("engine.mat.tuples").add(instance.len() as u64);
         relvu_obs::counter!("engine.mat.rebuilds").inc();
         Ok(ViewMat {
@@ -214,6 +227,8 @@ impl ViewMat {
             shared_attrs,
             join_src,
             y_entries,
+            y_counts,
+            y_dead: 0,
         })
     }
 
@@ -237,9 +252,9 @@ impl ViewMat {
     /// Compare a complement entry against probe tuple `t` (over `x`) on
     /// the `X∩Y` columns — the sort's major key.
     #[inline]
-    fn cmp_entry_probe(&self, e: &Tuple, t: &Tuple) -> Ordering {
+    fn cmp_entry_probe(&self, e: &[Value], t: &Tuple) -> Ordering {
         for (&rank, &a) in self.shared_ranks.iter().zip(&self.shared_attrs) {
-            match e.at(rank).cmp(&t.get(&self.x, a)) {
+            match e[rank].cmp(&t.get(&self.x, a)) {
                 Ordering::Equal => continue,
                 other => return other,
             }
@@ -255,18 +270,18 @@ impl ViewMat {
     /// ascend as `Y` tuples, and the joined rows take their other
     /// columns from `t`.
     fn join_rows(&self, t: &Tuple) -> RowBuf {
-        let lo = self
-            .y_entries
-            .partition_point(|(e, _)| self.cmp_entry_probe(e, t) == Ordering::Less);
-        let run = gallop(&self.y_entries[lo..], |(e, _)| {
-            self.cmp_entry_probe(e, t) == Ordering::Equal
+        let entries = self.y_entries.block();
+        let lo = entries.partition_point(|e| self.cmp_entry_probe(e, t) == Ordering::Less);
+        let run = gallop(entries.len() - lo, |k| {
+            self.cmp_entry_probe(entries.row(lo + k), t) == Ordering::Equal
         });
         let mut out = RowBuf::with_capacity(self.join_src.len(), run);
-        for (e, _) in &self.y_entries[lo..lo + run] {
+        for i in (lo..lo + run).filter(|&i| self.y_counts[i] > 0) {
+            let e = entries.row(i);
             out.push(
                 self.join_src
                     .iter()
-                    .map(|&(in_t, rank)| if in_t { t.at(rank) } else { e.at(rank) }),
+                    .map(|&(in_t, rank)| if in_t { t.at(rank) } else { e[rank] }),
             );
         }
         out
@@ -413,29 +428,52 @@ impl ViewMat {
     pub(crate) fn fold_complement(&mut self, added: Block<'_>, removed: Block<'_>) {
         let (keys, counts) = net(removed.iter(), added.iter(), &self.shared_pos, &self.y_pos);
         let ranks = &self.shared_ranks;
-        let find = |es: &[(Tuple, u64)], yt: &[Value]| {
-            es.binary_search_by(|(e, _)| cmp_y(ranks, e.as_slice(), yt))
+        // Where `yt` is, or would go, among the sorted entries.
+        let find = |es: Block<'_>, yt: &[Value]| {
+            let i = es.partition_point(|e| cmp_y(ranks, e, yt) == Ordering::Less);
+            if i < es.len() && es.row(i) == yt {
+                Ok(i)
+            } else {
+                Err(i)
+            }
         };
         let mut fresh = Vec::new();
         let mut edits = 0;
         for (yt, &n) in keys.block().iter().zip(&counts) {
-            match find(&self.y_entries, yt) {
-                Err(_) => fresh.push((yt, n)),
-                Ok(i) => match self.y_entries[i].1.checked_add_signed(n) {
-                    Some(0) => {
-                        self.y_entries.remove(i);
-                        edits += 1;
-                    }
-                    left => self.y_entries[i].1 = left.expect("removed rows were folded in"),
-                },
+            let Ok(i) = find(self.y_entries.block(), yt) else {
+                fresh.push((yt, n));
+                continue;
+            };
+            // A non-zero net count: a live entry dies or stays, a dead
+            // one revives.
+            let was = self.y_counts[i];
+            let now = was.checked_add_signed(n);
+            self.y_counts[i] = now.expect("removed rows were folded in");
+            if was == 0 {
+                self.y_dead -= 1;
+                edits += 1;
+            } else if now == Some(0) {
+                self.y_dead += 1;
+                edits += 1;
             }
         }
         edits += fresh.len() as u64;
         for (yt, n) in fresh {
-            let i = find(&self.y_entries, yt).expect_err("absent keys stay absent");
-            let n = u64::try_from(n).expect("removed rows were folded in");
-            self.y_entries
-                .insert(i, (Tuple::new(yt.iter().copied()), n));
+            let i = find(self.y_entries.block(), yt).expect_err("absent keys stay absent");
+            self.y_entries.insert(i, yt);
+            self.y_counts
+                .insert(i, u64::try_from(n).expect("removed rows were folded in"));
+        }
+        if self.y_dead * 2 > self.y_counts.len() {
+            let mut live = RowBuf::with_capacity(self.y.len(), self.y_counts.len() - self.y_dead);
+            for (e, &n) in self.y_entries.block().iter().zip(&self.y_counts) {
+                if n > 0 {
+                    live.push(e.iter().copied());
+                }
+            }
+            self.y_entries = live;
+            self.y_counts.retain(|&n| n > 0);
+            self.y_dead = 0;
         }
         relvu_obs::counter!("engine.mat.complement_edits").add(edits);
     }
@@ -477,16 +515,23 @@ impl ViewMat {
                 );
             }
             let fresh_y = ops::project(base, self.y).expect("y within the universe");
-            let held = |(t, n): &(Tuple, u64)| *n > 0 && fresh_y.contains(t);
+            let entries = self.y_entries.block();
+            let dead = self.y_counts.iter().filter(|&&n| n == 0).count();
             assert!(
-                self.y_entries.len() == fresh_y.len() && self.y_entries.iter().all(held),
+                self.y_counts.len() == entries.len()
+                    && dead == self.y_dead
+                    && entries.len() - dead == fresh_y.len()
+                    && entries
+                        .iter()
+                        .zip(&self.y_counts)
+                        .all(|(e, &n)| n == 0 || fresh_y.contains(e)),
                 "materialized complement diverged from π_Y(R)"
             );
             assert!(
-                self.y_entries.windows(2).all(|w| cmp_y(
+                (1..entries.len()).all(|i| cmp_y(
                     &self.shared_ranks,
-                    w[0].0.as_slice(),
-                    w[1].0.as_slice()
+                    entries.row(i - 1),
+                    entries.row(i)
                 ) == Ordering::Less),
                 "complement entries strictly sorted by (X∩Y, full tuple)"
             );

@@ -3,6 +3,7 @@
 
 use super::*;
 use crate::Policy;
+use rand::prelude::*;
 use relvu_relation::tup;
 
 /// `E → D → M` over `(E, D, M)`: employees 1 and 2 in department 10
@@ -16,8 +17,8 @@ fn attrs(ids: &[usize]) -> AttrSet {
     ids.iter().map(|&i| Attr::new(i)).collect()
 }
 
-fn mat(x: &[usize], y: &[usize]) -> ViewMat {
-    let def = ViewDef::new(
+fn def(x: &[usize], y: &[usize]) -> ViewDef {
+    ViewDef::new(
         "v".into(),
         attrs(x),
         attrs(y),
@@ -25,8 +26,11 @@ fn mat(x: &[usize], y: &[usize]) -> ViewMat {
         None,
         false,
         0,
-    );
-    ViewMat::build(&base(), None, &def, None).unwrap()
+    )
+}
+
+fn mat(x: &[usize], y: &[usize]) -> ViewMat {
+    ViewMat::build(&base(), None, &def(x, y), None).unwrap()
 }
 
 /// Department 10's manager changes: both of its rows move.
@@ -39,6 +43,17 @@ fn manager_change() -> (Vec<Tuple>, Vec<Tuple>) {
 /// The rows of `rows` in one flat buffer.
 fn buf(rows: &[Tuple]) -> RowBuf {
     RowBuf::of(rows)
+}
+
+/// The live complement entries paired with their counts, in order.
+fn complement(m: &ViewMat) -> Vec<(Tuple, u64)> {
+    let entries = m.y_entries.to_tuples();
+    let counts = m.y_counts.iter().copied();
+    entries
+        .into_iter()
+        .zip(counts)
+        .filter(|&(_, n)| n > 0)
+        .collect()
 }
 
 /// [`net`]'s keys paired with their counts.
@@ -77,9 +92,9 @@ fn rows_moving_within_one_key_leave_the_view_side_alone() {
     assert_eq!(m.support, support, "support unchanged");
     // `π{E, D}` is the complement of `mgrs = π{D, M}`: same netting.
     let mut mgrs = mat(&[1, 2], &[0, 1]);
-    let entries = mgrs.y_entries.clone();
+    let entries = complement(&mgrs);
     mgrs.fold_complement(buf(&added).block(), buf(&removed).block());
-    assert_eq!(mgrs.y_entries, entries);
+    assert_eq!(complement(&mgrs), entries);
 }
 
 #[test]
@@ -97,10 +112,54 @@ fn one_commit_empties_one_key_and_creates_another() {
     let mut emp = mat(&[0, 1], &[1, 2]);
     emp.fold_complement(buf(&added).block(), buf(&removed).block());
     let counts: Vec<(Tuple, u64)> = vec![(tup![10, 101], 2), (tup![20, 200], 1)];
-    assert_eq!(emp.y_entries, counts);
+    assert_eq!(complement(&emp), counts);
     let after = changed_base();
     m.debug_assert_consistent(&after);
     emp.debug_assert_consistent(&after);
+}
+
+#[test]
+fn dead_complement_entries_revive_and_compact() {
+    // `mgrs = π{D, M}` with complement `π{E, D}`: employees leave and
+    // come back one at a time, each in department 10 (even) or 20 (odd)
+    // under its one manager, so the base stays legal.
+    let mgrs = def(&[1, 2], &[0, 1]);
+    let mut base = base();
+    let mut m = ViewMat::build(&base, None, &mgrs, None).unwrap();
+    let mut rng = StdRng::seed_from_u64(5);
+    let (mut max_dead, mut compactions) = (0, 0);
+    for step in 0..600 {
+        let e = rng.gen_range(1..24u64);
+        let d = if e % 2 == 0 { 10 } else { 20 };
+        let row = vec![tup![e, d, d * 10]];
+        let none = RowBuf::of(&[]);
+        let (added, removed) = if base.contains(&row[0]) {
+            base.remove(&row[0]);
+            (none, buf(&row))
+        } else {
+            base.insert(row[0].clone()).unwrap();
+            (buf(&row), none)
+        };
+        let entries = m.y_counts.len();
+        m.fold_instance(added.block(), removed.block());
+        m.fold_complement(added.block(), removed.block());
+        compactions += usize::from(m.y_counts.len() + 1 < entries);
+        max_dead = max_dead.max(m.y_dead);
+        let fresh = ViewMat::build(&base, None, &mgrs, None).unwrap();
+        assert_eq!(complement(&m), complement(&fresh), "step {step}");
+        for t in [tup![10, 100], tup![20, 200]] {
+            let mut joined = m.join_rows(&t).to_tuples();
+            let mut want = fresh.join_rows(&t).to_tuples();
+            joined.sort();
+            want.sort();
+            assert_eq!(joined, want, "step {step}: {t:?} ⋈ π_Y(R)");
+        }
+        m.debug_assert_consistent(&base);
+    }
+    assert!(
+        max_dead > 3 && compactions > 3,
+        "{max_dead} dead, {compactions} compactions"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -108,7 +167,6 @@ fn one_commit_empties_one_key_and_creates_another() {
 // probe-then-edit `delta` these kernels replaced.
 // ---------------------------------------------------------------------
 
-use rand::prelude::*;
 use relvu_relation::{CmpOp, Value};
 
 /// The replaced `net`: project every row, sort the projections, collapse
@@ -520,7 +578,11 @@ pub(crate) fn assert_build_matches_folds(
 ) {
     let want = folded_reference(base, source, def);
     got.instance.debug_validate();
-    assert_eq!(got.y_entries, want.y_entries, "{what}: complement entries");
+    assert_eq!(
+        complement(got),
+        complement(&want),
+        "{what}: complement entries"
+    );
     if !adopted {
         assert_eq!(
             got.instance.rows(),

@@ -283,27 +283,29 @@ pub(crate) fn sort_slots(n: usize, keys: &[SortKey<'_>]) -> (Vec<u32>, Vec<bool>
     (order, same)
 }
 
-/// Exponential ("galloping") search: the number of leading elements of
-/// `slice` for which `keep` holds, assuming `keep` is monotone (once
-/// false, false for the rest). `O(log k)` for an answer of `k`.
+/// Exponential ("galloping") search: the number of leading positions
+/// `0, 1, …` below `len` for which `keep` holds, assuming `keep` is
+/// monotone (once false, false for the rest). `O(log k)` for an answer
+/// of `k`. Taking positions rather than a slice lets it search a flat
+/// row-major block as well as a slice.
 ///
 /// This is the `tools::gallop` of salmans/codd: merge joins use it to
 /// skip runs of a sorted side in logarithmic rather than linear time.
-pub fn gallop<T>(slice: &[T], mut keep: impl FnMut(&T) -> bool) -> usize {
-    if slice.is_empty() || !keep(&slice[0]) {
+pub fn gallop(len: usize, mut keep: impl FnMut(usize) -> bool) -> usize {
+    if len == 0 || !keep(0) {
         return 0;
     }
-    // Invariant: keep(slice[lo - 1]) holds.
+    // Invariant: keep(lo - 1) holds.
     let mut lo = 1usize;
     let mut step = 1usize;
-    while lo + step <= slice.len() && keep(&slice[lo + step - 1]) {
+    while lo + step <= len && keep(lo + step - 1) {
         lo += step;
         step <<= 1;
     }
     // Binary refinement within (lo, lo + step).
     step >>= 1;
     while step > 0 {
-        if lo + step <= slice.len() && keep(&slice[lo + step - 1]) {
+        if lo + step <= len && keep(lo + step - 1) {
             lo += step;
         }
         step >>= 1;
@@ -369,13 +371,13 @@ mod tests {
     #[test]
     fn gallop_finds_run_boundaries() {
         let xs = [1, 1, 1, 2, 2, 3, 7, 7, 7, 7, 7, 7, 7, 9];
-        assert_eq!(gallop(&xs, |&x| x < 1), 0);
-        assert_eq!(gallop(&xs, |&x| x <= 1), 3);
-        assert_eq!(gallop(&xs, |&x| x <= 2), 5);
-        assert_eq!(gallop(&xs, |&x| x <= 7), 13);
-        assert_eq!(gallop(&xs, |&x| x <= 100), xs.len());
-        let empty: [i32; 0] = [];
-        assert_eq!(gallop(&empty, |_| true), 0);
+        let run = |bound: i32| gallop(xs.len(), |i| xs[i] <= bound);
+        assert_eq!(run(0), 0);
+        assert_eq!(run(1), 3);
+        assert_eq!(run(2), 5);
+        assert_eq!(run(7), 13);
+        assert_eq!(run(100), xs.len());
+        assert_eq!(gallop(0, |_| true), 0);
     }
 
     #[test]
@@ -384,7 +386,7 @@ mod tests {
             let xs: Vec<usize> = (0..n).map(|i| i / 3).collect();
             for bound in 0..15 {
                 assert_eq!(
-                    gallop(&xs, |&x| x < bound),
+                    gallop(xs.len(), |i| xs[i] < bound),
                     xs.partition_point(|&x| x < bound),
                     "n={n} bound={bound}"
                 );

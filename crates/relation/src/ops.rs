@@ -76,8 +76,8 @@ pub fn natural_join(r: &Relation, s: &Relation) -> Result<Relation> {
         key.extend(shared_attrs.iter().map(|&a| t.get(&r_attrs, a)));
         let lo = s_sorted
             .partition_point(|&slot| s.cmp_slot_values(slot, &s_ranks, &key) == Ordering::Less);
-        let run = gallop(&s_sorted[lo..], |&slot| {
-            s.cmp_slot_values(slot, &s_ranks, &key) == Ordering::Equal
+        let run = gallop(s_sorted.len() - lo, |k| {
+            s.cmp_slot_values(s_sorted[lo + k], &s_ranks, &key) == Ordering::Equal
         });
         joined.extend(s_sorted[lo..lo + run].iter().map(|&slot| (t, slot)));
     }

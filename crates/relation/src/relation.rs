@@ -495,11 +495,14 @@ impl Relation {
         let n = self.cols.len();
         let pos = self.search_probe(&key[..n]).map_err(|_| absent())?;
         let slot = self.order[pos];
-        // Only the columns whose value changes are interned.
-        let mut changed = false;
+        // Only the columns whose value changes are interned. Each value
+        // of both rows is read once.
+        let (mut changed, mut old_null, mut new_null) = (false, false, false);
         for (i, (c, id)) in self.cols.iter_mut().zip(&mut key).enumerate() {
-            let v = new.at(i);
-            if v != old.at(i) {
+            let (u, v) = (old.at(i), new.at(i));
+            old_null |= u.is_null();
+            new_null |= v.is_null();
+            if v != u {
                 *id = c.intern(v)?;
                 changed = true;
             }
@@ -522,8 +525,8 @@ impl Relation {
                 .err()
                 .ok_or(RelationError::DuplicateRow { index })?
         };
-        self.null_rows -= usize::from(row_has_null(old));
-        self.null_rows += usize::from(row_has_null(new));
+        self.null_rows -= usize::from(old_null);
+        self.null_rows += usize::from(new_null);
         for (c, &id) in self.cols.iter_mut().zip(key) {
             c.ids[slot as usize] = id;
         }

@@ -37,8 +37,10 @@ use std::io::{self, BufRead, Write};
 use relvu::durability::{
     BgCheckpoint, DurabilityError, DurableDatabase, MemVfs, RecoveryReport, Vfs, WalOptions,
 };
-use relvu::engine::{Database, EngineError, Policy, SubEvent, SubscribeOptions, Subscription};
-use relvu::relation::{AttrSet, RelationDisplay, Tuple, Value};
+use relvu::engine::{
+    Database, DeltaRow, EngineError, Policy, SubEvent, SubscribeOptions, Subscription,
+};
+use relvu::relation::{AttrSet, RelationDisplay, Tuple};
 use relvu::workload::fixtures;
 
 fn fresh_engine(f: &fixtures::EdmFixture) -> Database {
@@ -292,8 +294,8 @@ fn drain_subscriptions(subs: &mut Vec<Subscription>, f: &fixtures::EdmFixture) {
         loop {
             match sub.try_recv() {
                 Some(SubEvent::Delta(d)) => {
-                    let show = |t: &[Value]| {
-                        let vals: Vec<String> = t.iter().map(|&v| f.dict.show(v)).collect();
+                    let show = |t: DeltaRow<'_>| {
+                        let vals: Vec<String> = t.values().map(|v| f.dict.show(v)).collect();
                         format!("({})", vals.join(", "))
                     };
                     let mut parts = Vec::new();

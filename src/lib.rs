@@ -58,7 +58,7 @@ pub mod prelude {
     pub use relvu_deps::{closure, Fd, FdSet, Jd, Mvd};
     pub use relvu_durability::{DurableDatabase, MemVfs, StdVfs, SyncPolicy, Vfs, WalOptions};
     pub use relvu_engine::{
-        BatchOptions, BatchReport, BatchRequest, BatchStats, Database, Policy, SubEvent,
+        BatchOptions, BatchReport, BatchRequest, BatchStats, Database, DeltaRow, Policy, SubEvent,
         SubscribeFrom, SubscribeOptions, Subscription, UpdateOp, ViewDelta,
     };
     pub use relvu_relation::{

@@ -642,8 +642,8 @@ fn aborted_batch_leaves_log_ring_and_streams_like_a_twin() {
             .map(|c| {
                 (
                     c.seq(),
-                    c.removed().map(Tuple::from).collect(),
-                    c.added().map(Tuple::from).collect(),
+                    c.removed().map(|r| r.to_tuple()).collect(),
+                    c.added().map(|r| r.to_tuple()).collect(),
                 )
             })
             .collect()

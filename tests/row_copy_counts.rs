@@ -1,8 +1,8 @@
 //! Guard that each row is stored once: a relation keeps only its
-//! interned id columns, and a commit's delta keeps its rows in one flat
-//! block of values.
+//! interned id columns, and a commit's delta keeps its rows in one
+//! block of values, storing the columns each side's rows share once.
 //!
-//! Three figures, all read off a counting allocator, so none depends on
+//! Four figures, all read off a counting allocator, so none depends on
 //! the machine:
 //!
 //! * the allocations one `Relation::clone` makes on a 4,096-row,
@@ -12,8 +12,13 @@
 //!   every row was also a boxed tuple);
 //! * the live bytes a commit's base delta holds per moved row, for
 //!   manager changes over 64 departments, measured at two base sizes so
-//!   the per-commit constant cancels. A flat row of three values is
-//!   48 B; a boxed tuple plus its slot in a tuple array is 64 B.
+//!   the per-commit constant cancels. Each side's rows share `D` and
+//!   `M`, and the added side's `E` values are the removed side's, so a
+//!   moved row costs half an `E` value: 8 B. A flat row of three values
+//!   is 48 B; a boxed tuple plus its slot in a tuple array is 64 B;
+//! * the live bytes of a one-row base delta (an insert or a delete
+//!   through `π{E, D}`), header included: storing a lone row's values
+//!   once must cost no more than the flat row did (136 B).
 //!
 //! Release builds only: the debug-build oracles recompute the whole base
 //! at every commit and would swamp the counts. This file deliberately
@@ -85,8 +90,14 @@ const MAX_CLONE_ALLOCS_PER_COLUMN: u64 = 4;
 const BOXED_BYTES_PER_ROW: f64 = 148.0;
 const MIN_SAVING: f64 = 0.40;
 
-/// Three values of 16 B: a flat delta row.
-const MAX_DELTA_BYTES_PER_ROW: f64 = 48.0;
+/// One value of 16 B: what a moved row may cost, where a flat delta row
+/// of three values cost 48 B.
+const MAX_DELTA_BYTES_PER_ROW: f64 = 16.0;
+
+/// Live bytes of a one-row delta with flat rows: the `Arc`'d header
+/// (80 B), one row of three values (48 B) and the test's own pointer to
+/// it (8 B).
+const MAX_ONE_ROW_DELTA_BYTES: f64 = 136.0;
 
 /// `E → D → M`: employee `e` in department `e % 64` under manager
 /// `1_000_000 + e % 64`.
@@ -100,24 +111,20 @@ fn edm(rows: u64) -> (Schema, Relation) {
     (schema, base)
 }
 
-/// Live bytes the base deltas of [`CHANGES`] manager changes hold once
-/// everything else is dropped: a base subscriber keeps every event, the
-/// database goes, then the events are measured by dropping them too.
-fn delta_bytes(rows: u64) -> i64 {
+/// Live bytes the base deltas of [`CHANGES`] updates through the view
+/// over `view` hold once everything else is dropped: a base subscriber
+/// keeps every event, the database goes, then the events are measured
+/// by dropping them too. `update(db, i)` makes the `i`-th update.
+fn delta_bytes(rows: u64, view: [&str; 2], mut update: impl FnMut(&Database, u64)) -> i64 {
     let (schema, base) = edm(rows);
     let fds = FdSet::parse(&schema, "E -> D; D -> M").unwrap();
     let db = Database::new(schema.clone(), fds, base).unwrap();
-    let mgrs = schema.set(["D", "M"]).unwrap();
-    db.create_view("mgrs", mgrs, None, Policy::Exact).unwrap();
+    db.create_view("v", schema.set(view).unwrap(), None, Policy::Exact)
+        .unwrap();
     let sub = db.subscribe_base(SubscribeOptions::snapshot()).unwrap();
     let mut kept: Vec<Arc<ViewDelta>> = Vec::with_capacity(CHANGES as usize);
-    let mut managers: Vec<u64> = (0..DEPTS).map(|d| 1_000_000 + d).collect();
     for i in 0..CHANGES {
-        let d = i % DEPTS;
-        let fresh = 2_000_000 + i;
-        db.replace_via("mgrs", tup![d, managers[d as usize]], tup![d, fresh])
-            .unwrap();
-        managers[d as usize] = fresh;
+        update(&db, i);
         while let Some(ev) = sub.try_recv() {
             match ev {
                 SubEvent::Delta(delta) => kept.push(delta),
@@ -148,13 +155,23 @@ fn rows_are_stored_once_in_relations_and_deltas() {
     assert_eq!(copy.len(), base.len());
     drop(copy);
 
-    let large = delta_bytes(ROWS);
-    let small = delta_bytes(ROWS / 8);
+    let large = delta_bytes(ROWS, ["D", "M"], manager_changes());
+    let small = delta_bytes(ROWS / 8, ["D", "M"], manager_changes());
     // 64 and 8 rows move per change, each removed once and added once.
     let per_moved_row = (large - small) as f64 / (CHANGES as f64 * 2.0 * 56.0);
+    // Employee `ROWS + i / 2` joins department `i / 2 % 64`, then leaves.
+    let one_row = delta_bytes(ROWS, ["E", "D"], |db, i| {
+        let t = tup![ROWS + i / 2, i / 2 % DEPTS];
+        if i % 2 == 0 {
+            db.insert_via("v", t).unwrap();
+        } else {
+            db.delete_via("v", t).unwrap();
+        }
+    }) as f64
+        / CHANGES as f64;
     println!(
         "clone: {clone_allocs} allocations; relation: {per_row:.1} B per row; \
-         base delta: {per_moved_row:.1} B per moved row"
+         base delta: {per_moved_row:.1} B per moved row, {one_row:.1} B per one-row delta"
     );
     assert!(
         clone_allocs <= MAX_CLONE_ALLOCS_PER_COLUMN * 3,
@@ -169,4 +186,21 @@ fn rows_are_stored_once_in_relations_and_deltas() {
         per_moved_row <= MAX_DELTA_BYTES_PER_ROW,
         "{per_moved_row:.1} B per moved delta row (bound {MAX_DELTA_BYTES_PER_ROW})"
     );
+    assert!(
+        one_row <= MAX_ONE_ROW_DELTA_BYTES,
+        "{one_row:.1} B per one-row delta (bound {MAX_ONE_ROW_DELTA_BYTES})"
+    );
+}
+
+/// The `i`-th manager change through `π{D, M}`: department `i % 64`
+/// gets manager `2_000_000 + i`.
+fn manager_changes() -> impl FnMut(&Database, u64) {
+    let mut managers: Vec<u64> = (0..DEPTS).map(|d| 1_000_000 + d).collect();
+    move |db, i| {
+        let d = i % DEPTS;
+        let fresh = 2_000_000 + i;
+        db.replace_via("v", tup![d, managers[d as usize]], tup![d, fresh])
+            .unwrap();
+        managers[d as usize] = fresh;
+    }
 }
